@@ -91,13 +91,15 @@ struct RegionScope {
 /// first chunk exception.
 void run_chunks(std::int64_t num_chunks, FnRef<void(std::int64_t)> run) {
   if (num_chunks <= 0) return;
-  const std::size_t threads = max_threads();
-  if (num_chunks == 1 || threads <= 1 || tl_in_parallel_region) {
-    // Inline serial execution. The region flag is left as-is: a one-chunk
-    // outer loop must not stop nested kernels from going parallel.
+  // Inline serial execution. The region flag is left as-is: a one-chunk
+  // outer loop must not stop nested kernels from going parallel. The two
+  // lock-free tests come first so nested calls never touch the pool mutex.
+  auto run_inline = [&] {
     for (std::int64_t chunk = 0; chunk < num_chunks; ++chunk) run(chunk);
-    return;
-  }
+  };
+  if (num_chunks == 1 || tl_in_parallel_region) return run_inline();
+  const std::size_t threads = max_threads();
+  if (threads <= 1) return run_inline();
 
   struct Shared {
     std::atomic<std::int64_t> next{0};

@@ -1,7 +1,11 @@
 #include "tensor/conv.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "core/kernels.hpp"
 #include "core/obs.hpp"
+#include "core/simd/simd.hpp"
 
 namespace orbit2 {
 
@@ -20,6 +24,51 @@ std::int64_t conv2d_out_dim(std::int64_t in, std::int64_t kernel,
 // backward_input is written in gather form — each input cell sums its own
 // contributions in fixed (oc, ky, kx) order instead of racing scattered
 // accumulations.
+//
+// Forward and backward_input are row kernels: a block of double accumulators
+// for one output row takes one tap_update per valid (channel, ky, kx) tap,
+// over only the columns whose source column lies inside the image. Each
+// element still sees double(x) * double(w) added in (channel, ky, kx) order
+// and padding taps are skipped, never multiplied by zero, so the SIMD row
+// update reproduces the per-element loop bit for bit on every ISA.
+
+namespace {
+
+// Columns per accumulator block. The block lives on the stack, so neither
+// kernel allocates and graph replay stays allocation-free.
+constexpr std::int64_t kColBlock = 256;
+
+std::int64_t floor_div(std::int64_t a, std::int64_t b) {
+  return a >= 0 ? a / b : -((-a + b - 1) / b);
+}
+
+/// The half-open range of positions o in [lo, hi) whose mapped position
+/// o * stride + offset lies in [0, extent); empty when first >= second.
+std::pair<std::int64_t, std::int64_t> valid_range(std::int64_t lo,
+                                                  std::int64_t hi,
+                                                  std::int64_t offset,
+                                                  std::int64_t stride,
+                                                  std::int64_t extent) {
+  return {std::max(lo, -floor_div(offset, stride)),
+          std::min(hi, floor_div(extent - 1 - offset, stride) + 1)};
+}
+
+/// acc[j * acc_step] += a * double(src[j * src_step]) for j in [0, n). Unit
+/// steps run the SIMD gemm row update; strided convs take the scalar loop,
+/// which performs the same arithmetic per element.
+void tap_update(const simd::Ops& sops, double* acc, std::int64_t acc_step,
+                const float* src, std::int64_t src_step, double a,
+                std::int64_t n) {
+  if (acc_step == 1 && src_step == 1) {
+    sops.gemm_update_f64(acc, src, a, n);
+    return;
+  }
+  for (std::int64_t j = 0; j < n; ++j) {
+    acc[j * acc_step] += a * static_cast<double>(src[j * src_step]);
+  }
+}
+
+}  // namespace
 
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const Conv2dSpec& spec) {
@@ -62,34 +111,42 @@ void conv2d_forward_into(const Tensor& input, const Tensor& weight,
   const float* pb = bias.data().data();
   float* po = out.data().data();
 
-  const std::int64_t work_per_row = ow * cin * spec.kernel_h * spec.kernel_w;
+  const std::int64_t kh = spec.kernel_h, kw = spec.kernel_w;
+  const std::int64_t stride = spec.stride, pad = spec.pad;
+  const std::int64_t work_per_row = ow * cin * kh * kw;
   kernels::parallel_for(
       cout * oh, kernels::grain_for(work_per_row),
       [&](std::int64_t row0, std::int64_t row1) {
+        const simd::Ops& sops = simd::ops();
+        double acc[kColBlock] = {};
         for (std::int64_t row = row0; row < row1; ++row) {
           const std::int64_t oc = row / oh;
           const std::int64_t oy = row % oh;
-          const float b = pb[oc];
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            double acc = b;
-            const std::int64_t iy0 = oy * spec.stride - spec.pad;
-            const std::int64_t ix0 = ox * spec.stride - spec.pad;
+          const float* wt_oc = wt + oc * cin * kh * kw;
+          float* out_row = po + row * ow;
+          for (std::int64_t o0 = 0; o0 < ow; o0 += kColBlock) {
+            const std::int64_t o1 = std::min(ow, o0 + kColBlock);
+            std::fill(acc, acc + (o1 - o0), static_cast<double>(pb[oc]));
             for (std::int64_t ic = 0; ic < cin; ++ic) {
-              const float* in_c = in + ic * h * w;
-              const float* wt_c =
-                  wt + ((oc * cin + ic) * spec.kernel_h) * spec.kernel_w;
-              for (std::int64_t ky = 0; ky < spec.kernel_h; ++ky) {
-                const std::int64_t iy = iy0 + ky;
+              for (std::int64_t ky = 0; ky < kh; ++ky) {
+                const std::int64_t iy = oy * stride - pad + ky;
                 if (iy < 0 || iy >= h) continue;
-                for (std::int64_t kx = 0; kx < spec.kernel_w; ++kx) {
-                  const std::int64_t ix = ix0 + kx;
-                  if (ix < 0 || ix >= w) continue;
-                  acc += static_cast<double>(in_c[iy * w + ix]) *
-                         wt_c[ky * spec.kernel_w + kx];
+                const float* in_row = in + (ic * h + iy) * w;
+                const float* wt_row = wt_oc + (ic * kh + ky) * kw;
+                for (std::int64_t kx = 0; kx < kw; ++kx) {
+                  // Output column ox reads input column ox * stride + off.
+                  const std::int64_t off = kx - pad;
+                  const auto [x0, x1] = valid_range(o0, o1, off, stride, w);
+                  if (x0 >= x1) continue;
+                  tap_update(sops, acc + (x0 - o0), 1,
+                             in_row + x0 * stride + off, stride,
+                             static_cast<double>(wt_row[kx]), x1 - x0);
                 }
               }
             }
-            po[(oc * oh + oy) * ow + ox] = static_cast<float>(acc);
+            for (std::int64_t ox = o0; ox < o1; ++ox) {
+              out_row[ox] = static_cast<float>(acc[ox - o0]);
+            }
           }
         }
       });
@@ -113,35 +170,42 @@ Tensor conv2d_backward_input(const Tensor& grad_output, const Tensor& weight,
   // Gather form: gi[ic, iy, ix] = sum over (oc, ky, kx) of
   // go[oc, oy, ox] * w[oc, ic, ky, kx] at the unique (oy, ox) that reads
   // (iy, ix) through tap (ky, kx), when it exists on the stride grid.
-  const std::int64_t work_per_row = in_w * cout * spec.kernel_h * spec.kernel_w;
+  const std::int64_t kh = spec.kernel_h, kw = spec.kernel_w;
+  const std::int64_t stride = spec.stride, pad = spec.pad;
+  const std::int64_t work_per_row = in_w * cout * kh * kw;
   kernels::parallel_for(
       cin * in_h, kernels::grain_for(work_per_row),
       [&](std::int64_t row0, std::int64_t row1) {
+        const simd::Ops& sops = simd::ops();
+        double acc[kColBlock] = {};
         for (std::int64_t row = row0; row < row1; ++row) {
           const std::int64_t ic = row / in_h;
           const std::int64_t iy = row % in_h;
-          for (std::int64_t ix = 0; ix < in_w; ++ix) {
-            double acc = 0.0;
+          float* gi_row = gi + row * in_w;
+          for (std::int64_t i0 = 0; i0 < in_w; i0 += kColBlock) {
+            const std::int64_t i1 = std::min(in_w, i0 + kColBlock);
+            std::fill(acc, acc + (i1 - i0), 0.0);
             for (std::int64_t oc = 0; oc < cout; ++oc) {
-              const float* go_c = go + oc * oh * ow;
-              const float* wt_c =
-                  wt + ((oc * cin + ic) * spec.kernel_h) * spec.kernel_w;
-              for (std::int64_t ky = 0; ky < spec.kernel_h; ++ky) {
-                const std::int64_t ty = iy + spec.pad - ky;
-                if (ty < 0 || ty % spec.stride != 0) continue;
-                const std::int64_t oy = ty / spec.stride;
-                if (oy >= oh) continue;
-                for (std::int64_t kx = 0; kx < spec.kernel_w; ++kx) {
-                  const std::int64_t tx = ix + spec.pad - kx;
-                  if (tx < 0 || tx % spec.stride != 0) continue;
-                  const std::int64_t ox = tx / spec.stride;
-                  if (ox >= ow) continue;
-                  acc += static_cast<double>(go_c[oy * ow + ox]) *
-                         wt_c[ky * spec.kernel_w + kx];
+              for (std::int64_t ky = 0; ky < kh; ++ky) {
+                const std::int64_t ty = iy + pad - ky;
+                if (ty < 0 || ty % stride != 0 || ty / stride >= oh) continue;
+                const float* go_row = go + (oc * oh + ty / stride) * ow;
+                const float* wt_row = wt + ((oc * cin + ic) * kh + ky) * kw;
+                for (std::int64_t kx = 0; kx < kw; ++kx) {
+                  // Output column ox feeds block column ox * stride + off.
+                  const std::int64_t off = kx - pad - i0;
+                  const auto [x0, x1] =
+                      valid_range(0, ow, off, stride, i1 - i0);
+                  if (x0 >= x1) continue;
+                  tap_update(sops, acc + x0 * stride + off, stride,
+                             go_row + x0, 1,
+                             static_cast<double>(wt_row[kx]), x1 - x0);
                 }
               }
             }
-            gi[(ic * in_h + iy) * in_w + ix] = static_cast<float>(acc);
+            for (std::int64_t ix = i0; ix < i1; ++ix) {
+              gi_row[ix] = static_cast<float>(acc[ix - i0]);
+            }
           }
         }
       });

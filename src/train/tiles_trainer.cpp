@@ -1,5 +1,7 @@
 #include "train/tiles_trainer.hpp"
 
+#include <algorithm>
+
 #include "core/kernels.hpp"
 #include "core/obs.hpp"
 #include "core/timer.hpp"
@@ -19,6 +21,7 @@ TilesTrainer::TilesTrainer(ReplicaFactory factory, TileSpec tile_spec,
                 0.05f * config.lr) {
   const auto tiles = static_cast<std::size_t>(tile_spec.tile_count());
   ORBIT2_REQUIRE(tiles >= 1, "need at least one tile");
+  ORBIT2_REQUIRE(config_.batch_size >= 1, "batch size must be >= 1");
   replicas_.reserve(tiles);
   for (std::size_t i = 0; i < tiles; ++i) {
     replicas_.push_back(factory());
@@ -100,25 +103,104 @@ EpochStats TilesTrainer::run_samples(const data::SyntheticDataset& dataset,
   EpochStats stats;
   WallTimer timer;
   const std::int64_t upscale = dataset.config().upscale;
+  const auto tiles = static_cast<std::int64_t>(replicas_.size());
+  const auto total = static_cast<std::int64_t>(order.size());
 
-  std::int64_t in_batch = 0;
   double loss_sum = 0.0;
-  double batch_loss_sum = 0.0;
   for (auto& params : replica_params_) {
     for (const auto& p : params) p->zero_grad();
   }
 
-  // One gradient all-reduce + identical per-replica steps, then advance the
-  // resumable cursor to this step boundary.
-  auto step_boundary = [&](std::int64_t batch_samples,
-                           std::int64_t consumed) {
+  // Each optimizer step is two passes over the shared kernel-layer pool,
+  // one task per sample and then one task per tile; a trailing partial
+  // batch is just a shorter last step.
+  std::vector<data::Sample> batch;
+  std::vector<double> tile_losses;
+  for (std::int64_t first = start; first < total;
+       first += config_.batch_size) {
+    const std::int64_t n = std::min(config_.batch_size, total - first);
+    batch.assign(static_cast<std::size_t>(n), data::Sample{});
+    kernels::parallel_for(n, 1, [&](std::int64_t s0, std::int64_t s1) {
+      for (std::int64_t s = s0; s < s1; ++s) {
+        ORBIT2_OBS_SPAN("train/data", "train");
+        batch[static_cast<std::size_t>(s)] =
+            dataset.sample(order[static_cast<std::size_t>(first + s)]);
+      }
+    });
+
+    // Replica t trains on its tile of every sample in batch order, so its
+    // gradients accumulate in the same order as a sample-at-a-time loop.
+    // Sample s's loss on tile t lands in slot s * tiles + t and the slots
+    // are reduced in tile order after the join, so the reported loss is
+    // bit-deterministic across runs (a completion-order atomic sum would
+    // not be).
+    tile_losses.assign(static_cast<std::size_t>(n * tiles), 0.0);
+    kernels::parallel_for(tiles, 1, [&](std::int64_t t0, std::int64_t t1) {
+      for (std::int64_t ti = t0; ti < t1; ++ti) {
+        const auto t = static_cast<std::size_t>(ti);
+        for (std::int64_t s = 0; s < n; ++s) {
+          const data::Sample& sample = batch[static_cast<std::size_t>(s)];
+          // HR target tiles correspond to the padded input regions x
+          // upscale.
+          const TileRegion region = partition_tiles(
+              sample.input.dim(1), sample.input.dim(2), tile_spec_)[t];
+          const Tensor tile_input = extract_tile(sample.input, region);
+          TileRegion hr_region;
+          hr_region.pad_y0 = region.pad_y0 * upscale;
+          hr_region.pad_x0 = region.pad_x0 * upscale;
+          hr_region.pad_h = region.pad_h * upscale;
+          hr_region.pad_w = region.pad_w * upscale;
+          const Tensor tile_target = extract_tile(sample.target, hr_region);
+
+          // Forward/backward spans land on whichever pool thread ran the
+          // tile; tests assert counts and tile args, not cross-thread
+          // order.
+          Var loss;
+          {
+            ORBIT2_OBS_SPAN_ARG("train/forward", "train", "tile", ti);
+            Var prediction = replicas_[t]->downscale(tile_input);
+            if (config_.bayesian_loss) {
+              model::BayesianLossParams params;
+              params.tv_weight = config_.tv_weight;
+              loss = model::bayesian_loss(
+                  prediction, tile_target,
+                  data::latitude_weights(tile_target.dim(1)), params);
+            } else {
+              loss = model::mse_loss(prediction, tile_target);
+            }
+          }
+          tile_losses[static_cast<std::size_t>(s * tiles + ti)] =
+              loss.value().item();
+          {
+            ORBIT2_OBS_SPAN_ARG("train/backward", "train", "tile", ti);
+            autograd::backward(loss);
+          }
+        }
+      }
+    });
+
+    double batch_loss_sum = 0.0;
+    for (std::int64_t s = 0; s < n; ++s) {
+      double sample_loss = 0.0;
+      for (std::int64_t t = 0; t < tiles; ++t) {
+        sample_loss += tile_losses[static_cast<std::size_t>(s * tiles + t)];
+      }
+      const double mean_tile_loss = sample_loss / static_cast<double>(tiles);
+      loss_sum += mean_tile_loss;
+      batch_loss_sum += mean_tile_loss;
+    }
+    stats.samples += n;
+    const double batch_loss = batch_loss_sum / static_cast<double>(n);
+
+    // One gradient all-reduce + identical per-replica steps, then advance
+    // the resumable cursor to this step boundary.
     {
       // Pre-increment global step: a resumed run's first optimizer span
       // carries the restored step.
       ORBIT2_OBS_SPAN_ARG("train/optimizer", "train", "global_step",
                           global_step_);
       allreduce_mean_gradients(replica_params_);
-      const float grad_scale = 1.0f / static_cast<float>(batch_samples);
+      const float grad_scale = 1.0f / static_cast<float>(n);
       const float lr = schedule_.lr_at(global_step_);
       for (std::size_t t = 0; t < replicas_.size(); ++t) {
         if (config_.grad_clip > 0.0f) {
@@ -131,10 +213,7 @@ EpochStats TilesTrainer::run_samples(const data::SyntheticDataset& dataset,
       }
       ++global_step_;
     }
-    cursor_ = consumed;
-    const double batch_loss =
-        batch_loss_sum / static_cast<double>(batch_samples);
-    batch_loss_sum = 0.0;
+    cursor_ = first + n;
     if (manager != nullptr && config_.checkpoint_every_steps > 0 &&
         ++steps_since_checkpoint_ >= config_.checkpoint_every_steps) {
       steps_since_checkpoint_ = 0;
@@ -143,75 +222,6 @@ EpochStats TilesTrainer::run_samples(const data::SyntheticDataset& dataset,
                     snapshot_state(), batch_loss);
     }
     if (step_hook_) step_hook_(global_step_, batch_loss);
-  };
-
-  for (std::size_t i = static_cast<std::size_t>(start); i < order.size();
-       ++i) {
-    const data::Sample sample = [&] {
-      ORBIT2_OBS_SPAN("train/data", "train");
-      return dataset.sample(order[i]);
-    }();
-    const std::int64_t h = sample.input.dim(1), w = sample.input.dim(2);
-    const auto regions = partition_tiles(h, w, tile_spec_);
-
-    // HR target tiles correspond to the padded input regions x upscale.
-    // One task per tile (grain 1) on the shared kernel-layer pool; per-tile
-    // losses land in fixed slots and are reduced in tile order after the
-    // join, so the reported loss is bit-deterministic across runs (a
-    // completion-order atomic sum would not be).
-    std::vector<double> tile_losses(regions.size(), 0.0);
-    kernels::parallel_for(
-        static_cast<std::int64_t>(regions.size()), 1,
-        [&](std::int64_t t0, std::int64_t t1) {
-          for (std::int64_t ti = t0; ti < t1; ++ti) {
-            const auto t = static_cast<std::size_t>(ti);
-            const Tensor tile_input = extract_tile(sample.input, regions[t]);
-            TileRegion hr_region;
-            hr_region.pad_y0 = regions[t].pad_y0 * upscale;
-            hr_region.pad_x0 = regions[t].pad_x0 * upscale;
-            hr_region.pad_h = regions[t].pad_h * upscale;
-            hr_region.pad_w = regions[t].pad_w * upscale;
-            const Tensor tile_target = extract_tile(sample.target, hr_region);
-
-            // Forward/backward spans land on whichever pool thread ran the
-            // tile; tests assert counts and tile args, not cross-thread
-            // order.
-            Var loss;
-            {
-              ORBIT2_OBS_SPAN_ARG("train/forward", "train", "tile", ti);
-              Var prediction = replicas_[t]->downscale(tile_input);
-              if (config_.bayesian_loss) {
-                model::BayesianLossParams params;
-                params.tv_weight = config_.tv_weight;
-                loss = model::bayesian_loss(
-                    prediction, tile_target,
-                    data::latitude_weights(tile_target.dim(1)), params);
-              } else {
-                loss = model::mse_loss(prediction, tile_target);
-              }
-            }
-            tile_losses[t] = loss.value().item();
-            {
-              ORBIT2_OBS_SPAN_ARG("train/backward", "train", "tile", ti);
-              autograd::backward(loss);
-            }
-          }
-        });
-    double sample_loss = 0.0;
-    for (double tile_loss : tile_losses) sample_loss += tile_loss;
-    const double mean_tile_loss =
-        sample_loss / static_cast<double>(regions.size());
-    loss_sum += mean_tile_loss;
-    batch_loss_sum += mean_tile_loss;
-    ++stats.samples;
-
-    if (++in_batch < config_.batch_size) continue;
-    in_batch = 0;
-    step_boundary(config_.batch_size, static_cast<std::int64_t>(i) + 1);
-  }
-  // Flush a trailing partial batch.
-  if (in_batch > 0) {
-    step_boundary(in_batch, static_cast<std::int64_t>(order.size()));
   }
 
   stats.mean_loss = stats.samples > 0

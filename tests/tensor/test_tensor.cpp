@@ -5,9 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <string>
 
+#include "core/kernels.hpp"
 #include "core/rng.hpp"
+#include "core/simd/simd.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
@@ -326,6 +332,211 @@ TEST(Conv2d, BackwardParamsMatchFiniteDifference) {
     // dL/db = number of output pixels per channel.
     EXPECT_FLOAT_EQ(gb[idx], 16.0f);
   }
+}
+
+// ---- conv2d bitwise sweep -------------------------------------------------
+//
+// The per-element loops below are the reference for the row kernels in
+// tensor/conv.cpp. Every output sums double(x) * double(w) over its valid
+// taps in (channel, ky, kx) order and never visits a padding tap.
+
+void reference_conv2d_forward(const Tensor& input, const Tensor& weight,
+                              const Tensor& bias, const Conv2dSpec& spec,
+                              Tensor& out) {
+  const std::int64_t cin = input.dim(0), h = input.dim(1), w = input.dim(2);
+  const std::int64_t cout = out.dim(0), oh = out.dim(1), ow = out.dim(2);
+  const float* in = input.data().data();
+  const float* wt = weight.data().data();
+  for (std::int64_t oc = 0; oc < cout; ++oc) {
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      for (std::int64_t ox = 0; ox < ow; ++ox) {
+        double acc = bias[oc];
+        const std::int64_t iy0 = oy * spec.stride - spec.pad;
+        const std::int64_t ix0 = ox * spec.stride - spec.pad;
+        for (std::int64_t ic = 0; ic < cin; ++ic) {
+          const float* in_c = in + ic * h * w;
+          const float* wt_c =
+              wt + ((oc * cin + ic) * spec.kernel_h) * spec.kernel_w;
+          for (std::int64_t ky = 0; ky < spec.kernel_h; ++ky) {
+            const std::int64_t iy = iy0 + ky;
+            if (iy < 0 || iy >= h) continue;
+            for (std::int64_t kx = 0; kx < spec.kernel_w; ++kx) {
+              const std::int64_t ix = ix0 + kx;
+              if (ix < 0 || ix >= w) continue;
+              acc += static_cast<double>(in_c[iy * w + ix]) *
+                     wt_c[ky * spec.kernel_w + kx];
+            }
+          }
+        }
+        out[(oc * oh + oy) * ow + ox] = static_cast<float>(acc);
+      }
+    }
+  }
+}
+
+void reference_conv2d_backward_input(const Tensor& grad_output,
+                                     const Tensor& weight,
+                                     const Conv2dSpec& spec,
+                                     Tensor& grad_input) {
+  const std::int64_t cout = grad_output.dim(0);
+  const std::int64_t oh = grad_output.dim(1), ow = grad_output.dim(2);
+  const std::int64_t cin = grad_input.dim(0);
+  const std::int64_t in_h = grad_input.dim(1), in_w = grad_input.dim(2);
+  const float* go = grad_output.data().data();
+  const float* wt = weight.data().data();
+  for (std::int64_t ic = 0; ic < cin; ++ic) {
+    for (std::int64_t iy = 0; iy < in_h; ++iy) {
+      for (std::int64_t ix = 0; ix < in_w; ++ix) {
+        double acc = 0.0;
+        for (std::int64_t oc = 0; oc < cout; ++oc) {
+          const float* go_c = go + oc * oh * ow;
+          const float* wt_c =
+              wt + ((oc * cin + ic) * spec.kernel_h) * spec.kernel_w;
+          for (std::int64_t ky = 0; ky < spec.kernel_h; ++ky) {
+            const std::int64_t ty = iy + spec.pad - ky;
+            if (ty < 0 || ty % spec.stride != 0) continue;
+            const std::int64_t oy = ty / spec.stride;
+            if (oy >= oh) continue;
+            for (std::int64_t kx = 0; kx < spec.kernel_w; ++kx) {
+              const std::int64_t tx = ix + spec.pad - kx;
+              if (tx < 0 || tx % spec.stride != 0) continue;
+              const std::int64_t ox = tx / spec.stride;
+              if (ox >= ow) continue;
+              acc += static_cast<double>(go_c[oy * ow + ox]) *
+                     wt_c[ky * spec.kernel_w + kx];
+            }
+          }
+        }
+        grad_input[(ic * in_h + iy) * in_w + ix] = static_cast<float>(acc);
+      }
+    }
+  }
+}
+
+void reference_conv2d_backward_params(const Tensor& grad_output,
+                                      const Tensor& input,
+                                      const Conv2dSpec& spec,
+                                      Tensor& grad_weight, Tensor& grad_bias) {
+  const std::int64_t cout = grad_output.dim(0);
+  const std::int64_t oh = grad_output.dim(1), ow = grad_output.dim(2);
+  const std::int64_t cin = input.dim(0), h = input.dim(1), w = input.dim(2);
+  const float* go = grad_output.data().data();
+  const float* in = input.data().data();
+  float* gw = grad_weight.data().data();
+  for (std::int64_t oc = 0; oc < cout; ++oc) {
+    double bias_acc = 0.0;
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      for (std::int64_t ox = 0; ox < ow; ++ox) {
+        const float g = go[(oc * oh + oy) * ow + ox];
+        bias_acc += g;
+        const std::int64_t iy0 = oy * spec.stride - spec.pad;
+        const std::int64_t ix0 = ox * spec.stride - spec.pad;
+        for (std::int64_t ic = 0; ic < cin; ++ic) {
+          const float* in_c = in + ic * h * w;
+          float* gw_c = gw + ((oc * cin + ic) * spec.kernel_h) * spec.kernel_w;
+          for (std::int64_t ky = 0; ky < spec.kernel_h; ++ky) {
+            const std::int64_t iy = iy0 + ky;
+            if (iy < 0 || iy >= h) continue;
+            for (std::int64_t kx = 0; kx < spec.kernel_w; ++kx) {
+              const std::int64_t ix = ix0 + kx;
+              if (ix < 0 || ix >= w) continue;
+              gw_c[ky * spec.kernel_w + kx] += g * in_c[iy * w + ix];
+            }
+          }
+        }
+      }
+    }
+    grad_bias[oc] += static_cast<float>(bias_acc);
+  }
+}
+
+/// Byte-equal, except that a NaN matches any NaN: the simd contract pins
+/// arithmetic, not which NaN payload survives when two NaNs meet.
+void expect_same_bits(const Tensor& got, const Tensor& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  std::int64_t mismatches = 0;
+  for (std::int64_t i = 0; i < got.numel(); ++i) {
+    const float g = got[i], e = want[i];
+    if (std::isnan(g) && std::isnan(e)) continue;
+    if (std::memcmp(&g, &e, sizeof(float)) != 0 && mismatches++ == 0) {
+      ADD_FAILURE() << what << ": first mismatch at " << i << ": got " << g
+                    << ", want " << e;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << what;
+}
+
+TEST(Conv2d, RowKernelsMatchPerElementLoopsBitwiseOnEveryIsaAndThreadCount) {
+  const simd::Isa saved_isa = simd::active_isa();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::int64_t cin = 3, cout = 3, h = 6;
+  std::uint64_t seed = 40;
+  for (const std::int64_t k : {1, 3, 5}) {
+    for (const std::int64_t pad : {0, 1, 2}) {
+      for (const std::int64_t stride : {1, 2}) {
+        // Widths: one column, odd, and past the 256-column accumulator
+        // block at both strides.
+        for (const std::int64_t w : {1, 7, 301, 530}) {
+          if (w + 2 * pad < k || h + 2 * pad < k) continue;
+          const Conv2dSpec spec{k, k, stride, pad};
+          Rng rng(seed++);
+          Tensor x = Tensor::randn(Shape{cin, h, w}, rng);
+          x[0] = -0.0f;
+          Tensor wt = Tensor::randn(Shape{cout, cin, k, k}, rng, 0.5f);
+          // Corner taps are padding taps for border outputs whenever
+          // pad > 0: a kernel that multiplied them by zero would turn
+          // those outputs into NaN where the reference stays finite.
+          // Output channel 2 and input channel 2 see only finite taps.
+          wt.at(0, 0, 0, 0) = nan;
+          wt.at(1, 1, k - 1, k - 1) = inf;
+          wt.at(1, 0, 0, k - 1) = -inf;
+          wt.at(2, 2, k / 2, 0) = -0.0f;
+          Tensor b = Tensor::randn(Shape{cout}, rng);
+          b[1] = -0.0f;
+          const std::int64_t oh = conv2d_out_dim(h, k, stride, pad);
+          const std::int64_t ow = conv2d_out_dim(w, k, stride, pad);
+          Tensor go = Tensor::randn(Shape{cout, oh, ow}, rng);
+          go[0] = -0.0f;
+          const Tensor gw_init = Tensor::randn(wt.shape(), rng);
+          const Tensor gb_init = Tensor::randn(b.shape(), rng);
+
+          Tensor want_y(Shape{cout, oh, ow});
+          reference_conv2d_forward(x, wt, b, spec, want_y);
+          Tensor want_gi(Shape{cin, h, w});
+          reference_conv2d_backward_input(go, wt, spec, want_gi);
+          Tensor want_gw = gw_init.clone();
+          Tensor want_gb = gb_init.clone();
+          reference_conv2d_backward_params(go, x, spec, want_gw, want_gb);
+
+          for (const simd::Isa isa : simd::supported_isas()) {
+            simd::set_isa(isa);
+            for (const std::size_t threads : {1u, 4u}) {
+              kernels::set_max_threads(threads);
+              const std::string what =
+                  std::string("isa=") + simd::isa_name(isa) +
+                  " threads=" + std::to_string(threads) +
+                  " k=" + std::to_string(k) + " pad=" + std::to_string(pad) +
+                  " stride=" + std::to_string(stride) +
+                  " w=" + std::to_string(w);
+              expect_same_bits(conv2d_forward(x, wt, b, spec), want_y,
+                               "forward " + what);
+              expect_same_bits(conv2d_backward_input(go, wt, h, w, spec),
+                               want_gi, "backward_input " + what);
+              Tensor gw = gw_init.clone();
+              Tensor gb = gb_init.clone();
+              conv2d_backward_params(go, x, gw, gb, spec);
+              expect_same_bits(gw, want_gw, "backward_params weight " + what);
+              expect_same_bits(gb, want_gb, "backward_params bias " + what);
+            }
+          }
+        }
+      }
+    }
+  }
+  kernels::set_max_threads(0);
+  simd::set_isa(saved_isa);
 }
 
 // ---- resize / coarsen ----------------------------------------------------

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 
+#include "core/crc32.hpp"
+#include "core/kernels.hpp"
 #include "model/reslim.hpp"
 #include "train/checkpoint.hpp"
 #include "train/evaluate.hpp"
@@ -221,6 +225,53 @@ TEST(TilesTrainer, PredictionHasFullShapeAndNoSeamsOnSmoothModel) {
   const Tensor prediction = trainer.predict(sample.input);
   EXPECT_EQ(prediction.shape(), sample.target.shape());
   for (float v : prediction.data()) EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST(TilesTrainer, PartialBatchEpochBitsPinnedAtEveryThreadCount) {
+  // 7 samples at batch 3: two full steps, then a trailing 1-sample step.
+  // The pins were taken from the trainer that built and trained one sample
+  // at a time. A change to batch assembly, to the per-replica gradient
+  // accumulation order or to the tile-order loss reduction moves them.
+  constexpr std::uint64_t kFinalLossBits = 0x40046caf28000000ull;
+  constexpr std::uint64_t kMeanLossBits = 0x4003431c45b6db6eull;
+  constexpr std::uint32_t kParamCrc = 0xaa717f50u;
+  data::SyntheticDataset dataset(small_dataset_config());
+  for (const std::size_t threads : {1u, 4u}) {
+    kernels::set_max_threads(threads);
+    TrainerConfig config;
+    config.epochs = 1;
+    config.batch_size = 3;
+    config.lr = 1e-3f;
+    TilesTrainer trainer(
+        [] {
+          Rng rng(12);
+          return std::make_unique<model::ReslimModel>(small_model_config(),
+                                                      rng);
+        },
+        TileSpec{2, 2, 2}, config);
+    std::vector<double> step_losses;
+    trainer.set_step_hook(
+        [&](std::int64_t, double loss) { step_losses.push_back(loss); });
+    const EpochStats stats = trainer.train_epoch(dataset, range_indices(7));
+    ASSERT_EQ(step_losses.size(), 3u) << "threads=" << threads;
+    EXPECT_EQ(stats.samples, 7);
+    EXPECT_EQ(trainer.global_step(), 3);
+    EXPECT_EQ(trainer.replica_divergence(), 0.0f);
+
+    std::uint64_t final_bits = 0;
+    std::uint64_t mean_bits = 0;
+    std::memcpy(&final_bits, &step_losses.back(), sizeof(final_bits));
+    std::memcpy(&mean_bits, &stats.mean_loss, sizeof(mean_bits));
+    Crc32 crc;
+    for (const autograd::ParamPtr& p : trainer.replica(0).parameters()) {
+      crc.update(p->value.data().data(),
+                 p->value.data().size() * sizeof(float));
+    }
+    EXPECT_EQ(final_bits, kFinalLossBits) << "threads=" << threads;
+    EXPECT_EQ(mean_bits, kMeanLossBits) << "threads=" << threads;
+    EXPECT_EQ(crc.value(), kParamCrc) << "threads=" << threads;
+  }
+  kernels::set_max_threads(0);
 }
 
 }  // namespace
