@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/kernels.hpp"
@@ -28,6 +29,12 @@ void check_qkv(const Tensor& q, const Tensor& k, const Tensor& v) {
                  "attention expects rank-2 Q,K,V");
   ORBIT2_REQUIRE(q.dim(1) == k.dim(1), "attention: Q/K head dim mismatch");
   ORBIT2_REQUIRE(k.dim(0) == v.dim(0), "attention: K/V length mismatch");
+  ORBIT2_REQUIRE(k.dim(0) >= 1, "attention: empty key set");
+}
+
+void check_flash_params(const FlashParams& params) {
+  ORBIT2_REQUIRE(params.block_q >= 1 && params.block_kv >= 1,
+                 "flash block sizes must be positive");
 }
 
 }  // namespace
@@ -112,8 +119,71 @@ AttentionGrads attention_naive_backward(const AttentionContext& ctx,
 // ascending block order inside each chunk. Every output row is therefore
 // produced by exactly one chunk in a fixed accumulation order, making
 // results bit-identical for any thread count.
+//
+// Inside a (query block, KV block) tile the score and dP dots run as double
+// lanes of simd::Ops::gemm_update_f64 over a transposed K (or V) block: lane
+// j accumulates double(q[t]) * double(k_j[t]) in ascending t from 0.0. The
+// products are exact, so every lane equals the sequential double dot of the
+// two rows bit for bit on every ISA. The P·V, dQ, dK and dV accumulates are
+// simd::Ops::axpy_rows_f32 calls, which apply their rows to each output
+// element in the same order as one axpy_f32 per (query, key) pair.
 
 namespace {
+
+/// Grow-only per-thread scratch of the flash kernels. Every entry read is
+/// written earlier in the same tile, so reuse across calls cannot leak
+/// values, and steady-state calls at a fixed shape allocate nothing.
+struct FlashScratch {
+  std::vector<float> kt;      // K block transposed, [d][bk]
+  std::vector<float> vt;      // V block transposed, [dv][bk] (backward)
+  std::vector<double> lanes;  // one row of score or dP lanes, [bk]
+  std::vector<float> p;       // forward: one probability row; backward: P
+  std::vector<float> ds;      // backward: dS tile
+  std::vector<float> row_max;
+  std::vector<float> row_sum;
+};
+
+FlashScratch& flash_scratch() {
+  thread_local FlashScratch scratch;
+  return scratch;
+}
+
+/// Grows `buffer` to hold `n` elements that start on a 64-byte cache line
+/// and returns that start. The score lanes are stored and reloaded once per
+/// head-dim step, and on an AVX-512 Xeon lanes that straddle cache lines
+/// took twice as long; malloc's 16-byte alignment would leave that to
+/// chance, per thread and per run.
+template <typename T>
+T* grow(std::vector<T>& buffer, std::int64_t n) {
+  constexpr std::size_t kLine = 64;
+  const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(T);
+  const std::size_t want = static_cast<std::size_t>(n) + kLine / sizeof(T);
+  if (buffer.size() < want) buffer.resize(want);
+  void* start = buffer.data();
+  std::size_t space = buffer.size() * sizeof(T);
+  return static_cast<T*>(std::align(kLine, bytes, start, space));
+}
+
+/// Copies rows [r0, r0 + bk) of the row-major [*, d] matrix `src` into
+/// `dst` laid out [d][bk].
+void transpose_block(const float* src, std::int64_t d, std::int64_t r0,
+                     std::int64_t bk, float* dst) {
+  for (std::int64_t j = 0; j < bk; ++j) {
+    const float* row = src + (r0 + j) * d;
+    for (std::int64_t t = 0; t < d; ++t) dst[t * bk + j] = row[t];
+  }
+}
+
+/// lanes[j] = sum over ascending t of double(x[t]) * double(bt[t * bk + j]),
+/// starting from 0.0: the sequential double dot of x with row j of the
+/// block that `bt` holds transposed.
+void dot_lanes(const simd::Ops& sops, const float* x, const float* bt,
+               std::int64_t d, std::int64_t bk, double* lanes) {
+  std::fill(lanes, lanes + bk, 0.0);
+  for (std::int64_t t = 0; t < d; ++t) {
+    sops.gemm_update_f64(lanes, bt + t * bk, static_cast<double>(x[t]), bk);
+  }
+}
 
 /// Shared body of the flash forward: writes the (pre-zeroed) output and the
 /// per-row log-sum-exp through raw pointers. Both the eager entry point and
@@ -124,64 +194,43 @@ void flash_forward_body(const float* pq, const float* pk, const float* pv,
                         std::int64_t nk, std::int64_t d, std::int64_t dv,
                         float scale, const FlashParams& params) {
   const std::int64_t q_blocks = (nq + params.block_q - 1) / params.block_q;
-  // Score dots stay sequential double reductions (their accumulation order
-  // is pinned); only element-parallel rescales and axpy updates route
-  // through the simd tier.
+  const std::int64_t max_bq = std::min(nq, params.block_q);
+  const std::int64_t max_bk = std::min(nk, params.block_kv);
   const simd::Ops& sops = simd::ops();
   kernels::parallel_for(q_blocks, 1, [&](std::int64_t qb0, std::int64_t qb1) {
-    // Per-thread grow-only scratch: score tile and running row statistics
-    // (max m_i, normalizer l_i) for this chunk's query rows only. Every
-    // entry read is written earlier in the same block iteration, so reuse
-    // across calls cannot leak values — and steady-state replay of a fixed
-    // shape allocates nothing.
-    thread_local std::vector<float> scores;
-    thread_local std::vector<float> row_max;
-    thread_local std::vector<float> row_sum;
-    const auto tile =
-        static_cast<std::size_t>(params.block_q * params.block_kv);
-    if (scores.size() < tile) scores.resize(tile);
-    if (row_max.size() < static_cast<std::size_t>(params.block_q)) {
-      row_max.resize(static_cast<std::size_t>(params.block_q));
-      row_sum.resize(static_cast<std::size_t>(params.block_q));
-    }
+    // Running row statistics (max m_i, normalizer l_i) cover this chunk's
+    // current query block only.
+    FlashScratch& s = flash_scratch();
+    float* kt = grow(s.kt, d * max_bk);
+    double* lanes = grow(s.lanes, max_bk);
+    float* prow = grow(s.p, max_bk);
+    float* row_max = grow(s.row_max, max_bq);
+    float* row_sum = grow(s.row_sum, max_bq);
     for (std::int64_t qb = qb0; qb < qb1; ++qb) {
       const std::int64_t q0 = qb * params.block_q;
       const std::int64_t q1 = std::min(nq, q0 + params.block_q);
-      std::fill(row_max.begin(),
-                row_max.begin() + static_cast<std::size_t>(params.block_q),
+      std::fill(row_max, row_max + (q1 - q0),
                 -std::numeric_limits<float>::infinity());
-      std::fill(row_sum.begin(),
-                row_sum.begin() + static_cast<std::size_t>(params.block_q),
-                0.0f);
+      std::fill(row_sum, row_sum + (q1 - q0), 0.0f);
 
       for (std::int64_t k0 = 0; k0 < nk; k0 += params.block_kv) {
-        const std::int64_t k1 = std::min(nk, k0 + params.block_kv);
-        const std::int64_t bk = k1 - k0;
+        const std::int64_t bk = std::min(nk, k0 + params.block_kv) - k0;
+        transpose_block(pk, d, k0, bk, kt);
 
-        // Score tile S = Qb Kb^T * scale (fits in cache by construction).
         for (std::int64_t i = q0; i < q1; ++i) {
-          const float* qrow = pq + i * d;
-          float* srow = scores.data() + (i - q0) * params.block_kv;
+          // Score row S_i = q_i Kb^T * scale.
+          dot_lanes(sops, pq + i * d, kt, d, bk, lanes);
           for (std::int64_t j = 0; j < bk; ++j) {
-            const float* krow = pk + (k0 + j) * d;
-            double acc = 0.0;
-            for (std::int64_t t = 0; t < d; ++t) {
-              acc += static_cast<double>(qrow[t]) * krow[t];
-            }
-            srow[j] = static_cast<float>(acc) * scale;
+            prow[j] = static_cast<float>(lanes[j]) * scale;
           }
-        }
 
-        // Online softmax update per row: rescale previous accumulators when
-        // a new maximum appears, then fold in this block's contributions.
-        for (std::int64_t i = q0; i < q1; ++i) {
-          float* srow = scores.data() + (i - q0) * params.block_kv;
-          float block_max = srow[0];
+          // Online softmax update: rescale the previous accumulators when a
+          // new maximum appears, then fold in this block's contributions.
+          float block_max = prow[0];
           for (std::int64_t j = 1; j < bk; ++j) {
-            block_max = std::max(block_max, srow[j]);
+            block_max = std::max(block_max, prow[j]);
           }
-
-          const float old_max = row_max[static_cast<std::size_t>(i - q0)];
+          const float old_max = row_max[i - q0];
           const float new_max = std::max(old_max, block_max);
           const float correction =
               (old_max == -std::numeric_limits<float>::infinity())
@@ -190,24 +239,23 @@ void flash_forward_body(const float* pq, const float* pk, const float* pv,
 
           float* orow = po + i * dv;
           sops.scale_f32(orow, correction, dv);
-          row_sum[static_cast<std::size_t>(i - q0)] *= correction;
-
+          row_sum[i - q0] *= correction;
           for (std::int64_t j = 0; j < bk; ++j) {
-            const float p = std::exp(srow[j] - new_max);
-            row_sum[static_cast<std::size_t>(i - q0)] += p;
-            sops.axpy_f32(orow, pv + (k0 + j) * dv, p, dv);
+            prow[j] = std::exp(prow[j] - new_max);
+            row_sum[i - q0] += prow[j];
           }
-          row_max[static_cast<std::size_t>(i - q0)] = new_max;
+          sops.axpy_rows_f32(orow, pv + k0 * dv, dv, prow, bk, dv);
+          row_max[i - q0] = new_max;
         }
       }
 
       // Final normalization and log-sum-exp bookkeeping for this block.
       for (std::int64_t i = q0; i < q1; ++i) {
-        const float l = row_sum[static_cast<std::size_t>(i - q0)];
+        const float l = row_sum[i - q0];
         ORBIT2_CHECK(l > 0.0f, "flash attention: zero normalizer at row " << i);
         const float inv = 1.0f / l;
         sops.scale_f32(po + i * dv, inv, dv);
-        plse[i] = row_max[static_cast<std::size_t>(i - q0)] + std::log(l);
+        plse[i] = row_max[i - q0] + std::log(l);
       }
     }
   });
@@ -220,8 +268,7 @@ Tensor attention_flash_forward(const Tensor& q, const Tensor& k,
                                AttentionContext* ctx,
                                const FlashParams& params) {
   check_qkv(q, k, v);
-  ORBIT2_REQUIRE(params.block_q >= 1 && params.block_kv >= 1,
-                 "flash block sizes must be positive");
+  check_flash_params(params);
   const std::int64_t nq = q.dim(0), nk = k.dim(0);
   const std::int64_t d = q.dim(1), dv = v.dim(1);
   const std::int64_t flash_flops = attention_fwd_flops(nq, nk, d, dv);
@@ -252,8 +299,7 @@ void attention_flash_forward_into(const Tensor& q, const Tensor& k,
                                   Tensor& logsumexp_ws,
                                   const FlashParams& params) {
   check_qkv(q, k, v);
-  ORBIT2_REQUIRE(params.block_q >= 1 && params.block_kv >= 1,
-                 "flash block sizes must be positive");
+  check_flash_params(params);
   const std::int64_t nq = q.dim(0), nk = k.dim(0);
   const std::int64_t d = q.dim(1), dv = v.dim(1);
   ORBIT2_REQUIRE(out.shape() == Shape({nq, dv}),
@@ -280,6 +326,8 @@ AttentionGrads attention_flash_backward(const AttentionContext& ctx,
   const Tensor& q = ctx.q;
   const Tensor& k = ctx.k;
   const Tensor& v = ctx.v;
+  check_qkv(q, k, v);
+  check_flash_params(params);
   const std::int64_t nq = q.dim(0), nk = k.dim(0);
   const std::int64_t d = q.dim(1), dv = v.dim(1);
   check_same_shape(grad_output, ctx.output, "attention_flash_backward");
@@ -317,95 +365,84 @@ AttentionGrads attention_flash_backward(const AttentionContext& ctx,
 
   const std::int64_t q_blocks = (nq + params.block_q - 1) / params.block_q;
   const std::int64_t k_blocks = (nk + params.block_kv - 1) / params.block_kv;
+  const std::int64_t max_bq = std::min(nq, params.block_q);
+  const std::int64_t max_bk = std::min(nk, params.block_kv);
+  const simd::Ops& sops = simd::ops();
 
-  // Recomputes the probability tile for query rows [q0, q1) x keys
-  // [k0, k0+bk) from Q, K and the saved logsumexp.
-  auto recompute_probs = [&](std::int64_t q0, std::int64_t q1, std::int64_t k0,
-                             std::int64_t bk, std::vector<float>& probs) {
+  // Recomputes the P and dS tiles of query rows [q0, q1) x keys
+  // [k0, k0 + bk) from Q, K, V, dO and the saved logsumexp, with
+  // dS_ij = P_ij * (dP_ij - D_i) * scale. Entry (i, j) of each tile lands at
+  // (i - q0) * row_step + j * col_step, so the dQ pass reads tile rows and
+  // the dK/dV pass reads tile columns contiguously. Returns the two tiles.
+  struct Tiles {
+    const float* p;
+    const float* ds;
+  };
+  auto p_ds_tiles = [&](FlashScratch& s, std::int64_t q0, std::int64_t q1,
+                        std::int64_t k0, std::int64_t bk,
+                        std::int64_t row_step,
+                        std::int64_t col_step) -> Tiles {
+    float* kt = grow(s.kt, d * max_bk);
+    float* vt = grow(s.vt, dv * max_bk);
+    double* lanes = grow(s.lanes, max_bk);
+    float* p = grow(s.p, max_bq * max_bk);
+    float* ds = grow(s.ds, max_bq * max_bk);
+    transpose_block(pk, d, k0, bk, kt);
+    transpose_block(pv, dv, k0, bk, vt);
     for (std::int64_t i = q0; i < q1; ++i) {
-      const float* qrow = pq + i * d;
-      float* prow = probs.data() + (i - q0) * params.block_kv;
       const float lse = plse[i];
+      const float delta_i = delta[static_cast<std::size_t>(i)];
+      const std::int64_t base = (i - q0) * row_step;
+      dot_lanes(sops, pq + i * d, kt, d, bk, lanes);
       for (std::int64_t j = 0; j < bk; ++j) {
-        const float* krow = pk + (k0 + j) * d;
-        double acc = 0.0;
-        for (std::int64_t t = 0; t < d; ++t) {
-          acc += static_cast<double>(qrow[t]) * krow[t];
-        }
-        prow[j] = std::exp(static_cast<float>(acc) * ctx.scale - lse);
+        p[base + j * col_step] =
+            std::exp(static_cast<float>(lanes[j]) * ctx.scale - lse);
+      }
+      dot_lanes(sops, pgo + i * dv, vt, dv, bk, lanes);
+      for (std::int64_t j = 0; j < bk; ++j) {
+        const std::int64_t at = base + j * col_step;
+        ds[at] = p[at] * (static_cast<float>(lanes[j]) - delta_i) * ctx.scale;
       }
     }
+    return {p, ds};
   };
-
-  const simd::Ops& sops = simd::ops();
 
   // Pass 1 — dQ: query blocks own disjoint dq rows; key blocks are walked
   // serially in ascending order inside each chunk.
   kernels::parallel_for(q_blocks, 1, [&](std::int64_t qb0, std::int64_t qb1) {
-    std::vector<float> probs(
-        static_cast<std::size_t>(params.block_q * params.block_kv));
+    FlashScratch& s = flash_scratch();
     for (std::int64_t qb = qb0; qb < qb1; ++qb) {
       const std::int64_t q0 = qb * params.block_q;
       const std::int64_t q1 = std::min(nq, q0 + params.block_q);
       for (std::int64_t k0 = 0; k0 < nk; k0 += params.block_kv) {
         const std::int64_t bk = std::min(nk, k0 + params.block_kv) - k0;
-        recompute_probs(q0, q1, k0, bk, probs);
+        const Tiles tiles = p_ds_tiles(s, q0, q1, k0, bk, bk, 1);
         for (std::int64_t i = q0; i < q1; ++i) {
-          const float* prow = probs.data() + (i - q0) * params.block_kv;
-          const float* gorow = pgo + i * dv;
-          float* dqrow = pdq + i * d;
-          for (std::int64_t j = 0; j < bk; ++j) {
-            const float p = prow[j];
-            const float* vrow = pv + (k0 + j) * dv;
-            double dp = 0.0;
-            for (std::int64_t t = 0; t < dv; ++t) {
-              dp += static_cast<double>(gorow[t]) * vrow[t];
-            }
-            // dS_ij = p * (dP_ij - D_i), scaled.
-            const float ds = p *
-                             (static_cast<float>(dp) -
-                              delta[static_cast<std::size_t>(i)]) *
-                             ctx.scale;
-            sops.axpy_f32(dqrow, pk + (k0 + j) * d, ds, d);
-          }
+          sops.axpy_rows_f32(pdq + i * d, pk + k0 * d, d,
+                             tiles.ds + (i - q0) * bk, bk, d);
         }
       }
     }
   });
 
   // Pass 2 — dK, dV: key blocks own disjoint dk/dv rows; query blocks are
-  // walked serially in ascending order inside each chunk.
+  // walked serially in ascending order inside each chunk, and each key row
+  // takes its tile column of P (for dV) or dS (for dK) in ascending query
+  // order.
   kernels::parallel_for(k_blocks, 1, [&](std::int64_t kb0, std::int64_t kb1) {
-    std::vector<float> probs(
-        static_cast<std::size_t>(params.block_q * params.block_kv));
+    FlashScratch& s = flash_scratch();
     for (std::int64_t kb = kb0; kb < kb1; ++kb) {
       const std::int64_t k0 = kb * params.block_kv;
       const std::int64_t bk = std::min(nk, k0 + params.block_kv) - k0;
       for (std::int64_t q0 = 0; q0 < nq; q0 += params.block_q) {
         const std::int64_t q1 = std::min(nq, q0 + params.block_q);
-        recompute_probs(q0, q1, k0, bk, probs);
-        for (std::int64_t i = q0; i < q1; ++i) {
-          const float* prow = probs.data() + (i - q0) * params.block_kv;
-          const float* gorow = pgo + i * dv;
-          const float* qrow = pq + i * d;
-          for (std::int64_t j = 0; j < bk; ++j) {
-            const float p = prow[j];
-            const float* vrow = pv + (k0 + j) * dv;
-            // The dp reduction keeps its sequential ascending-t order; the
-            // independent dV_j += p * dO_i update (formerly interleaved in
-            // the same loop) routes through the simd tier — separating the
-            // two changes no operation's operands or order.
-            double dp = 0.0;
-            for (std::int64_t t = 0; t < dv; ++t) {
-              dp += static_cast<double>(gorow[t]) * vrow[t];
-            }
-            sops.axpy_f32(pdv + (k0 + j) * dv, gorow, p, dv);
-            const float ds = p *
-                             (static_cast<float>(dp) -
-                              delta[static_cast<std::size_t>(i)]) *
-                             ctx.scale;
-            sops.axpy_f32(pdk + (k0 + j) * d, qrow, ds, d);
-          }
+        const std::int64_t bq = q1 - q0;
+        const Tiles tiles = p_ds_tiles(s, q0, q1, k0, bk, 1, bq);
+        for (std::int64_t j = 0; j < bk; ++j) {
+          sops.axpy_rows_f32(pdv + (k0 + j) * dv, pgo + q0 * dv, dv,
+                             tiles.p + j * bq, bq, dv);
+          sops.axpy_rows_f32(pdk + (k0 + j) * d, pq + q0 * d, d,
+                             tiles.ds + j * bq, bq, d);
         }
       }
     }

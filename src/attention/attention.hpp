@@ -63,7 +63,7 @@ Tensor attention_flash_forward(const Tensor& q, const Tensor& k,
 
 /// Inference-only flash attention into preallocated `out` [Nq, d_v] and
 /// `logsumexp_ws` [Nq]. Runs the same blocked online-softmax body as
-/// attention_flash_forward (bitwise-identical results); score tiles live in
+/// attention_flash_forward (bitwise-identical results); tiles live in
 /// grow-only thread-local scratch, so steady-state calls allocate nothing.
 void attention_flash_forward_into(const Tensor& q, const Tensor& k,
                                   const Tensor& v, float scale, Tensor& out,

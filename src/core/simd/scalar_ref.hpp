@@ -37,6 +37,14 @@ static inline void scalar_axpy_f32(float* y, const float* x, float a,
   }
 }
 
+static inline void scalar_axpy_rows_f32(float* y, const float* x,
+                                        std::int64_t ldx, const float* a,
+                                        std::int64_t rows, std::int64_t n) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    scalar_axpy_f32(y, x + r * ldx, a[r], n);
+  }
+}
+
 static inline void scalar_scale_f32(float* y, float a, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) {
     y[i] *= a;

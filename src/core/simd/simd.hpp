@@ -73,6 +73,13 @@ struct Ops {
   /// y[i] += a * x[i] (rounded multiply then rounded add, float).
   void (*axpy_f32)(float* y, const float* x, float a, std::int64_t n);
 
+  /// `rows` axpy_f32 calls fused into one pass over y:
+  /// y[i] += a[r] * x[r * ldx + i] for r = 0, 1, ..., rows - 1 in that order,
+  /// for each i in [0, n). Each element sees exactly the operations of the
+  /// unfused calls; y stays in registers across the rows.
+  void (*axpy_rows_f32)(float* y, const float* x, std::int64_t ldx,
+                        const float* a, std::int64_t rows, std::int64_t n);
+
   /// y[i] *= a.
   void (*scale_f32)(float* y, float a, std::int64_t n);
 

@@ -46,6 +46,21 @@ void avx2_axpy_f32(float* y, const float* x, float a, std::int64_t n) {
   if (i < n) scalar_axpy_f32(y + i, x + i, a, n - i);
 }
 
+void avx2_axpy_rows_f32(float* y, const float* x, std::int64_t ldx,
+                        const float* a, std::int64_t rows, std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 vy = _mm256_loadu_ps(y + i);
+    const float* xr = x + i;
+    for (std::int64_t r = 0; r < rows; ++r, xr += ldx) {
+      const __m256 va = _mm256_set1_ps(a[r]);
+      vy = _mm256_add_ps(vy, _mm256_mul_ps(va, _mm256_loadu_ps(xr)));
+    }
+    _mm256_storeu_ps(y + i, vy);
+  }
+  if (i < n) scalar_axpy_rows_f32(y + i, x + i, ldx, a, rows, n - i);
+}
+
 void avx2_scale_f32(float* y, float a, std::int64_t n) {
   const __m256 va = _mm256_set1_ps(a);
   std::int64_t i = 0;
@@ -193,10 +208,19 @@ double avx2_dot_f32(const float* x, const float* y, std::int64_t n) {
 
 const Ops* avx2_ops() {
   static const Ops table = {
-      Isa::kAvx2,         avx2_gemm_update_f64, avx2_axpy_f32,
-      avx2_scale_f32,     avx2_add_f32,         avx2_sub_f32,
-      avx2_rsub_f32,      avx2_mul_f32,         avx2_bf16_round_f32,
-      avx2_fft_butterfly_f64, avx2_cmul_f64,    avx2_dot_f32,
+      Isa::kAvx2,
+      avx2_gemm_update_f64,
+      avx2_axpy_f32,
+      avx2_axpy_rows_f32,
+      avx2_scale_f32,
+      avx2_add_f32,
+      avx2_sub_f32,
+      avx2_rsub_f32,
+      avx2_mul_f32,
+      avx2_bf16_round_f32,
+      avx2_fft_butterfly_f64,
+      avx2_cmul_f64,
+      avx2_dot_f32,
   };
   return &table;
 }

@@ -42,6 +42,21 @@ void avx512_axpy_f32(float* y, const float* x, float a, std::int64_t n) {
   if (i < n) scalar_axpy_f32(y + i, x + i, a, n - i);
 }
 
+void avx512_axpy_rows_f32(float* y, const float* x, std::int64_t ldx,
+                          const float* a, std::int64_t rows, std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    __m512 vy = _mm512_loadu_ps(y + i);
+    const float* xr = x + i;
+    for (std::int64_t r = 0; r < rows; ++r, xr += ldx) {
+      const __m512 va = _mm512_set1_ps(a[r]);
+      vy = _mm512_add_ps(vy, _mm512_mul_ps(va, _mm512_loadu_ps(xr)));
+    }
+    _mm512_storeu_ps(y + i, vy);
+  }
+  if (i < n) scalar_axpy_rows_f32(y + i, x + i, ldx, a, rows, n - i);
+}
+
 void avx512_scale_f32(float* y, float a, std::int64_t n) {
   const __m512 va = _mm512_set1_ps(a);
   std::int64_t i = 0;
@@ -190,10 +205,19 @@ double avx512_dot_f32(const float* x, const float* y, std::int64_t n) {
 
 const Ops* avx512_ops() {
   static const Ops table = {
-      Isa::kAvx512,         avx512_gemm_update_f64, avx512_axpy_f32,
-      avx512_scale_f32,     avx512_add_f32,         avx512_sub_f32,
-      avx512_rsub_f32,      avx512_mul_f32,         avx512_bf16_round_f32,
-      avx512_fft_butterfly_f64, avx512_cmul_f64,    avx512_dot_f32,
+      Isa::kAvx512,
+      avx512_gemm_update_f64,
+      avx512_axpy_f32,
+      avx512_axpy_rows_f32,
+      avx512_scale_f32,
+      avx512_add_f32,
+      avx512_sub_f32,
+      avx512_rsub_f32,
+      avx512_mul_f32,
+      avx512_bf16_round_f32,
+      avx512_fft_butterfly_f64,
+      avx512_cmul_f64,
+      avx512_dot_f32,
   };
   return &table;
 }

@@ -44,6 +44,20 @@ void neon_axpy_f32(float* y, const float* x, float a, std::int64_t n) {
   if (i < n) scalar_axpy_f32(y + i, x + i, a, n - i);
 }
 
+void neon_axpy_rows_f32(float* y, const float* x, std::int64_t ldx,
+                        const float* a, std::int64_t rows, std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    float32x4_t vy = vld1q_f32(y + i);
+    const float* xr = x + i;
+    for (std::int64_t r = 0; r < rows; ++r, xr += ldx) {
+      vy = vaddq_f32(vy, vmulq_f32(vdupq_n_f32(a[r]), vld1q_f32(xr)));
+    }
+    vst1q_f32(y + i, vy);
+  }
+  if (i < n) scalar_axpy_rows_f32(y + i, x + i, ldx, a, rows, n - i);
+}
+
 void neon_scale_f32(float* y, float a, std::int64_t n) {
   const float32x4_t va = vdupq_n_f32(a);
   std::int64_t i = 0;
@@ -186,10 +200,19 @@ double neon_dot_f32(const float* x, const float* y, std::int64_t n) {
 
 const Ops* neon_ops() {
   static const Ops table = {
-      Isa::kNeon,         neon_gemm_update_f64, neon_axpy_f32,
-      neon_scale_f32,     neon_add_f32,         neon_sub_f32,
-      neon_rsub_f32,      neon_mul_f32,         neon_bf16_round_f32,
-      neon_fft_butterfly_f64, neon_cmul_f64,    neon_dot_f32,
+      Isa::kNeon,
+      neon_gemm_update_f64,
+      neon_axpy_f32,
+      neon_axpy_rows_f32,
+      neon_scale_f32,
+      neon_add_f32,
+      neon_sub_f32,
+      neon_rsub_f32,
+      neon_mul_f32,
+      neon_bf16_round_f32,
+      neon_fft_butterfly_f64,
+      neon_cmul_f64,
+      neon_dot_f32,
   };
   return &table;
 }

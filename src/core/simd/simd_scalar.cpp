@@ -9,10 +9,19 @@ namespace orbit2::simd::detail {
 
 const Ops* scalar_ops() {
   static const Ops table = {
-      Isa::kScalar,         scalar_gemm_update_f64, scalar_axpy_f32,
-      scalar_scale_f32,     scalar_add_f32,         scalar_sub_f32,
-      scalar_rsub_f32,      scalar_mul_f32,         scalar_bf16_round_f32,
-      scalar_fft_butterfly_f64, scalar_cmul_f64,    scalar_dot_f32,
+      Isa::kScalar,
+      scalar_gemm_update_f64,
+      scalar_axpy_f32,
+      scalar_axpy_rows_f32,
+      scalar_scale_f32,
+      scalar_add_f32,
+      scalar_sub_f32,
+      scalar_rsub_f32,
+      scalar_mul_f32,
+      scalar_bf16_round_f32,
+      scalar_fft_butterfly_f64,
+      scalar_cmul_f64,
+      scalar_dot_f32,
   };
   return &table;
 }

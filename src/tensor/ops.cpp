@@ -23,6 +23,8 @@ void softmax_rows_into(const Tensor& logits, Tensor& out) {
   ORBIT2_REQUIRE(out.shape() == logits.shape(),
                  "softmax_rows_into shape mismatch");
   const std::int64_t rows = logits.dim(0), cols = logits.dim(1);
+  ORBIT2_REQUIRE(rows == 0 || cols >= 1,
+                 "softmax_rows: rows must have at least one column");
   const float* in = logits.data().data();
   float* po = out.data().data();
   const simd::Ops& sops = simd::ops();

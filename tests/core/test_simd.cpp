@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "core/crc32.hpp"
@@ -217,6 +218,82 @@ TEST(SimdMatrix, GemmUpdateF64) {
                                  total * sizeof(double)))
             << "gemm_update_f64 diverged: isa=" << simd::isa_name(isa)
             << " n=" << n << " off=" << off;
+      }
+    }
+  }
+}
+
+// ---- fused multi-row axpy -------------------------------------------------
+
+/// Byte equality, except that a NaN matches any NaN: which operand's payload
+/// a two-NaN operation keeps is not part of the contract.
+bool same_bits_any_nan(const std::vector<float>& got,
+                       const std::vector<float>& want) {
+  if (got.size() != want.size()) return false;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0 &&
+        !(std::isnan(got[i]) && std::isnan(want[i]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SimdMatrix, AxpyRowsF32) {
+  // Row r of x starts at r * ldx with ldx > n, so the bytes between rows
+  // must never be read into y. The finite pass spans many binades, so any
+  // change in the row order shows in the bits; the special pass puts NaN,
+  // +/-Inf and -0.0 in both x and a.
+  const IsaRestore restore;
+  const std::vector<simd::Isa> isas = simd::supported_isas();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::uint64_t seed = 4000;
+  for (const bool special : {false, true}) {
+    for (const std::int64_t n : {0, 1, 7, 8, 15, 16, 17, 33, 64}) {
+      for (const std::int64_t rows : {0, 1, 3, 64}) {
+        const std::int64_t ldx = n + 5;
+        std::vector<float> x = interesting_floats(
+            static_cast<std::size_t>(rows * ldx + 1), seed++);
+        std::vector<float> a =
+            interesting_floats(static_cast<std::size_t>(rows + 1), seed++);
+        if (special && rows >= 3 && n >= 1) {
+          x[static_cast<std::size_t>(ldx + n - 1)] = nan;
+          x[static_cast<std::size_t>(2 * ldx)] = -inf;
+          x[static_cast<std::size_t>(n / 2)] = inf;
+          a[1] = -0.0f;
+          a[2] = rows == 64 ? nan : inf;
+        }
+        const std::size_t total = static_cast<std::size_t>(n) + kGuard;
+        std::vector<float> y_init = interesting_floats(total, seed++);
+        for (std::size_t i = static_cast<std::size_t>(n); i < total; ++i) {
+          y_init[i] = 12345.0f;
+        }
+
+        simd::set_isa(simd::Isa::kScalar);
+        std::vector<float> expected = y_init;
+        simd::ops().axpy_rows_f32(expected.data(), x.data(), ldx, a.data(),
+                                  rows, n);
+        // The fused call is `rows` axpy_f32 calls in ascending row order.
+        std::vector<float> unfused = y_init;
+        for (std::int64_t r = 0; r < rows; ++r) {
+          simd::ops().axpy_f32(unfused.data(), x.data() + r * ldx,
+                               a[static_cast<std::size_t>(r)], n);
+        }
+        EXPECT_TRUE(same_bits_any_nan(unfused, expected))
+            << "scalar axpy_rows_f32 differs from axpy_f32 calls: n=" << n
+            << " rows=" << rows << " special=" << special;
+
+        for (const simd::Isa isa : isas) {
+          simd::set_isa(isa);
+          std::vector<float> got = y_init;
+          simd::ops().axpy_rows_f32(got.data(), x.data(), ldx, a.data(), rows,
+                                    n);
+          EXPECT_TRUE(same_bits_any_nan(got, expected))
+              << "axpy_rows_f32 diverged from scalar: isa="
+              << simd::isa_name(isa) << " n=" << n << " rows=" << rows
+              << " special=" << special;
+        }
       }
     }
   }

@@ -618,6 +618,17 @@ TEST(Softmax, StableForLargeLogits) {
   for (std::int64_t c = 0; c < 3; ++c) EXPECT_NEAR(y.at(0, c), 1.0f / 3, 1e-6f);
 }
 
+TEST(Softmax, RejectsZeroWidthRows) {
+  // A row with no columns has no maximum; reading x[0] would run past the
+  // end of the buffer.
+  Tensor x(Shape{2, 0});
+  Tensor y(Shape{2, 0});
+  EXPECT_THROW(softmax_rows(x), Error);
+  EXPECT_THROW(softmax_rows_into(x, y), Error);
+  Tensor none(Shape{0, 0});
+  EXPECT_NO_THROW(softmax_rows(none));
+}
+
 TEST(Softmax, BackwardMatchesFiniteDifference) {
   Rng rng(14);
   Tensor x = Tensor::randn(Shape{3, 4}, rng);
