@@ -12,7 +12,8 @@
 // never re-evaluate the condition to build the failure message. The message
 // stream arguments are evaluated only on the failure path. Despite the
 // single-evaluation guarantee, side-effecting condition arguments are
-// forbidden by tools/orbit2_lint.py so the guarantee is never load-bearing.
+// forbidden by tools/orbit2_analyze.py (require-pure) so the guarantee is
+// never load-bearing.
 
 #include <sstream>
 #include <stdexcept>

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
+#include <deque>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -19,14 +21,73 @@ namespace orbit2::kernels {
 
 namespace {
 
+/// The process-wide worker set behind run_chunks. Submit-only: tasks run
+/// FIFO and nothing here joins them — each run_chunks call tracks its own
+/// helpers, so one caller's failure never reaches another caller.
+class Workers {
+ public:
+  explicit Workers(std::size_t count) {
+    threads_.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      threads_.emplace_back([this] { loop(); });
+    }
+  }
+
+  ~Workers() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stopping_ = true;
+    }
+    ready_.notify_all();
+    for (std::thread& thread : threads_) thread.join();
+  }
+
+  Workers(const Workers&) = delete;
+  Workers& operator=(const Workers&) = delete;
+
+  void submit(std::function<void()> task) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      queue_.push_back(std::move(task));
+    }
+    ready_.notify_one();
+  }
+
+ private:
+  void loop() {
+    for (;;) {
+      std::function<void()> task;
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+        if (queue_.empty()) return;  // stopping
+        task = std::move(queue_.front());
+        queue_.pop_front();
+      }
+      // run_chunks' tasks capture chunk exceptions themselves; anything
+      // else must not escape into std::terminate on a worker thread.
+      try {
+        task();
+      } catch (...) {
+      }
+    }
+  }
+
+  std::vector<std::thread> threads_;
+  std::deque<std::function<void()>> queue_;
+  std::mutex mutex_;
+  std::condition_variable ready_;
+  bool stopping_ = false;
+};
+
 // Pool configuration. `configured_threads` == 0 means "resolve from the
-// environment"; the pool itself is rebuilt lazily after set_max_threads.
+// environment"; the workers are rebuilt lazily after set_max_threads.
 std::mutex& pool_mutex() {
   static std::mutex m;
   return m;
 }
-std::unique_ptr<ThreadPool>& pool_slot() {
-  static std::unique_ptr<ThreadPool> pool;
+std::unique_ptr<Workers>& pool_slot() {
+  static std::unique_ptr<Workers> pool;
   return pool;
 }
 std::size_t& configured_threads() {
@@ -98,8 +159,17 @@ void run_chunks(std::int64_t num_chunks, FnRef<void(std::int64_t)> run) {
     for (std::int64_t chunk = 0; chunk < num_chunks; ++chunk) run(chunk);
   };
   if (num_chunks == 1 || tl_in_parallel_region) return run_inline();
-  const std::size_t threads = max_threads();
-  if (threads <= 1) return run_inline();
+  std::size_t threads = 0;
+  Workers* workers = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(pool_mutex());
+    threads = resolve_threads_locked();
+    if (threads > 1) {
+      if (!pool_slot()) pool_slot() = std::make_unique<Workers>(threads);
+      workers = pool_slot().get();
+    }
+  }
+  if (workers == nullptr) return run_inline();
 
   struct Shared {
     std::atomic<std::int64_t> next{0};
@@ -130,9 +200,8 @@ void run_chunks(std::int64_t num_chunks, FnRef<void(std::int64_t)> run) {
 
   const std::size_t helpers = std::min<std::size_t>(
       threads - 1, static_cast<std::size_t>(num_chunks - 1));
-  ThreadPool& pool = global_pool();
   for (std::size_t h = 0; h < helpers; ++h) {
-    pool.submit([shared, drain] {
+    workers->submit([shared, drain] {
       drain();
       std::lock_guard<std::mutex> lock(shared->mutex);
       ++shared->helpers_finished;
@@ -179,14 +248,6 @@ void set_max_threads(std::size_t n) {
   std::lock_guard<std::mutex> lock(pool_mutex());
   configured_threads() = n;
   pool_slot().reset();  // rebuilt lazily at the new size
-}
-
-ThreadPool& global_pool() {
-  std::lock_guard<std::mutex> lock(pool_mutex());
-  if (!pool_slot()) {
-    pool_slot() = std::make_unique<ThreadPool>(resolve_threads_locked());
-  }
-  return *pool_slot();
 }
 
 bool in_parallel_region() { return tl_in_parallel_region; }

@@ -26,8 +26,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "core/thread_pool.hpp"
-
 namespace orbit2::kernels {
 
 /// Non-owning callable view, the dispatch currency of this layer.
@@ -66,13 +64,11 @@ class FnRef<R(Args...)> {
 std::size_t max_threads();
 
 /// Overrides the kernel thread count; 0 restores the default resolution
-/// (ORBIT2_NUM_THREADS env, else hardware concurrency). Tears down and
-/// lazily rebuilds the global pool, so it must not be called while kernels
-/// are executing — intended for tests and benchmark sweeps.
+/// (ORBIT2_NUM_THREADS env, else hardware concurrency). Tears down the
+/// process-wide workers, which the next parallel call rebuilds at the new
+/// size, so it must not be called while kernels are executing — intended
+/// for tests and benchmark sweeps.
 void set_max_threads(std::size_t n);
-
-/// The process-wide pool, lazily constructed at max_threads() workers.
-ThreadPool& global_pool();
 
 /// True while the calling thread is executing a kernel chunk; nested kernel
 /// calls observe this and run inline.

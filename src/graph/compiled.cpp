@@ -1,7 +1,6 @@
 #include "graph/compiled.hpp"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
 #include "core/error.hpp"
@@ -23,12 +22,8 @@ void copy_result(const Tensor& result, Tensor& out) {
 }  // namespace
 
 Tensor CompiledShape::run(const Tensor& input) const {
-  ORBIT2_REQUIRE(valid(), "run() on an invalid (failed-capture) plan");
-  std::unique_ptr<Executor> executor = pool_->try_acquire();
-  if (executor == nullptr) executor = std::make_unique<Executor>(plan_);
-  // Clone before releasing: the reference aliases the executor's output slot.
-  Tensor result = executor->run(input).clone();
-  pool_->release(std::move(executor));
+  Tensor result;
+  run_into(input, result);
   return result;
 }
 
@@ -38,30 +33,6 @@ void CompiledShape::run_into(const Tensor& input, Tensor& out) const {
   if (executor == nullptr) executor = std::make_unique<Executor>(plan_);
   copy_result(executor->run(input), out);
   pool_->release(std::move(executor));
-}
-
-void CompiledShape::run_batch(const Tensor* const* inputs, Tensor** outputs,
-                              std::size_t count) const {
-  ORBIT2_REQUIRE(valid(), "run_batch() on an invalid (failed-capture) plan");
-  // Fixed-size executor window: keeps this frame heap-free (the serving
-  // layer's zero-allocation contract) while still bounding the arena
-  // footprint of very large batches.
-  constexpr std::size_t kWindow = 32;
-  std::array<std::unique_ptr<Executor>, kWindow> owned;
-  std::array<Executor*, kWindow> raw;
-  for (std::size_t base = 0; base < count; base += kWindow) {
-    const std::size_t n = std::min(kWindow, count - base);
-    for (std::size_t i = 0; i < n; ++i) {
-      owned[i] = pool_->try_acquire();
-      if (owned[i] == nullptr) owned[i] = std::make_unique<Executor>(plan_);
-      raw[i] = owned[i].get();
-    }
-    Executor::run_lockstep(raw.data(), inputs + base, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      copy_result(raw[i]->output(), *outputs[base + i]);
-      pool_->release(std::move(owned[i]));
-    }
-  }
 }
 
 void CompiledShape::warm(std::size_t count) const {

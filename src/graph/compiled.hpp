@@ -41,13 +41,6 @@ class CompiledShape {
   /// allocations — the serving layer's steady-state contract.
   void run_into(const Tensor& input, Tensor& out) const;
 
-  /// Op-major batched replay of `count` samples (see Executor::run_lockstep):
-  /// bitwise identical to `count` sequential run() calls, but each op's
-  /// weights are fetched once per batch instead of once per sample. Pools
-  /// executors like run(); outputs follow the run_into() reuse contract.
-  void run_batch(const Tensor* const* inputs, Tensor** outputs,
-                 std::size_t count) const;
-
   /// Pre-builds `count` pooled executors (per-instance arenas sharing the
   /// plan's leaf weights), so the first `count` concurrent callers never
   /// construct one on the serving path.

@@ -107,27 +107,6 @@ const Tensor& Executor::run(const Tensor& input) {
   return values_[static_cast<std::size_t>(g.output)];
 }
 
-void Executor::run_lockstep(Executor* const* executors,
-                            const Tensor* const* inputs, std::size_t count) {
-  if (count == 0) return;
-  const std::shared_ptr<const Plan>& plan = executors[0]->plan_;
-  const CapturedGraph& g = plan->graph;
-  const ValueInfo& in_info = g.values[static_cast<std::size_t>(g.input)];
-  for (std::size_t i = 0; i < count; ++i) {
-    ORBIT2_REQUIRE(executors[i]->plan_ == plan,
-                   "run_lockstep() executors must share one plan");
-    ORBIT2_REQUIRE(inputs[i]->shape() == in_info.shape,
-                   "compiled plan expects input "
-                       << in_info.shape.to_string() << ", got "
-                       << inputs[i]->shape().to_string());
-    executors[i]->values_[static_cast<std::size_t>(g.input)] = *inputs[i];
-  }
-  for (const GraphOp& op : g.ops) {
-    for (std::size_t i = 0; i < count; ++i) executors[i]->dispatch(op);
-  }
-  ORBIT2_OBS_COUNT("graph/replay", static_cast<std::int64_t>(count));
-}
-
 void Executor::dispatch(const GraphOp& op) {
   ORBIT2_OBS_SPAN_ARG("graph/op", "graph", "kind",
                       static_cast<std::int64_t>(op.kind));

@@ -29,21 +29,6 @@ class Executor {
   /// valid until the next run() on this executor.
   const Tensor& run(const Tensor& input);
 
-  /// Op-major batched replay: steps `count` executors of the SAME plan
-  /// through the op list in lockstep — op 0 on every sample, then op 1, and
-  /// so on. Each sample still executes the exact op sequence of run() on
-  /// its own arena, so results are bitwise identical to per-sample run();
-  /// the interleaving exists purely so each op's weights and code path are
-  /// fetched once per batch instead of once per sample (the serving layer's
-  /// single-core batching win). Outputs are read via output().
-  static void run_lockstep(Executor* const* executors,
-                           const Tensor* const* inputs, std::size_t count);
-
-  /// The output buffer of the most recent run()/run_lockstep().
-  const Tensor& output() const {
-    return values_[static_cast<std::size_t>(plan_->graph.output)];
-  }
-
   /// Value-table access for kCustom replay functions.
   const Tensor& value(ValueId v) const {
     return values_[static_cast<std::size_t>(v)];

@@ -101,6 +101,9 @@ ReplayResult replay_on_sim_clock(Service& service, SimClock& clock,
       case RequestStatus::kShed:
         result.statuses.push_back('S');
         break;
+      case RequestStatus::kFailed:
+        result.statuses.push_back('F');
+        break;
       default:
         result.statuses.push_back('R');
         break;

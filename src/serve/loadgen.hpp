@@ -64,7 +64,7 @@ Tensor profile_input(const LoadProfile& profile, std::uint64_t seed);
 /// Outcome of a deterministic sim-clock replay. Decision/status strings use
 /// one character per arrival, in schedule order:
 ///   decisions: 'A' accepted, 'R' rejected at admission;
-///   statuses:  'O' ok, 'S' shed, 'R' rejected.
+///   statuses:  'O' ok, 'S' shed, 'R' rejected, 'F' failed.
 /// `crcs` holds one output CRC32 per completed ('O') request, in schedule
 /// order; non-'O' requests contribute nothing.
 struct ReplayResult {

@@ -9,7 +9,7 @@
 // the steady-state serve path allocation-free (see docs/API.md).
 //
 // Lifetime contract: an accepted request must outlive its terminal status.
-// The service keeps the raw pointer until it publishes kOk/kShed/kRejected,
+// The service keeps the raw pointer until it publishes a terminal status,
 // so destroy a request only after done() — or after Service::stop(), which
 // drains or rejects everything still staged.
 //
@@ -32,12 +32,13 @@ enum class RequestStatus : std::uint8_t {
   kOk,        // executed; `output` holds the prediction
   kShed,      // deadline expired before execution (explicit load shedding)
   kRejected,  // admission refused: queue full or service stopped
+  kFailed,    // the model threw on this request (e.g. a shape it rejects)
 };
 
 /// True for statuses the service will not change again.
 inline bool is_terminal(RequestStatus s) {
   return s == RequestStatus::kOk || s == RequestStatus::kShed ||
-         s == RequestStatus::kRejected;
+         s == RequestStatus::kRejected || s == RequestStatus::kFailed;
 }
 
 class Request {

@@ -63,7 +63,25 @@ void Service::drain_queue_locked() {
   while (queue_.try_pop(incoming)) batcher_.stage(incoming);
 }
 
-void Service::dispatch(std::vector<Request*>& batch, BatchScratch& scratch) {
+void Service::fail(Request& request, std::int64_t batch_size) {
+  request.batch_size = batch_size;
+  failed_.fetch_add(1, std::memory_order_relaxed);
+  ORBIT2_OBS_COUNT("serve/failed", 1);
+  request.complete(RequestStatus::kFailed, clock_->now_ns());
+}
+
+void Service::reject_staged_locked(std::vector<Request*>& batch) {
+  while (batcher_.collect(clock_->now_ns(), /*force=*/true, batch) > 0) {
+    const std::int64_t now = clock_->now_ns();
+    for (Request* request : batch) {
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+      ORBIT2_OBS_COUNT("serve/rejected", 1);
+      request->complete(RequestStatus::kRejected, now);
+    }
+  }
+}
+
+void Service::dispatch(std::vector<Request*>& batch) {
   // Deadline shedding happens at batch assembly: expired requests leave the
   // batch with an explicit kShed instead of consuming compute.
   const std::int64_t now = clock_->now_ns();
@@ -79,58 +97,58 @@ void Service::dispatch(std::vector<Request*>& batch, BatchScratch& scratch) {
   }
   batch.resize(live);
   if (batch.empty()) return;
+  const std::int64_t n = static_cast<std::int64_t>(batch.size());
+  batches_.fetch_add(1, std::memory_order_relaxed);
 
   // Resolve the compiled plan once, on this thread: every request in the
   // batch shares a BatchKey, so one lookup covers all of them, and plan
   // *compilation* (which allocates and uses thread-local inference scopes)
-  // must not happen inside the sample-parallel loop.
+  // must not happen inside the sample-parallel loop. A shape the model
+  // rejects fails the whole batch.
   const Request& head = *batch.front();
-  std::shared_ptr<const graph::CompiledShape> compiled =
-      head.model->compiled_for(head.input);
+  std::shared_ptr<const graph::CompiledShape> compiled;
+  try {
+    compiled = head.model->compiled_for(head.input);
+  } catch (...) {
+    for (Request* request : batch) fail(*request, n);
+    return;
+  }
   const bool use_plan = compiled != nullptr && compiled->valid();
   if (!use_plan) {
     eager_fallback_batches_.fetch_add(1, std::memory_order_relaxed);
     ORBIT2_OBS_COUNT("serve/eager_fallback", 1);
   }
 
-  const std::int64_t n = static_cast<std::int64_t>(batch.size());
   {
     ORBIT2_OBS_SPAN_ARG("serve/batch", "serve", "batch_size", n);
-    if (use_plan && kernels::max_threads() <= 1) {
-      // Single kernel thread: op-major lockstep replay. Each op's weights
-      // are fetched once per batch instead of once per sample — the
-      // batching win when there is no parallelism to spend.
-      scratch.inputs.clear();
-      scratch.outputs.clear();
-      for (Request* request : batch) {
-        scratch.inputs.push_back(&request->input);
-        scratch.outputs.push_back(&request->output);
+    // Sample-parallel replay: one batch item per chunk, inline and in order
+    // at one kernel thread. Each replay's nested kernels run inline-serial
+    // (the kernel layer's region rule), so the bits match a sequential eager
+    // call exactly, at any kernel thread count. A request that throws completes
+    // kFailed on the spot and leaves the batch; the others still run.
+    kernels::parallel_for(n, /*grain=*/1, [&](std::int64_t b, std::int64_t e) {
+      for (std::int64_t i = b; i < e; ++i) {
+        Request*& slot = batch[static_cast<std::size_t>(i)];
+        Request& request = *slot;
+        try {
+          if (use_plan) {
+            compiled->run_into(request.input, request.output);
+          } else {
+            // predict_field enters its own thread-local inference scope.
+            request.output = request.model->predict_field(request.input);
+            request.served_eager = true;
+          }
+        } catch (...) {
+          slot = nullptr;  // completed here; the loop below skips it
+          fail(request, n);
+        }
       }
-      compiled->run_batch(scratch.inputs.data(), scratch.outputs.data(),
-                          batch.size());
-    } else {
-      // Sample-parallel replay: one batch item per chunk. Each replay's
-      // nested kernels run inline-serial (PR 3's region rule), so the bits
-      // match a sequential eager call exactly, at any kernel thread count.
-      kernels::parallel_for(
-          n, /*grain=*/1, [&](std::int64_t b, std::int64_t e) {
-            for (std::int64_t i = b; i < e; ++i) {
-              Request& request = *batch[static_cast<std::size_t>(i)];
-              if (use_plan) {
-                compiled->run_into(request.input, request.output);
-              } else {
-                // predict_field enters its own thread-local inference scope.
-                request.output = request.model->predict_field(request.input);
-                request.served_eager = true;
-              }
-            }
-          });
-    }
+    });
   }
 
-  batches_.fetch_add(1, std::memory_order_relaxed);
   const std::int64_t done = clock_->now_ns();
   for (Request* request : batch) {
+    if (request == nullptr) continue;  // failed above
     request->batch_size = n;
     completed_.fetch_add(1, std::memory_order_relaxed);
     request->complete(RequestStatus::kOk, done);
@@ -143,7 +161,6 @@ void Service::dispatch(std::vector<Request*>& batch, BatchScratch& scratch) {
 
 void Service::worker_loop() {
   std::vector<Request*> batch;
-  BatchScratch scratch;
   for (;;) {
     std::int64_t wait_until = Batcher::kNever;
     {
@@ -154,27 +171,18 @@ void Service::worker_loop() {
           if (batcher_.staged() == 0) return;
           // Shutdown with work still staged: drain it as final (forced)
           // batches, or reject every survivor explicitly.
-          if (config_.drain_on_stop) {
-            batcher_.collect(clock_->now_ns(), /*force=*/true, batch);
-          } else {
-            while (batcher_.collect(clock_->now_ns(), /*force=*/true,
-                                    batch) > 0) {
-              const std::int64_t now = clock_->now_ns();
-              for (Request* request : batch) {
-                rejected_.fetch_add(1, std::memory_order_relaxed);
-                ORBIT2_OBS_COUNT("serve/rejected", 1);
-                request->complete(RequestStatus::kRejected, now);
-              }
-            }
+          if (!config_.drain_on_stop) {
+            reject_staged_locked(batch);
             return;
           }
+          batcher_.collect(clock_->now_ns(), /*force=*/true, batch);
         } else {
           wait_until = batcher_.next_ready_ns();
         }
       }
     }
     if (!batch.empty()) {
-      dispatch(batch, scratch);
+      dispatch(batch);
       continue;
     }
     if (wait_until == Batcher::kNever) {
@@ -205,7 +213,7 @@ std::size_t Service::pump(bool force) {
       drain_queue_locked();
       if (batcher_.collect(clock_->now_ns(), force, pump_batch_) == 0) break;
     }
-    dispatch(pump_batch_, pump_scratch_);
+    dispatch(pump_batch_);
     if (!pump_batch_.empty()) ++dispatched;
   }
   return dispatched;
@@ -231,16 +239,9 @@ void Service::stop() {
     if (config_.drain_on_stop) {
       pump(/*force=*/true);
     } else {
-      std::vector<Request*> batch;
       std::lock_guard<std::mutex> lock(mutex_);
       drain_queue_locked();
-      while (batcher_.collect(clock_->now_ns(), /*force=*/true, batch) > 0) {
-        const std::int64_t now = clock_->now_ns();
-        for (Request* request : batch) {
-          rejected_.fetch_add(1, std::memory_order_relaxed);
-          request->complete(RequestStatus::kRejected, now);
-        }
-      }
+      reject_staged_locked(pump_batch_);
     }
     return;
   }
@@ -264,6 +265,7 @@ Service::Stats Service::stats() const {
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
+  s.failed = failed_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.eager_fallback_batches =
       eager_fallback_batches_.load(std::memory_order_relaxed);

@@ -23,8 +23,10 @@
 // Admission policy: try_push on the bounded queue; a full (or stopped)
 // queue rejects immediately (kRejected). Deadline policy: requests whose
 // absolute deadline passed before dispatch are shed (kShed) at batch
-// assembly, never silently dropped. Both outcomes are explicit terminal
-// statuses plus obs counters.
+// assembly, never silently dropped. Failure policy: a request the model
+// throws on (e.g. a channel count it does not take) completes kFailed and
+// the rest of its batch still runs; the worker keeps serving. Each outcome
+// is an explicit terminal status plus an obs counter.
 //
 // Threading here is a sanctioned exception to threading-outside-core
 // (tools/orbit2_analyze_suppressions.txt): the service moves request
@@ -80,10 +82,10 @@ class Service {
   /// the service stopped. Never blocks, never allocates.
   ///
   /// Lifetime: the service holds the raw pointer until the request reaches
-  /// a terminal status (kOk/kShed/kRejected). An accepted request must stay
-  /// alive until then — wait()/poll() it to completion, or stop() the
-  /// service first (the destructor stops too, but members declared after
-  /// the Service are destroyed before it runs).
+  /// a terminal status (kOk/kShed/kRejected/kFailed). An accepted request
+  /// must stay alive until then — wait()/poll() it to completion, or stop()
+  /// the service first (the destructor stops too, but members declared
+  /// after the Service are destroyed before it runs).
   bool submit(Request* request);
 
   /// Manual mode: stages queued arrivals and dispatches ready batches until
@@ -114,6 +116,7 @@ class Service {
     std::int64_t rejected = 0;  // admission refusals (queue full / stopped)
     std::int64_t shed = 0;      // deadline expirations at batch assembly
     std::int64_t completed = 0;
+    std::int64_t failed = 0;  // the model threw on the request (kFailed)
     std::int64_t batches = 0;
     std::int64_t eager_fallback_batches = 0;
   };
@@ -123,20 +126,18 @@ class Service {
   const ServiceConfig& config() const { return config_; }
 
  private:
-  /// Grow-only per-dispatcher staging for batched replay pointers, so the
-  /// steady-state dispatch path never touches the heap.
-  struct BatchScratch {
-    std::vector<const Tensor*> inputs;
-    std::vector<Tensor*> outputs;
-  };
-
   void worker_loop();
   /// Stages every queued arrival into the batcher. Caller holds mutex_.
   void drain_queue_locked();
-  /// Sheds expired requests, then runs the survivors as one batched
-  /// compiled replay (or eager fallback). Called with mutex_ released;
-  /// `scratch` belongs to the calling dispatcher (worker or pump).
-  void dispatch(std::vector<Request*>& batch, BatchScratch& scratch);
+  /// No-drain shutdown: completes every staged request kRejected, using
+  /// `batch` as scratch. Caller holds mutex_.
+  void reject_staged_locked(std::vector<Request*>& batch);
+  /// Sheds expired requests, then runs the survivors as one sample-parallel
+  /// compiled replay (or eager fallback). Every survivor ends kOk or
+  /// kFailed. Called with mutex_ released.
+  void dispatch(std::vector<Request*>& batch);
+  /// Completes `request` kFailed (the model threw on it).
+  void fail(Request& request, std::int64_t batch_size);
   std::size_t pump(bool force);
 
   ServiceConfig config_;
@@ -150,7 +151,6 @@ class Service {
   // Manual-mode batch scratch (pump is single-threaded); grow-only so the
   // steady-state poll()/flush() path never touches the heap.
   std::vector<Request*> pump_batch_;
-  BatchScratch pump_scratch_;
 
   std::vector<std::thread> workers_;
   std::atomic<bool> stopped_{false};
@@ -161,6 +161,7 @@ class Service {
   std::atomic<std::int64_t> rejected_{0};
   std::atomic<std::int64_t> shed_{0};
   std::atomic<std::int64_t> completed_{0};
+  std::atomic<std::int64_t> failed_{0};
   std::atomic<std::int64_t> batches_{0};
   std::atomic<std::int64_t> eager_fallback_batches_{0};
 };

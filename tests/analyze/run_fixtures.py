@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Fixture-corpus test for tools/orbit2_analyze.py (registered as ctest).
 
-Every fixture under tests/analyze/fixtures/ tags its known-bad lines with
-`// EXPECT: <rule> [<rule>...]`; known-good twins carry no tags. This runner
+Every fixture (.cpp or .hpp) under tests/analyze/fixtures/ tags its
+known-bad lines with `// EXPECT: <rule> [<rule>...]`; known-good twins carry
+no tags. This runner
 executes the analyzer over the whole corpus and asserts the reported finding
 set equals the tagged set EXACTLY — rule, file, and line — so both false
 negatives (a bad twin going quiet) and false positives (a good twin firing)
@@ -57,7 +58,8 @@ def main() -> int:
     args = parser.parse_args()
     root = pathlib.Path(args.root).resolve()
     analyzer = root / "tools" / "orbit2_analyze.py"
-    fixtures = sorted((root / "tests" / "analyze" / "fixtures").glob("*.cpp"))
+    fixture_dir = root / "tests" / "analyze" / "fixtures"
+    fixtures = sorted([*fixture_dir.glob("*.cpp"), *fixture_dir.glob("*.hpp")])
     if not fixtures:
         print("run_fixtures: no fixtures found — wrong --root?",
               file=sys.stderr)

@@ -1,18 +1,23 @@
 // Unit tests for the core substrate: error macros, RNG determinism and
-// statistics, bf16 rounding, thread pool semantics, Shape arithmetic.
+// statistics, bf16 rounding, kernel-pool parallel_for semantics, Shape
+// arithmetic.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <mutex>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/bf16.hpp"
 #include "core/error.hpp"
+#include "core/kernels.hpp"
 #include "core/rng.hpp"
 #include "core/shape.hpp"
-#include "core/thread_pool.hpp"
 
 namespace orbit2 {
 namespace {
@@ -144,55 +149,69 @@ TEST(Bf16, RoundToNearestEven) {
   EXPECT_EQ(bf16_round(halfway), 1.0f);
 }
 
-// ---- thread pool --------------------------------------------------------
+// ---- thread pool (kernels::parallel_for) ---------------------------------
+
+/// Pins the kernel pool to `n` threads for one test and restores the default.
+struct PoolThreads {
+  explicit PoolThreads(std::size_t n) { kernels::set_max_threads(n); }
+  ~PoolThreads() { kernels::set_max_threads(0); }
+};
 
 TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
+  const PoolThreads threads(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&counter] { ++counter; });
-  pool.wait_idle();
+  kernels::parallel_for(100, 1, [&counter](std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) ++counter;
+  });
   EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(3);
+  const PoolThreads threads(3);
   std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(257, [&hits](std::size_t i) { ++hits[i]; });
+  kernels::parallel_for(257, 5, [&hits](std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) ++hits[static_cast<std::size_t>(i)];
+  });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForZeroCountIsNoop) {
-  ThreadPool pool(2);
-  EXPECT_NO_THROW(pool.parallel_for(0, [](std::size_t) { FAIL(); }));
+  const PoolThreads threads(2);
+  EXPECT_NO_THROW(kernels::parallel_for(
+      0, 1, [](std::int64_t, std::int64_t) { FAIL(); }));
 }
 
 TEST(ThreadPool, TaskExceptionRethrownOnWait) {
-  ThreadPool pool(2);
-  pool.submit([] { throw Error("boom", "here", 1); });
-  EXPECT_THROW(pool.wait_idle(), Error);
-  // Pool is reusable afterwards.
+  // parallel_for waits for every chunk, then rethrows on the caller.
+  const PoolThreads threads(2);
+  EXPECT_THROW(kernels::parallel_for(8, 1,
+                                     [](std::int64_t b, std::int64_t) {
+                                       if (b == 5) {
+                                         throw Error("boom", "here", 1);
+                                       }
+                                     }),
+               Error);
+  // The pool is reusable afterwards.
   std::atomic<int> counter{0};
-  pool.submit([&counter] { ++counter; });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1);
+  kernels::parallel_for(4, 1, [&counter](std::int64_t, std::int64_t) {
+    ++counter;
+  });
+  EXPECT_EQ(counter.load(), 4);
 }
 
 TEST(ThreadPool, ChunksPartitionRange) {
-  ThreadPool pool(4);
+  // Chunks are [0,g), [g,2g), ...: a pure function of (count, grain).
+  const PoolThreads threads(4);
   std::mutex m;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  pool.parallel_for_chunks(10, [&](std::size_t b, std::size_t e) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> chunks;
+  kernels::parallel_for(10, 3, [&](std::int64_t b, std::int64_t e) {
     std::lock_guard<std::mutex> lock(m);
     chunks.emplace_back(b, e);
   });
   std::sort(chunks.begin(), chunks.end());
-  std::size_t expected_begin = 0;
-  for (auto [b, e] : chunks) {
-    EXPECT_EQ(b, expected_begin);
-    EXPECT_GT(e, b);
-    expected_begin = e;
-  }
-  EXPECT_EQ(expected_begin, 10u);
+  const std::vector<std::pair<std::int64_t, std::int64_t>> expected = {
+      {0, 3}, {3, 6}, {6, 9}, {9, 10}};
+  EXPECT_EQ(chunks, expected);
 }
 
 // ---- shape ----------------------------------------------------------------

@@ -9,7 +9,9 @@
 //     explicitly at batch assembly;
 //   * shapes that fail graph capture fall back to eager *inside* the
 //     batcher (regression: adaptive-compression models serve correctly);
-//   * stop() drains or rejects per configuration.
+//   * stop() drains or rejects per configuration;
+//   * a request the model throws on ends kFailed and the service keeps
+//     serving, in manual and threaded mode.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +25,7 @@
 
 #include "autograd/variable.hpp"
 #include "core/kernels.hpp"
+#include "core/obs.hpp"
 #include "model/reslim.hpp"
 #include "model/vit_baseline.hpp"
 #include "serve/loadgen.hpp"
@@ -411,6 +414,9 @@ TEST(ServeLifecycle, StopDrainsStagedWork) {
 }
 
 TEST(ServeLifecycle, StopWithoutDrainRejectsStagedWork) {
+  // Manual-mode stop() and the worker's no-drain shutdown share one
+  // rejection path, so both bump serve/rejected once per request.
+  obs::set_enabled(true);
   const auto model = make_model(serving_config(model::Architecture::kReslim),
                                 13);
   ServiceConfig sc;
@@ -420,12 +426,104 @@ TEST(ServeLifecycle, StopWithoutDrainRejectsStagedWork) {
   sc.drain_on_stop = false;
   SimClock clock;
   Service service(sc, &clock);
-  Request request;
-  request.model = model.get();
-  request.input = make_input(3, 10, 14, 0);
-  ASSERT_TRUE(service.submit(&request));
+  std::deque<Request> requests(3);
+  for (Request& request : requests) {
+    request.model = model.get();
+    request.input = make_input(3, 10, 14, 0);
+    ASSERT_TRUE(service.submit(&request));
+  }
+  const std::int64_t before = obs::counter("serve/rejected").value();
   service.stop();
-  EXPECT_EQ(request.status(), RequestStatus::kRejected);
+  const std::int64_t after = obs::counter("serve/rejected").value();
+  const bool counted = obs::enabled();  // false in ORBIT2_OBS=OFF builds
+  obs::set_enabled(false);
+  for (const Request& request : requests) {
+    EXPECT_EQ(request.status(), RequestStatus::kRejected);
+  }
+  EXPECT_EQ(service.stats().rejected, 3);
+  if (counted) {
+    EXPECT_EQ(after - before, 3);
+  }
+}
+
+// ---- Failing requests --------------------------------------------------------
+
+/// Two 5-channel requests against a 3-channel model (the model throws on
+/// them), one valid request of another shape alongside, and one valid
+/// request submitted after the failures.
+struct FailureMix {
+  Request bad[2];
+  Request alongside;
+  Request after;
+
+  explicit FailureMix(const model::Downscaler& m) {
+    for (Request& request : bad) {
+      request.model = &m;
+      request.input = make_input(5, 10, 14, 0);
+    }
+    alongside.model = &m;
+    alongside.input = make_input(3, 12, 20, 1);
+    after.model = &m;
+    after.input = make_input(3, 10, 14, 2);
+  }
+};
+
+void run_failure_mix_manual(const model::Downscaler& m) {
+  ServiceConfig sc;
+  sc.manual = true;
+  SimClock clock;
+  FailureMix mix(m);  // outlives the service, which holds its pointers
+  Service service(sc, &clock);
+  for (Request& request : mix.bad) ASSERT_TRUE(service.submit(&request));
+  ASSERT_TRUE(service.submit(&mix.alongside));
+  service.flush();
+  for (const Request& request : mix.bad) {
+    EXPECT_EQ(request.status(), RequestStatus::kFailed);
+  }
+  EXPECT_EQ(mix.alongside.status(), RequestStatus::kOk);
+  ASSERT_TRUE(service.submit(&mix.after));
+  service.flush();
+  EXPECT_EQ(mix.after.status(), RequestStatus::kOk);
+  const Service::Stats stats = service.stats();
+  EXPECT_EQ(stats.failed, 2);
+  EXPECT_EQ(stats.completed, 2);
+}
+
+TEST(ServeFailure, ThrowingRequestsFailInManualMode) {
+  // Compiled path: plan resolution throws for the bad shape.
+  const auto model = make_model(serving_config(model::Architecture::kReslim),
+                                16);
+  run_failure_mix_manual(*model);
+}
+
+TEST(ServeFailure, ThrowingEagerRequestsFailInManualMode) {
+  // Eager path: compression has no plan, so each bad request throws inside
+  // the sample loop instead.
+  model::ModelConfig compressed = serving_config(model::Architecture::kReslim);
+  compressed.compression_ratio = 2.0f;
+  const auto model = make_model(compressed, 17);
+  run_failure_mix_manual(*model);
+}
+
+TEST(ServeFailure, ThrowingRequestsFailInThreadedMode) {
+  const auto model = make_model(serving_config(model::Architecture::kReslim),
+                                18);
+  ServiceConfig sc;
+  sc.max_batch = 4;
+  sc.max_wait_us = 200;
+  FailureMix mix(*model);  // outlives the service, which holds its pointers
+  Service service(sc);
+  for (Request& request : mix.bad) ASSERT_TRUE(service.submit(&request));
+  ASSERT_TRUE(service.submit(&mix.alongside));
+  for (const Request& request : mix.bad) {
+    EXPECT_EQ(request.wait(), RequestStatus::kFailed);
+  }
+  EXPECT_EQ(mix.alongside.wait(), RequestStatus::kOk);
+  // The worker survived the failures and keeps serving.
+  ASSERT_TRUE(service.submit(&mix.after));
+  EXPECT_EQ(mix.after.wait(), RequestStatus::kOk);
+  service.stop();
+  EXPECT_EQ(service.stats().failed, 2);
 }
 
 // ---- Threaded mode -----------------------------------------------------------

@@ -1,14 +1,17 @@
 // Zero-allocation serving contract: with single-threaded kernels, tracing
-// disabled, a warmed plan (pooled executor + compiled plan cached), a
-// pre-sized response buffer, and a warmed service (grow-only staging
+// disabled, a warmed plan (one pooled executor + compiled plan cached),
+// pre-sized response buffers, and a warmed service (grow-only staging
 // scratch), one submit -> poll -> complete cycle performs ZERO heap
-// allocations. Lives in its own binary because ORBIT2_INSTALL_ALLOC_COUNTER
-// replaces the global allocator for the whole process.
+// allocations — for a lone request and for a full batch, which replays its
+// samples one after another through that same executor. Lives in its own
+// binary because ORBIT2_INSTALL_ALLOC_COUNTER replaces the global allocator
+// for the whole process.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <memory>
 
 #include "core/debug_check.hpp"
@@ -43,37 +46,53 @@ TEST(ServeAlloc, SteadyStateRequestIsAllocationFree) {
   model::ReslimModel model(config, rng);
 
   kernels::set_max_threads(1);
-  ServiceConfig sc;
-  sc.manual = true;
-  sc.max_batch = 1;
-  SimClock clock;
-  Service service(sc, &clock);
+  for (const std::int64_t max_batch : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "max_batch " << max_batch);
+    ServiceConfig sc;
+    sc.manual = true;
+    sc.max_batch = max_batch;
+    SimClock clock;
+    Service service(sc, &clock);
 
-  Request request;
-  request.model = &model;
-  request.input = make_input(3, 12, 20);
-  ASSERT_TRUE(service.warm(model, request.input, 1));
+    std::deque<Request> requests(static_cast<std::size_t>(max_batch));
+    for (Request& request : requests) {
+      request.model = &model;
+      request.input = make_input(3, 12, 20);
+    }
+    ASSERT_TRUE(service.warm(model, requests.front().input, 1));
 
-  // Two warm-up cycles: the first compiles nothing new (warm() did) but
-  // sizes request.output, grows the service's staging scratch, and grows
-  // the kernels' thread-local scratch to this plan's high-water mark.
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(service.submit(&request));
-    ASSERT_EQ(service.poll(), 1u);
-    ASSERT_EQ(request.status(), RequestStatus::kOk);
-    request.rearm();
-  }
+    // One full batch per cycle. Two warm-up cycles: the first compiles
+    // nothing new (warm() did) but sizes each request's output, grows the
+    // service's staging scratch, and grows the kernels' thread-local scratch
+    // to this plan's high-water mark.
+    auto cycle = [&] {
+      for (Request& request : requests) service.submit(&request);
+      return service.poll();
+    };
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_EQ(cycle(), 1u);
+      for (Request& request : requests) {
+        ASSERT_EQ(request.status(), RequestStatus::kOk);
+        request.rearm();
+      }
+    }
 
-  std::int64_t delta = -1;
-  {
-    debug::AllocCountScope scope;
-    service.submit(&request);
-    service.poll();
-    delta = scope.delta();
+    std::int64_t delta = -1;
+    {
+      debug::AllocCountScope scope;
+      cycle();
+      delta = scope.delta();
+    }
+    for (const Request& request : requests) {
+      EXPECT_EQ(request.status(), RequestStatus::kOk);
+      EXPECT_EQ(request.batch_size, max_batch);
+    }
+    EXPECT_EQ(delta, 0) << "steady-state serve cycle allocated";
+    // The batch replayed sample by sample through the one warmed executor.
+    EXPECT_EQ(model.compiled_for(requests.front().input)->pooled_executors(),
+              1u);
   }
   kernels::set_max_threads(0);
-  EXPECT_EQ(request.status(), RequestStatus::kOk);
-  EXPECT_EQ(delta, 0) << "steady-state serve cycle allocated";
 }
 
 TEST(ServeAlloc, RejectionPathIsAllocationFree) {

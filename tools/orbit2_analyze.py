@@ -18,6 +18,27 @@ Enforces the repo's bit-exactness contract as named, machine-checked rules
                          Hash-table iteration order is unspecified.
   nondeterminism-source  std::rand/srand, std::random_device, time-seeded
                          RNG, pointer-to-integer casts (address-as-key).
+  intrinsics-outside-simd vector intrinsics or intrinsic headers outside
+                         src/core/simd.
+
+Repo-hygiene rules (textual in both frontends), each with its own scope:
+
+  pragma-once            every header under src/, tests/, bench/, tools/,
+                         examples/ starts with `#pragma once` (first
+                         non-comment line).
+  no-raw-new             no raw `new` / `delete` expressions under src/;
+                         owning allocations go through make_unique /
+                         make_shared / containers.
+  require-pure           ORBIT2_REQUIRE / ORBIT2_CHECK / ORBIT2_DCHECK
+                         conditions carry no side effects (assignment,
+                         ++/--, compound assignment), in all five trees.
+  core-iwyu              .hpp files directly under src/core, src/tensor and
+                         src/train include what they use for a curated set of
+                         std:: symbols.
+
+The determinism rules cover src/ only. Explicit file arguments (fixture
+mode) run every rule on every file; only the file-kind part of a scope
+(headers, .hpp) still applies.
 
 Frontends (--frontend auto|clang|tokens):
 
@@ -60,8 +81,22 @@ RULE_THREADING = "threading-outside-core"
 RULE_UNORDERED = "unordered-iteration"
 RULE_NONDET = "nondeterminism-source"
 RULE_INTRINSICS = "intrinsics-outside-simd"
+RULE_PRAGMA_ONCE = "pragma-once"
+RULE_RAW_NEW = "no-raw-new"
+RULE_REQUIRE_PURE = "require-pure"
+RULE_CORE_IWYU = "core-iwyu"
 ALL_RULES = (RULE_FLOAT_ACC, RULE_THREADING, RULE_UNORDERED, RULE_NONDET,
-             RULE_INTRINSICS)
+             RULE_INTRINSICS, RULE_PRAGMA_ONCE, RULE_RAW_NEW,
+             RULE_REQUIRE_PURE, RULE_CORE_IWYU)
+
+# Trees walked by default (repo-relative). The determinism rules look at
+# src/ only; the repo-hygiene rules narrow further per rule.
+SOURCE_DIRS = ("src", "tests", "bench", "tools", "examples")
+CXX_SUFFIXES = (".hpp", ".cpp", ".h")
+HEADER_SUFFIXES = (".hpp", ".h")
+
+# Directories whose .hpp files are held to core-iwyu.
+IWYU_DIRS = ("src/core", "src/tensor", "src/train")
 
 # Directory (repo-relative, posix) whose files may own threading primitives.
 THREADING_HOME = "src/core"
@@ -476,6 +511,140 @@ def textual_intrinsics(path: str, code: str, findings: list[Finding]):
             "route through the dispatched simd::Ops table"))
 
 
+# ---- repo-hygiene rules (textual) ------------------------------------------
+
+# Curated std symbol -> required include map for core-iwyu.
+CORE_IWYU = {
+    "std::array": "<array>",
+    "std::atomic": "<atomic>",
+    "std::condition_variable": "<condition_variable>",
+    "std::deque": "<deque>",
+    "std::exception_ptr": "<exception>",
+    "std::function": "<functional>",
+    "std::initializer_list": "<initializer_list>",
+    "std::int64_t": "<cstdint>",
+    "std::uint64_t": "<cstdint>",
+    "std::uint32_t": "<cstdint>",
+    "std::uint16_t": "<cstdint>",
+    "std::uintptr_t": "<cstdint>",
+    "std::size_t": "<cstddef>",
+    "std::memcpy": "<cstring>",
+    "std::mutex": "<mutex>",
+    "std::ostringstream": "<sstream>",
+    "std::runtime_error": "<stdexcept>",
+    "std::shared_ptr": "<memory>",
+    "std::span": "<span>",
+    "std::string": "<string>",
+    "std::thread": "<thread>",
+    "std::unique_ptr": "<memory>",
+    "std::vector": "<vector>",
+}
+
+CHECK_MACROS = ("ORBIT2_REQUIRE", "ORBIT2_CHECK", "ORBIT2_DCHECK")
+
+# Side effects inside a condition: ++/--, compound assignment, or plain
+# assignment (an `=` not part of ==, !=, <=, >=).
+SIDE_EFFECT_RE = re.compile(
+    r"(\+\+|--|"
+    r"[+\-*/%&|^]=|<<=|>>=|"
+    r"(?<![=!<>+\-*/%&|^=])=(?![=]))")
+
+
+def textual_pragma_once(path: str, code: str, findings: list[Finding]):
+    for line_no, line in enumerate(code.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped != "#pragma once":
+            findings.append(Finding(
+                RULE_PRAGMA_ONCE, path, line_no,
+                "first non-comment line must be `#pragma once`"))
+        return
+    findings.append(Finding(RULE_PRAGMA_ONCE, path, 1,
+                            "header has no `#pragma once`"))
+
+
+def textual_raw_new(path: str, code: str, findings: list[Finding]):
+    for m in re.finditer(r"\bnew\b", code):
+        # `operator new` defines an allocation function (the debug_check
+        # alloc-counting hooks) and `#include <new>` names the header;
+        # neither is a raw new *expression*.
+        prefix = code[:m.start()].rstrip()
+        if prefix.endswith("operator") or prefix.endswith("<"):
+            continue
+        findings.append(Finding(
+            RULE_RAW_NEW, path, line_of(code, m.start()),
+            "raw `new` — use std::make_unique/make_shared or a container"))
+    for m in re.finditer(r"\bdelete\b", code):
+        # `= delete` declarations and `operator delete` definitions are
+        # idiomatic and allowed.
+        prefix = code[:m.start()].rstrip()
+        if prefix.endswith("=") or prefix.endswith("operator"):
+            continue
+        findings.append(Finding(
+            RULE_RAW_NEW, path, line_of(code, m.start()),
+            "raw `delete` — ownership must be RAII-managed"))
+
+
+def first_macro_argument(code: str, open_paren: int) -> tuple[str, int]:
+    """(first argument text, its offset) for the call opening at
+    `open_paren`."""
+    depth = 0
+    begin = open_paren + 1
+    for i in range(open_paren, len(code)):
+        c = code[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+            if depth == 0:
+                return code[begin:i], begin
+        elif c == "," and depth == 1:
+            return code[begin:i], begin
+    return code[begin:], begin
+
+
+def textual_require_pure(path: str, code: str, findings: list[Finding]):
+    """The check macros evaluate their condition once (core/error.hpp), but
+    a side-effecting condition reads as load-bearing and breaks under builds
+    that compile checks out."""
+    for macro in CHECK_MACROS:
+        for m in re.finditer(rf"\b{macro}\s*\(", code):
+            arg, begin = first_macro_argument(code, m.end() - 1)
+            effect = SIDE_EFFECT_RE.search(arg)
+            if effect:
+                findings.append(Finding(
+                    RULE_REQUIRE_PURE, path,
+                    line_of(code, begin + effect.start()),
+                    f"{macro} condition contains a side effect "
+                    f"(`{effect.group(0)}`); hoist it out of the check"))
+
+
+def textual_core_iwyu(path: str, text: str, code: str,
+                      findings: list[Finding]):
+    includes = set(re.findall(r"#include\s+(<[^>]+>)", text))
+    for symbol, header in CORE_IWYU.items():
+        m = re.search(re.escape(symbol) + r"\b", code)
+        if m and header not in includes:
+            findings.append(Finding(
+                RULE_CORE_IWYU, path, line_of(code, m.start()),
+                f"uses {symbol} but does not include {header}"))
+
+
+def textual_hygiene(path: str, text: str, code: str, findings: list[Finding],
+                    anywhere: bool):
+    """The repo-hygiene rules, each over its own scope; `anywhere` (fixture
+    mode) drops the directory part of each scope."""
+    if path.endswith(HEADER_SUFFIXES):
+        textual_pragma_once(path, code, findings)
+    if anywhere or path.startswith("src/"):
+        textual_raw_new(path, code, findings)
+    textual_require_pure(path, code, findings)
+    if path.endswith(".hpp") and (
+            anywhere or path.rpartition("/")[0] in IWYU_DIRS):
+        textual_core_iwyu(path, text, code, findings)
+
+
 def analyze_file_tokens(path: str, text: str) -> list[Finding]:
     code = strip_comments_and_strings(text)
     findings: list[Finding] = []
@@ -874,11 +1043,10 @@ def repo_files(root: pathlib.Path, explicit: list[str]) -> list[pathlib.Path]:
             if not f.is_file():
                 raise SystemExit(f"orbit2_analyze: no such file: {f}")
         return files
-    base = root / "src"
-    if not base.is_dir():
+    if not (root / "src").is_dir():
         raise SystemExit(f"orbit2_analyze: {root} has no src/ — wrong --root?")
-    return sorted(p for p in base.rglob("*")
-                  if p.suffix in (".hpp", ".cpp", ".h"))
+    return sorted(p for top in SOURCE_DIRS for p in (root / top).rglob("*")
+                  if p.suffix in CXX_SUFFIXES)
 
 
 def load_compile_commands(build_dir: pathlib.Path):
@@ -912,7 +1080,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="run the embedded frontend self-tests and exit")
     parser.add_argument("files", nargs="*",
                         help="analyze only these files (fixture mode); "
-                             "default: every C++ file under <root>/src")
+                             "default: every C++ file under <root>/{"
+                             + ",".join(SOURCE_DIRS) + "}")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -949,7 +1118,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"orbit2_analyze: frontend={frontend}", file=sys.stderr)
 
     findings: list[Finding] = []
-    token_files = list(files)
+    for rel, text in file_texts.items():
+        textual_hygiene(rel, text, strip_comments_and_strings(text), findings,
+                        anywhere=bool(args.files))
+    # The determinism rules: every explicit file, else src/ only.
+    token_files = [f for f in files
+                   if args.files or rel_of[os.path.realpath(f)].startswith(
+                       "src/")]
 
     if frontend == "clang":
         tus: list[tuple[str, list[str], str | None]] = []
@@ -975,10 +1150,10 @@ def main(argv: list[str] | None = None) -> int:
         clang_findings, failed = analyze_clang(
             clang, tus, rel_of, file_texts, warn)
         findings.extend(clang_findings)
-        # Textual sub-rules still run over every file; full token analysis
-        # only for TUs clang could not parse.
+        # Textual sub-rules still run over every file in scope; full token
+        # analysis only for TUs clang could not parse.
         failed_reals = {os.path.realpath(f) for f in failed}
-        for f in files:
+        for f in token_files:
             rel = rel_of[os.path.realpath(f)]
             text = file_texts[rel]
             code = strip_comments_and_strings(text)
