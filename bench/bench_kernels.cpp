@@ -17,6 +17,7 @@
 //   --trace PATH enable obs tracing and write Chrome trace JSON to PATH
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -470,12 +471,20 @@ int main(int argc, char** argv) {
   // so only the wall time moves.
   {
     const orbit2::simd::Isa saved_isa = orbit2::simd::active_isa();
-    const std::int64_t m = 512, n = 512, k = 512;
-    const Tensor a = Tensor::randn(Shape{m, k}, rng);
-    const Tensor b = Tensor::randn(Shape{k, n}, rng);
-    const double gemm_flops =
-        2.0 * static_cast<double>(m) * static_cast<double>(n) *
-        static_cast<double>(k);
+    // GEMM shapes, labelled MxNxK: a square compute-bound case, then
+    // Reslim-tiny's trunk matmuls at 20x36 (720 tokens, embed 32, MLP 128).
+    struct GemmCase {
+      std::int64_t m, n, k;
+      Tensor a, b;
+    };
+    std::vector<GemmCase> gemm_cases;
+    for (const auto& [m, n, k] :
+         {std::array<std::int64_t, 3>{512, 512, 512},
+          std::array<std::int64_t, 3>{720, 32, 32},
+          std::array<std::int64_t, 3>{720, 32, 128}}) {
+      gemm_cases.push_back({m, n, k, Tensor::randn(Shape{m, k}, rng),
+                            Tensor::randn(Shape{k, n}, rng)});
+    }
     const std::int64_t stream_n = quick ? (1 << 20) : (1 << 22);
     const Tensor sx = Tensor::randn(Shape{stream_n}, rng);
     Tensor sy = Tensor::randn(Shape{stream_n}, rng);
@@ -485,11 +494,19 @@ int main(int argc, char** argv) {
       orbit2::simd::set_isa(isa);
       const std::string variant =
           std::string("simd_") + orbit2::simd::isa_name(isa);
-      records.push_back(time_case("gemm_nn", "512x512x512", variant, kSerial,
-                                  reps, gemm_flops, [&] {
-                                    const Tensor c = orbit2::matmul(a, b);
-                                    return tensor_checksum(c);
-                                  }));
+      for (const GemmCase& g : gemm_cases) {
+        const std::string shape = std::to_string(g.m) + "x" +
+                                  std::to_string(g.n) + "x" +
+                                  std::to_string(g.k);
+        const double gemm_flops = 2.0 * static_cast<double>(g.m) *
+                                  static_cast<double>(g.n) *
+                                  static_cast<double>(g.k);
+        records.push_back(time_case("gemm_nn", shape, variant, kSerial, reps,
+                                    gemm_flops, [&] {
+                                      const Tensor c = orbit2::matmul(g.a, g.b);
+                                      return tensor_checksum(c);
+                                    }));
+      }
       records.push_back(time_case(
           "axpy_stream", "n=" + std::to_string(stream_n), variant, kSerial,
           reps, stream_flops, [&] {

@@ -120,13 +120,14 @@ AttentionGrads attention_naive_backward(const AttentionContext& ctx,
 // produced by exactly one chunk in a fixed accumulation order, making
 // results bit-identical for any thread count.
 //
-// Inside a (query block, KV block) tile the score and dP dots run as double
-// lanes of simd::Ops::gemm_update_f64 over a transposed K (or V) block: lane
-// j accumulates double(q[t]) * double(k_j[t]) in ascending t from 0.0. The
-// products are exact, so every lane equals the sequential double dot of the
-// two rows bit for bit on every ISA. The P·V, dQ, dK and dV accumulates are
-// simd::Ops::axpy_rows_f32 calls, which apply their rows to each output
-// element in the same order as one axpy_f32 per (query, key) pair.
+// Inside a (query block, KV block) tile the score and dP dots of the whole
+// query block come from one simd::Ops::gemm_tile_f64 call over a transposed
+// K (or V) block: lane (i, j) accumulates double(q_i[t]) * double(k_j[t]) in
+// ascending t from 0.0. The products are exact, so every lane equals the
+// sequential double dot of the two rows bit for bit on every ISA. The P·V,
+// dQ, dK and dV accumulates are simd::Ops::axpy_rows_f32 calls, which apply
+// their rows to each output element in the same order as one axpy_f32 per
+// (query, key) pair.
 
 namespace {
 
@@ -136,7 +137,7 @@ namespace {
 struct FlashScratch {
   std::vector<float> kt;      // K block transposed, [d][bk]
   std::vector<float> vt;      // V block transposed, [dv][bk] (backward)
-  std::vector<double> lanes;  // one row of score or dP lanes, [bk]
+  std::vector<double> lanes;  // score or dP lanes of a query block, [bq][bk]
   std::vector<float> p;       // forward: one probability row; backward: P
   std::vector<float> ds;      // backward: dS tile
   std::vector<float> row_max;
@@ -174,15 +175,15 @@ void transpose_block(const float* src, std::int64_t d, std::int64_t r0,
   }
 }
 
-/// lanes[j] = sum over ascending t of double(x[t]) * double(bt[t * bk + j]),
-/// starting from 0.0: the sequential double dot of x with row j of the
-/// block that `bt` holds transposed.
-void dot_lanes(const simd::Ops& sops, const float* x, const float* bt,
-               std::int64_t d, std::int64_t bk, double* lanes) {
-  std::fill(lanes, lanes + bk, 0.0);
-  for (std::int64_t t = 0; t < d; ++t) {
-    sops.gemm_update_f64(lanes, bt + t * bk, static_cast<double>(x[t]), bk);
-  }
+/// lanes[r * bk + j] = sum over ascending t of
+/// double(x[r * d + t]) * double(bt[t * bk + j]) for r in [0, rows),
+/// starting from 0.0: the sequential double dot of row r of x with row j of
+/// the block that `bt` holds transposed.
+void dot_lanes(const simd::Ops& sops, const float* x, std::int64_t rows,
+               const float* bt, std::int64_t d, std::int64_t bk,
+               double* lanes) {
+  std::fill(lanes, lanes + rows * bk, 0.0);
+  sops.gemm_tile_f64(lanes, bk, x, d, bt, bk, rows, bk, d);
 }
 
 /// Shared body of the flash forward: writes the (pre-zeroed) output and the
@@ -202,7 +203,7 @@ void flash_forward_body(const float* pq, const float* pk, const float* pv,
     // current query block only.
     FlashScratch& s = flash_scratch();
     float* kt = grow(s.kt, d * max_bk);
-    double* lanes = grow(s.lanes, max_bk);
+    double* lanes = grow(s.lanes, max_bq * max_bk);
     float* prow = grow(s.p, max_bk);
     float* row_max = grow(s.row_max, max_bq);
     float* row_sum = grow(s.row_sum, max_bq);
@@ -216,12 +217,13 @@ void flash_forward_body(const float* pq, const float* pk, const float* pv,
       for (std::int64_t k0 = 0; k0 < nk; k0 += params.block_kv) {
         const std::int64_t bk = std::min(nk, k0 + params.block_kv) - k0;
         transpose_block(pk, d, k0, bk, kt);
+        dot_lanes(sops, pq + q0 * d, q1 - q0, kt, d, bk, lanes);
 
         for (std::int64_t i = q0; i < q1; ++i) {
           // Score row S_i = q_i Kb^T * scale.
-          dot_lanes(sops, pq + i * d, kt, d, bk, lanes);
+          const double* srow = lanes + (i - q0) * bk;
           for (std::int64_t j = 0; j < bk; ++j) {
-            prow[j] = static_cast<float>(lanes[j]) * scale;
+            prow[j] = static_cast<float>(srow[j]) * scale;
           }
 
           // Online softmax update: rescale the previous accumulators when a
@@ -384,24 +386,30 @@ AttentionGrads attention_flash_backward(const AttentionContext& ctx,
                         std::int64_t col_step) -> Tiles {
     float* kt = grow(s.kt, d * max_bk);
     float* vt = grow(s.vt, dv * max_bk);
-    double* lanes = grow(s.lanes, max_bk);
+    double* lanes = grow(s.lanes, max_bq * max_bk);
     float* p = grow(s.p, max_bq * max_bk);
     float* ds = grow(s.ds, max_bq * max_bk);
     transpose_block(pk, d, k0, bk, kt);
     transpose_block(pv, dv, k0, bk, vt);
+    const std::int64_t bq = q1 - q0;
+    dot_lanes(sops, pq + q0 * d, bq, kt, d, bk, lanes);
     for (std::int64_t i = q0; i < q1; ++i) {
       const float lse = plse[i];
-      const float delta_i = delta[static_cast<std::size_t>(i)];
       const std::int64_t base = (i - q0) * row_step;
-      dot_lanes(sops, pq + i * d, kt, d, bk, lanes);
+      const double* srow = lanes + (i - q0) * bk;
       for (std::int64_t j = 0; j < bk; ++j) {
         p[base + j * col_step] =
-            std::exp(static_cast<float>(lanes[j]) * ctx.scale - lse);
+            std::exp(static_cast<float>(srow[j]) * ctx.scale - lse);
       }
-      dot_lanes(sops, pgo + i * dv, vt, dv, bk, lanes);
+    }
+    dot_lanes(sops, pgo + q0 * dv, bq, vt, dv, bk, lanes);
+    for (std::int64_t i = q0; i < q1; ++i) {
+      const float delta_i = delta[static_cast<std::size_t>(i)];
+      const std::int64_t base = (i - q0) * row_step;
+      const double* dprow = lanes + (i - q0) * bk;
       for (std::int64_t j = 0; j < bk; ++j) {
         const std::int64_t at = base + j * col_step;
-        ds[at] = p[at] * (static_cast<float>(lanes[j]) - delta_i) * ctx.scale;
+        ds[at] = p[at] * (static_cast<float>(dprow[j]) - delta_i) * ctx.scale;
       }
     }
     return {p, ds};

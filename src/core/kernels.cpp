@@ -347,20 +347,13 @@ void gemm_nn_panel(const float* a, const float* b, float* c, std::int64_t n,
     const std::int64_t jw = std::min(j1 - jc, kGemmNC);
     std::fill(acc.begin(),
               acc.begin() + static_cast<std::size_t>((i1 - i0) * kGemmNC), 0.0);
+    // One register-tiled call per K block over the whole panel: each
+    // element keeps its ascending-k double accumulation with separately
+    // rounded mul and add, bit-identical to the scalar per-element loop.
     for (std::int64_t kk = 0; kk < k; kk += kGemmKC) {
-      const std::int64_t kend = std::min(k, kk + kGemmKC);
-      for (std::int64_t i = i0; i < i1; ++i) {
-        double* arow = acc.data() + (i - i0) * kGemmNC;
-        const float* apanel = a + i * k;
-        for (std::int64_t kq = kk; kq < kend; ++kq) {
-          const double aik = static_cast<double>(apanel[kq]);
-          const float* brow = b + kq * n + jc;
-          // Vectorizes over j (independent output columns), keeping each
-          // element's ascending-k double accumulation and two-rounding
-          // mul+add intact — bit-identical to the scalar loop it replaces.
-          sops.gemm_update_f64(arow, brow, aik, jw);
-        }
-      }
+      sops.gemm_tile_f64(acc.data(), kGemmNC, a + i0 * k + kk, k,
+                         b + kk * n + jc, n, i1 - i0, jw,
+                         std::min(k - kk, kGemmKC));
     }
     for (std::int64_t i = i0; i < i1; ++i) {
       const double* arow = acc.data() + (i - i0) * kGemmNC;

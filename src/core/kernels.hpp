@@ -9,10 +9,13 @@
 //     chunking: chunk boundaries are a pure function of (count, grain) and
 //     never depend on the thread count, so serial and parallel execution are
 //     bit-identical and checkpoint-resume reproducibility survives.
-//   * A packed, cache-blocked GEMM micro-kernel family (NN / NT / TN /
-//     batched). All variants canonicalize to one NN inner kernel that
-//     accumulates in double precision in ascending-k order, so the variants
-//     agree bitwise with each other and with any thread count.
+//   * A cache-blocked GEMM family (NN / NT / TN / batched). NT and TN
+//     transpose their T operand into a per-thread buffer once; every variant
+//     runs one NN kernel that reads A and B in place (no panel packing) and
+//     feeds simd::Ops::gemm_tile_f64 one K block of a row panel at a time.
+//     Each output element accumulates in double precision in ascending-k
+//     order, so the variants agree bitwise with each other and with any
+//     thread count.
 //   * Nested-call composition: a kernel invoked from inside another kernel's
 //     worker chunk runs inline and serial, so outer parallelism (TILES tiles,
 //     sharded devices) composes with inner parallelism (GEMM panels) instead

@@ -23,10 +23,25 @@
 
 namespace orbit2::simd::detail {
 
-static inline void scalar_gemm_update_f64(double* acc, const float* b,
-                                          double a, std::int64_t n) {
+// One row update of the GEMM tile: acc[j] += a * double(b[j]). The vector
+// backends run it for the rows and columns their register tiles leave over.
+static inline void scalar_gemm_row_f64(double* acc, const float* b, double a,
+                                       std::int64_t n) {
   for (std::int64_t j = 0; j < n; ++j) {
     acc[j] += a * static_cast<double>(b[j]);
+  }
+}
+
+static inline void scalar_gemm_tile_f64(double* acc, std::int64_t ldacc,
+                                        const float* a, std::int64_t lda,
+                                        const float* b, std::int64_t ldb,
+                                        std::int64_t rows, std::int64_t n,
+                                        std::int64_t k) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t q = 0; q < k; ++q) {
+      scalar_gemm_row_f64(acc + r * ldacc, b + q * ldb,
+                          static_cast<double>(a[r * lda + q]), n);
+    }
   }
 }
 
@@ -127,23 +142,6 @@ static inline void scalar_cmul_f64(double* x, const double* y, std::int64_t n) {
     x[2 * k] = xr * yr - xi * yi;
     x[2 * k + 1] = xi * yr + xr * yi;
   }
-}
-
-// Lane-blocked reference of the reduce policy: element i accumulates into
-// double lane (i % kReduceLanes); lanes combine in ascending lane order
-// starting from lane 0's value (not from 0.0, so signed zeros survive).
-static inline double scalar_dot_f32(const float* x, const float* y,
-                                    std::int64_t n) {
-  double lanes[kReduceLanes] = {};
-  for (std::int64_t i = 0; i < n; ++i) {
-    lanes[i % kReduceLanes] +=
-        static_cast<double>(x[i]) * static_cast<double>(y[i]);
-  }
-  double acc = lanes[0];
-  for (std::int64_t lane = 1; lane < kReduceLanes; ++lane) {
-    acc += lanes[lane];
-  }
-  return acc;
 }
 
 }  // namespace orbit2::simd::detail

@@ -3,10 +3,10 @@
 //
 // The kernel substrate (core/kernels.hpp) made every hot path thread-parallel
 // and bit-stable, but left all inner arithmetic scalar. This layer supplies
-// the vectorized inner loops: a small set of primitive microkernels (GEMM
-// row updates, radix-2 FFT butterflies, contiguous elementwise stages,
-// row rescales, bf16 convert-and-round) behind one function-pointer table
-// selected once at startup from the host ISA (AVX-512 > AVX2 > NEON >
+// the vectorized inner loops: a small set of primitive microkernels (a
+// register-tiled GEMM tile, radix-2 FFT butterflies, contiguous elementwise
+// stages, row rescales, bf16 convert-and-round) behind one function-pointer
+// table selected once at startup from the host ISA (AVX-512 > AVX2 > NEON >
 // scalar) and overridable with `ORBIT2_SIMD=scalar|avx2|avx512|neon` for
 // testing.
 //
@@ -21,13 +21,13 @@
 //   * No fused multiply-add: `y += a * x` is one rounded multiply then one
 //     rounded add, matching the baseline scalar build (the simd TUs compile
 //     with -ffp-contract=off so the compiler cannot contract them either).
-//   * No horizontal reductions inside element-parallel primitives. The one
-//     reducing primitive, dot_f32, uses a FIXED logical lane count
-//     (kReduceLanes): element i accumulates into double lane (i % 8), and
-//     lanes combine in ascending lane order at the end. The scalar reference
-//     implements the same lane-blocked order, so the reduce is bit-identical
-//     on every ISA — this is the policy any future reducing microkernel
-//     must follow.
+//   * Accumulating primitives keep each output element's sum in its own
+//     register lane in the reference's operand order (gemm_tile_f64 walks k
+//     ascending per element), so no horizontal reduction is ever needed.
+//     A future primitive that must reduce across elements has to fix a
+//     LOGICAL lane count independent of the vector width (element i into
+//     lane i % L, lanes combined in ascending order) and implement exactly
+//     that order in the scalar reference, so every ISA matches bit for bit.
 //   * Complex products (FFT butterflies, Bluestein pointwise multiplies) use
 //     the naive formula with pinned operand order:
 //     re = xr*wr - xi*wi, im = xi*wr + xr*wi (each product rounded once).
@@ -53,22 +53,23 @@ const char* isa_name(Isa isa);
 /// match). Returns false on anything else.
 bool parse_isa_name(const char* text, Isa* out);
 
-/// Logical lane count of the deterministic lane-ordered reduce policy.
-/// Fixed across ISAs: AVX-512 holds all 8 double lanes in one register,
-/// AVX2 in two, NEON in four, and the scalar reference indexes lane (i % 8).
-inline constexpr std::int64_t kReduceLanes = 8;
-
 /// The primitive microkernel table. One table per ISA; all tables are
 /// bit-identical in output (see the determinism contract above) and differ
 /// only in speed. Pointers are never null.
 struct Ops {
   Isa isa;
 
-  /// GEMM inner-loop row update: acc[j] += a * double(b[j]) for j in [0, n).
-  /// Double accumulators, one rounded multiply + one rounded add per
-  /// element (no FMA).
-  void (*gemm_update_f64)(double* acc, const float* b, double a,
-                          std::int64_t n);
+  /// Register-tiled GEMM tile over double accumulators:
+  /// acc[r * ldacc + j] += double(a[r * lda + q]) * double(b[q * ldb + j])
+  /// for r in [0, rows), j in [0, n), with q = 0, 1, ..., k - 1 in that order.
+  /// Each element sees exactly the operations of k separate row updates:
+  /// an ascending-q double sum, one rounded multiply then one rounded add
+  /// per step (no FMA). Vector backends hold an MR x NR block of `acc` in
+  /// registers across the whole q loop; ragged rows and columns run a row
+  /// update with the same per-element arithmetic.
+  void (*gemm_tile_f64)(double* acc, std::int64_t ldacc, const float* a,
+                        std::int64_t lda, const float* b, std::int64_t ldb,
+                        std::int64_t rows, std::int64_t n, std::int64_t k);
 
   /// y[i] += a * x[i] (rounded multiply then rounded add, float).
   void (*axpy_f32)(float* y, const float* x, float a, std::int64_t n);
@@ -108,12 +109,6 @@ struct Ops {
   /// n pointwise complex products x[k] *= y[k], interleaved re/im doubles.
   void (*cmul_f64)(double* x, const double* y, std::int64_t n);
 
-  /// Lane-ordered dot product: double lane (i % kReduceLanes) accumulates
-  /// double(x[i]) * double(y[i]); lanes combine in ascending order. The
-  /// exemplar of the reduce policy — NOT bit-compatible with a sequential
-  /// ascending-i accumulation, so existing sequential reductions must not
-  /// be switched to it without re-pinning their goldens.
-  double (*dot_f32)(const float* x, const float* y, std::int64_t n);
 };
 
 /// The active table. First call resolves the ISA (ORBIT2_SIMD env override,

@@ -23,8 +23,11 @@ namespace orbit2::simd::detail {
 
 namespace {
 
-void avx2_gemm_update_f64(double* acc, const float* b, double a,
-                          std::int64_t n) {
+// Row update for the rows and columns the register tiles leave over. Kept
+// out of line, like the tile loop below, so the table entry holds no vector
+// state and a one-row call reaches this with a plain jump.
+[[gnu::noinline]] void avx2_gemm_row_f64(double* acc, const float* b, double a,
+                                         std::int64_t n) {
   const __m256d va = _mm256_set1_pd(a);
   std::int64_t j = 0;
   for (; j + 4 <= n; j += 4) {
@@ -32,7 +35,85 @@ void avx2_gemm_update_f64(double* acc, const float* b, double a,
     const __m256d vacc = _mm256_loadu_pd(acc + j);
     _mm256_storeu_pd(acc + j, _mm256_add_pd(vacc, _mm256_mul_pd(va, vb)));
   }
-  if (j < n) scalar_gemm_update_f64(acc + j, b + j, a, n - j);
+  if (j < n) scalar_gemm_row_f64(acc + j, b + j, a, n - j);
+}
+
+// A kMR x kNR block of acc lives in 8 ymm registers for the whole q loop:
+// loaded once, one rounded multiply and one rounded add per q, stored once.
+constexpr std::int64_t kMR = 4;
+constexpr std::int64_t kNR = 8;
+
+// The register tiles, then row updates for what they leave over: the
+// columns past the last whole tile in tile rows, and all of each leftover
+// row. Out of line: inlined, its register set-up would run on every call.
+[[gnu::noinline]] void avx2_gemm_tiles(double* acc, std::int64_t ldacc,
+                                       const float* a, std::int64_t lda,
+                                       const float* b, std::int64_t ldb,
+                                       std::int64_t rows, std::int64_t n,
+                                       std::int64_t k) {
+  const std::int64_t rows_full = rows - rows % kMR;
+  const std::int64_t n_full = n - n % kNR;
+  for (std::int64_t j = 0; j < n_full; j += kNR) {
+    for (std::int64_t r = 0; r < rows_full; r += kMR) {
+      double* c = acc + r * ldacc + j;
+      const float* ar = a + r * lda;
+      __m256d c0l = _mm256_loadu_pd(c);
+      __m256d c0h = _mm256_loadu_pd(c + 4);
+      __m256d c1l = _mm256_loadu_pd(c + ldacc);
+      __m256d c1h = _mm256_loadu_pd(c + ldacc + 4);
+      __m256d c2l = _mm256_loadu_pd(c + 2 * ldacc);
+      __m256d c2h = _mm256_loadu_pd(c + 2 * ldacc + 4);
+      __m256d c3l = _mm256_loadu_pd(c + 3 * ldacc);
+      __m256d c3h = _mm256_loadu_pd(c + 3 * ldacc + 4);
+      const float* bq = b + j;
+      for (std::int64_t q = 0; q < k; ++q, bq += ldb) {
+        const __m256d bl = _mm256_cvtps_pd(_mm_loadu_ps(bq));
+        const __m256d bh = _mm256_cvtps_pd(_mm_loadu_ps(bq + 4));
+        const __m256d a0 = _mm256_set1_pd(static_cast<double>(ar[q]));
+        c0l = _mm256_add_pd(c0l, _mm256_mul_pd(a0, bl));
+        c0h = _mm256_add_pd(c0h, _mm256_mul_pd(a0, bh));
+        const __m256d a1 = _mm256_set1_pd(static_cast<double>(ar[lda + q]));
+        c1l = _mm256_add_pd(c1l, _mm256_mul_pd(a1, bl));
+        c1h = _mm256_add_pd(c1h, _mm256_mul_pd(a1, bh));
+        const __m256d a2 =
+            _mm256_set1_pd(static_cast<double>(ar[2 * lda + q]));
+        c2l = _mm256_add_pd(c2l, _mm256_mul_pd(a2, bl));
+        c2h = _mm256_add_pd(c2h, _mm256_mul_pd(a2, bh));
+        const __m256d a3 =
+            _mm256_set1_pd(static_cast<double>(ar[3 * lda + q]));
+        c3l = _mm256_add_pd(c3l, _mm256_mul_pd(a3, bl));
+        c3h = _mm256_add_pd(c3h, _mm256_mul_pd(a3, bh));
+      }
+      _mm256_storeu_pd(c, c0l);
+      _mm256_storeu_pd(c + 4, c0h);
+      _mm256_storeu_pd(c + ldacc, c1l);
+      _mm256_storeu_pd(c + ldacc + 4, c1h);
+      _mm256_storeu_pd(c + 2 * ldacc, c2l);
+      _mm256_storeu_pd(c + 2 * ldacc + 4, c2h);
+      _mm256_storeu_pd(c + 3 * ldacc, c3l);
+      _mm256_storeu_pd(c + 3 * ldacc + 4, c3h);
+    }
+  }
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int64_t j0 = r < rows_full ? n_full : 0;
+    if (j0 == n) continue;
+    for (std::int64_t q = 0; q < k; ++q) {
+      avx2_gemm_row_f64(acc + r * ldacc + j0, b + q * ldb + j0,
+                        static_cast<double>(a[r * lda + q]), n - j0);
+    }
+  }
+}
+
+void avx2_gemm_tile_f64(double* acc, std::int64_t ldacc, const float* a,
+                        std::int64_t lda, const float* b, std::int64_t ldb,
+                        std::int64_t rows, std::int64_t n, std::int64_t k) {
+  // One row and one step (a conv tap) is a single row update: skip the tile
+  // set-up, which costs as much as the update itself at conv row widths.
+  if (rows == 1 && k == 1) {
+    avx2_gemm_row_f64(acc, b, static_cast<double>(a[0]), n);
+    return;
+  }
+  avx2_gemm_tiles(acc, ldacc, a, lda, b, ldb, rows, n, k);
 }
 
 void avx2_axpy_f32(float* y, const float* x, float a, std::int64_t n) {
@@ -174,42 +255,12 @@ void avx2_cmul_f64(double* x, const double* y, std::int64_t n) {
   if (k < n) scalar_cmul_f64(x + 2 * k, y + 2 * k, n - k);
 }
 
-double avx2_dot_f32(const float* x, const float* y, std::int64_t n) {
-  // Lanes 0-3 in acc_lo, 4-7 in acc_hi; element i lands in lane i % 8,
-  // accumulated in ascending i order — identical to the scalar reference.
-  __m256d acc_lo = _mm256_setzero_pd();
-  __m256d acc_hi = _mm256_setzero_pd();
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vx = _mm256_loadu_ps(x + i);
-    const __m256 vy = _mm256_loadu_ps(y + i);
-    const __m256d xl = _mm256_cvtps_pd(_mm256_castps256_ps128(vx));
-    const __m256d yl = _mm256_cvtps_pd(_mm256_castps256_ps128(vy));
-    const __m256d xh = _mm256_cvtps_pd(_mm256_extractf128_ps(vx, 1));
-    const __m256d yh = _mm256_cvtps_pd(_mm256_extractf128_ps(vy, 1));
-    acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(xl, yl));
-    acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(xh, yh));
-  }
-  double lanes[kReduceLanes];
-  _mm256_storeu_pd(lanes, acc_lo);
-  _mm256_storeu_pd(lanes + 4, acc_hi);
-  for (; i < n; ++i) {
-    lanes[i % kReduceLanes] +=
-        static_cast<double>(x[i]) * static_cast<double>(y[i]);
-  }
-  double acc = lanes[0];
-  for (std::int64_t lane = 1; lane < kReduceLanes; ++lane) {
-    acc += lanes[lane];
-  }
-  return acc;
-}
-
 }  // namespace
 
 const Ops* avx2_ops() {
   static const Ops table = {
       Isa::kAvx2,
-      avx2_gemm_update_f64,
+      avx2_gemm_tile_f64,
       avx2_axpy_f32,
       avx2_axpy_rows_f32,
       avx2_scale_f32,
@@ -220,7 +271,6 @@ const Ops* avx2_ops() {
       avx2_bf16_round_f32,
       avx2_fft_butterfly_f64,
       avx2_cmul_f64,
-      avx2_dot_f32,
   };
   return &table;
 }

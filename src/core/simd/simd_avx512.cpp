@@ -19,8 +19,11 @@ namespace orbit2::simd::detail {
 
 namespace {
 
-void avx512_gemm_update_f64(double* acc, const float* b, double a,
-                            std::int64_t n) {
+// Row update for the rows and columns the register tiles leave over. Kept
+// out of line, like the tile loop below, so the table entry holds no vector
+// state and a one-row call reaches this with a plain jump.
+[[gnu::noinline]] void avx512_gemm_row_f64(double* acc, const float* b,
+                                           double a, std::int64_t n) {
   const __m512d va = _mm512_set1_pd(a);
   std::int64_t j = 0;
   for (; j + 8 <= n; j += 8) {
@@ -28,7 +31,85 @@ void avx512_gemm_update_f64(double* acc, const float* b, double a,
     const __m512d vacc = _mm512_loadu_pd(acc + j);
     _mm512_storeu_pd(acc + j, _mm512_add_pd(vacc, _mm512_mul_pd(va, vb)));
   }
-  if (j < n) scalar_gemm_update_f64(acc + j, b + j, a, n - j);
+  if (j < n) scalar_gemm_row_f64(acc + j, b + j, a, n - j);
+}
+
+// A kMR x kNR block of acc lives in 8 zmm registers for the whole q loop:
+// loaded once, one rounded multiply and one rounded add per q, stored once.
+constexpr std::int64_t kMR = 4;
+constexpr std::int64_t kNR = 16;
+
+// The register tiles, then row updates for what they leave over: the
+// columns past the last whole tile in tile rows, and all of each leftover
+// row. Out of line: inlined, its register set-up would run on every call.
+[[gnu::noinline]] void avx512_gemm_tiles(double* acc, std::int64_t ldacc,
+                                         const float* a, std::int64_t lda,
+                                         const float* b, std::int64_t ldb,
+                                         std::int64_t rows, std::int64_t n,
+                                         std::int64_t k) {
+  const std::int64_t rows_full = rows - rows % kMR;
+  const std::int64_t n_full = n - n % kNR;
+  for (std::int64_t j = 0; j < n_full; j += kNR) {
+    for (std::int64_t r = 0; r < rows_full; r += kMR) {
+      double* c = acc + r * ldacc + j;
+      const float* ar = a + r * lda;
+      __m512d c0l = _mm512_loadu_pd(c);
+      __m512d c0h = _mm512_loadu_pd(c + 8);
+      __m512d c1l = _mm512_loadu_pd(c + ldacc);
+      __m512d c1h = _mm512_loadu_pd(c + ldacc + 8);
+      __m512d c2l = _mm512_loadu_pd(c + 2 * ldacc);
+      __m512d c2h = _mm512_loadu_pd(c + 2 * ldacc + 8);
+      __m512d c3l = _mm512_loadu_pd(c + 3 * ldacc);
+      __m512d c3h = _mm512_loadu_pd(c + 3 * ldacc + 8);
+      const float* bq = b + j;
+      for (std::int64_t q = 0; q < k; ++q, bq += ldb) {
+        const __m512d bl = _mm512_cvtps_pd(_mm256_loadu_ps(bq));
+        const __m512d bh = _mm512_cvtps_pd(_mm256_loadu_ps(bq + 8));
+        const __m512d a0 = _mm512_set1_pd(static_cast<double>(ar[q]));
+        c0l = _mm512_add_pd(c0l, _mm512_mul_pd(a0, bl));
+        c0h = _mm512_add_pd(c0h, _mm512_mul_pd(a0, bh));
+        const __m512d a1 = _mm512_set1_pd(static_cast<double>(ar[lda + q]));
+        c1l = _mm512_add_pd(c1l, _mm512_mul_pd(a1, bl));
+        c1h = _mm512_add_pd(c1h, _mm512_mul_pd(a1, bh));
+        const __m512d a2 =
+            _mm512_set1_pd(static_cast<double>(ar[2 * lda + q]));
+        c2l = _mm512_add_pd(c2l, _mm512_mul_pd(a2, bl));
+        c2h = _mm512_add_pd(c2h, _mm512_mul_pd(a2, bh));
+        const __m512d a3 =
+            _mm512_set1_pd(static_cast<double>(ar[3 * lda + q]));
+        c3l = _mm512_add_pd(c3l, _mm512_mul_pd(a3, bl));
+        c3h = _mm512_add_pd(c3h, _mm512_mul_pd(a3, bh));
+      }
+      _mm512_storeu_pd(c, c0l);
+      _mm512_storeu_pd(c + 8, c0h);
+      _mm512_storeu_pd(c + ldacc, c1l);
+      _mm512_storeu_pd(c + ldacc + 8, c1h);
+      _mm512_storeu_pd(c + 2 * ldacc, c2l);
+      _mm512_storeu_pd(c + 2 * ldacc + 8, c2h);
+      _mm512_storeu_pd(c + 3 * ldacc, c3l);
+      _mm512_storeu_pd(c + 3 * ldacc + 8, c3h);
+    }
+  }
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int64_t j0 = r < rows_full ? n_full : 0;
+    if (j0 == n) continue;
+    for (std::int64_t q = 0; q < k; ++q) {
+      avx512_gemm_row_f64(acc + r * ldacc + j0, b + q * ldb + j0,
+                          static_cast<double>(a[r * lda + q]), n - j0);
+    }
+  }
+}
+
+void avx512_gemm_tile_f64(double* acc, std::int64_t ldacc, const float* a,
+                          std::int64_t lda, const float* b, std::int64_t ldb,
+                          std::int64_t rows, std::int64_t n, std::int64_t k) {
+  // One row and one step (a conv tap) is a single row update: skip the tile
+  // set-up, which costs as much as the update itself at conv row widths.
+  if (rows == 1 && k == 1) {
+    avx512_gemm_row_f64(acc, b, static_cast<double>(a[0]), n);
+    return;
+  }
+  avx512_gemm_tiles(acc, ldacc, a, lda, b, ldb, rows, n, k);
 }
 
 void avx512_axpy_f32(float* y, const float* x, float a, std::int64_t n) {
@@ -178,35 +259,12 @@ void avx512_cmul_f64(double* x, const double* y, std::int64_t n) {
   if (k < n) scalar_cmul_f64(x + 2 * k, y + 2 * k, n - k);
 }
 
-double avx512_dot_f32(const float* x, const float* y, std::int64_t n) {
-  // One zmm holds all kReduceLanes lanes: element i lands in lane i % 8,
-  // accumulated in ascending i order — identical to the scalar reference.
-  __m512d acc_v = _mm512_setzero_pd();
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d vx = _mm512_cvtps_pd(_mm256_loadu_ps(x + i));
-    const __m512d vy = _mm512_cvtps_pd(_mm256_loadu_ps(y + i));
-    acc_v = _mm512_add_pd(acc_v, _mm512_mul_pd(vx, vy));
-  }
-  double lanes[kReduceLanes];
-  _mm512_storeu_pd(lanes, acc_v);
-  for (; i < n; ++i) {
-    lanes[i % kReduceLanes] +=
-        static_cast<double>(x[i]) * static_cast<double>(y[i]);
-  }
-  double acc = lanes[0];
-  for (std::int64_t lane = 1; lane < kReduceLanes; ++lane) {
-    acc += lanes[lane];
-  }
-  return acc;
-}
-
 }  // namespace
 
 const Ops* avx512_ops() {
   static const Ops table = {
       Isa::kAvx512,
-      avx512_gemm_update_f64,
+      avx512_gemm_tile_f64,
       avx512_axpy_f32,
       avx512_axpy_rows_f32,
       avx512_scale_f32,
@@ -217,7 +275,6 @@ const Ops* avx512_ops() {
       avx512_bf16_round_f32,
       avx512_fft_butterfly_f64,
       avx512_cmul_f64,
-      avx512_dot_f32,
   };
   return &table;
 }

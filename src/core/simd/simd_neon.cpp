@@ -18,8 +18,11 @@ namespace orbit2::simd::detail {
 
 namespace {
 
-void neon_gemm_update_f64(double* acc, const float* b, double a,
-                          std::int64_t n) {
+// Row update for the rows and columns the register tiles leave over. Kept
+// out of line, like the tile loop below, so the table entry holds no vector
+// state and a one-row call reaches this with a plain jump.
+[[gnu::noinline]] void neon_gemm_row_f64(double* acc, const float* b, double a,
+                                         std::int64_t n) {
   const float64x2_t va = vdupq_n_f64(a);
   std::int64_t j = 0;
   for (; j + 4 <= n; j += 4) {
@@ -31,7 +34,79 @@ void neon_gemm_update_f64(double* acc, const float* b, double a,
     vst1q_f64(acc + j + 2,
               vaddq_f64(vld1q_f64(acc + j + 2), vmulq_f64(va, hi)));
   }
-  if (j < n) scalar_gemm_update_f64(acc + j, b + j, a, n - j);
+  if (j < n) scalar_gemm_row_f64(acc + j, b + j, a, n - j);
+}
+
+// A kMR x kNR block of acc lives in 16 float64x2 registers for the whole q
+// loop: loaded once, one rounded multiply and one rounded add per q, stored
+// once.
+constexpr std::int64_t kMR = 4;
+constexpr std::int64_t kNR = 8;
+
+// The register tiles, then row updates for what they leave over: the
+// columns past the last whole tile in tile rows, and all of each leftover
+// row. Out of line: inlined, its register set-up would run on every call.
+[[gnu::noinline]] void neon_gemm_tiles(double* acc, std::int64_t ldacc,
+                                       const float* a, std::int64_t lda,
+                                       const float* b, std::int64_t ldb,
+                                       std::int64_t rows, std::int64_t n,
+                                       std::int64_t k) {
+  const std::int64_t rows_full = rows - rows % kMR;
+  const std::int64_t n_full = n - n % kNR;
+  for (std::int64_t j = 0; j < n_full; j += kNR) {
+    for (std::int64_t r = 0; r < rows_full; r += kMR) {
+      double* c = acc + r * ldacc + j;
+      const float* ar = a + r * lda;
+      // cv[row][quarter] holds acc columns j + 2 * quarter, +1.
+      float64x2_t cv[kMR][4];
+      for (std::int64_t i = 0; i < kMR; ++i) {
+        for (std::int64_t h = 0; h < 4; ++h) {
+          cv[i][h] = vld1q_f64(c + i * ldacc + 2 * h);
+        }
+      }
+      const float* bq = b + j;
+      for (std::int64_t q = 0; q < k; ++q, bq += ldb) {
+        const float32x4_t b03 = vld1q_f32(bq);
+        const float32x4_t b47 = vld1q_f32(bq + 4);
+        const float64x2_t bv[4] = {vcvt_f64_f32(vget_low_f32(b03)),
+                                   vcvt_f64_f32(vget_high_f32(b03)),
+                                   vcvt_f64_f32(vget_low_f32(b47)),
+                                   vcvt_f64_f32(vget_high_f32(b47))};
+        for (std::int64_t i = 0; i < kMR; ++i) {
+          const float64x2_t av =
+              vdupq_n_f64(static_cast<double>(ar[i * lda + q]));
+          for (std::int64_t h = 0; h < 4; ++h) {
+            cv[i][h] = vaddq_f64(cv[i][h], vmulq_f64(av, bv[h]));
+          }
+        }
+      }
+      for (std::int64_t i = 0; i < kMR; ++i) {
+        for (std::int64_t h = 0; h < 4; ++h) {
+          vst1q_f64(c + i * ldacc + 2 * h, cv[i][h]);
+        }
+      }
+    }
+  }
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int64_t j0 = r < rows_full ? n_full : 0;
+    if (j0 == n) continue;
+    for (std::int64_t q = 0; q < k; ++q) {
+      neon_gemm_row_f64(acc + r * ldacc + j0, b + q * ldb + j0,
+                        static_cast<double>(a[r * lda + q]), n - j0);
+    }
+  }
+}
+
+void neon_gemm_tile_f64(double* acc, std::int64_t ldacc, const float* a,
+                        std::int64_t lda, const float* b, std::int64_t ldb,
+                        std::int64_t rows, std::int64_t n, std::int64_t k) {
+  // One row and one step (a conv tap) is a single row update: skip the tile
+  // set-up, which costs as much as the update itself at conv row widths.
+  if (rows == 1 && k == 1) {
+    neon_gemm_row_f64(acc, b, static_cast<double>(a[0]), n);
+    return;
+  }
+  neon_gemm_tiles(acc, ldacc, a, lda, b, ldb, rows, n, k);
 }
 
 void neon_axpy_f32(float* y, const float* x, float a, std::int64_t n) {
@@ -158,50 +233,12 @@ void neon_cmul_f64(double* x, const double* y, std::int64_t n) {
   }
 }
 
-double neon_dot_f32(const float* x, const float* y, std::int64_t n) {
-  // Four float64x2 accumulators cover lanes (0,1)(2,3)(4,5)(6,7); element i
-  // lands in lane i % 8 in ascending i order, as in the scalar reference.
-  float64x2_t acc01 = vdupq_n_f64(0.0);
-  float64x2_t acc23 = vdupq_n_f64(0.0);
-  float64x2_t acc45 = vdupq_n_f64(0.0);
-  float64x2_t acc67 = vdupq_n_f64(0.0);
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const float32x4_t xa = vld1q_f32(x + i);
-    const float32x4_t ya = vld1q_f32(y + i);
-    const float32x4_t xb = vld1q_f32(x + i + 4);
-    const float32x4_t yb = vld1q_f32(y + i + 4);
-    acc01 = vaddq_f64(acc01, vmulq_f64(vcvt_f64_f32(vget_low_f32(xa)),
-                                       vcvt_f64_f32(vget_low_f32(ya))));
-    acc23 = vaddq_f64(acc23, vmulq_f64(vcvt_f64_f32(vget_high_f32(xa)),
-                                       vcvt_f64_f32(vget_high_f32(ya))));
-    acc45 = vaddq_f64(acc45, vmulq_f64(vcvt_f64_f32(vget_low_f32(xb)),
-                                       vcvt_f64_f32(vget_low_f32(yb))));
-    acc67 = vaddq_f64(acc67, vmulq_f64(vcvt_f64_f32(vget_high_f32(xb)),
-                                       vcvt_f64_f32(vget_high_f32(yb))));
-  }
-  double lanes[kReduceLanes];
-  vst1q_f64(lanes, acc01);
-  vst1q_f64(lanes + 2, acc23);
-  vst1q_f64(lanes + 4, acc45);
-  vst1q_f64(lanes + 6, acc67);
-  for (; i < n; ++i) {
-    lanes[i % kReduceLanes] +=
-        static_cast<double>(x[i]) * static_cast<double>(y[i]);
-  }
-  double acc = lanes[0];
-  for (std::int64_t lane = 1; lane < kReduceLanes; ++lane) {
-    acc += lanes[lane];
-  }
-  return acc;
-}
-
 }  // namespace
 
 const Ops* neon_ops() {
   static const Ops table = {
       Isa::kNeon,
-      neon_gemm_update_f64,
+      neon_gemm_tile_f64,
       neon_axpy_f32,
       neon_axpy_rows_f32,
       neon_scale_f32,
@@ -212,7 +249,6 @@ const Ops* neon_ops() {
       neon_bf16_round_f32,
       neon_fft_butterfly_f64,
       neon_cmul_f64,
-      neon_dot_f32,
   };
   return &table;
 }

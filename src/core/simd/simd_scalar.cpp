@@ -10,7 +10,7 @@ namespace orbit2::simd::detail {
 const Ops* scalar_ops() {
   static const Ops table = {
       Isa::kScalar,
-      scalar_gemm_update_f64,
+      scalar_gemm_tile_f64,
       scalar_axpy_f32,
       scalar_axpy_rows_f32,
       scalar_scale_f32,
@@ -21,7 +21,6 @@ const Ops* scalar_ops() {
       scalar_bf16_round_f32,
       scalar_fft_butterfly_f64,
       scalar_cmul_f64,
-      scalar_dot_f32,
   };
   return &table;
 }

@@ -29,8 +29,8 @@ std::int64_t conv2d_out_dim(std::int64_t in, std::int64_t kernel,
 // for one output row takes one tap_update per valid (channel, ky, kx) tap,
 // over only the columns whose source column lies inside the image. Each
 // element still sees double(x) * double(w) added in (channel, ky, kx) order
-// and padding taps are skipped, never multiplied by zero, so the SIMD row
-// update reproduces the per-element loop bit for bit on every ISA.
+// and padding taps are skipped, never multiplied by zero, so the one-row
+// SIMD gemm tile reproduces the per-element loop bit for bit on every ISA.
 
 namespace {
 
@@ -53,16 +53,17 @@ std::pair<std::int64_t, std::int64_t> valid_range(std::int64_t lo,
           std::min(hi, floor_div(extent - 1 - offset, stride) + 1)};
 }
 
-/// acc[j * acc_step] += a * double(src[j * src_step]) for j in [0, n). Unit
-/// steps run the SIMD gemm row update; strided convs take the scalar loop,
-/// which performs the same arithmetic per element.
+/// acc[j * acc_step] += double(*w) * double(src[j * src_step]) for j in
+/// [0, n). Unit steps run a one-row, one-step SIMD gemm tile; strided convs
+/// take the scalar loop, which performs the same arithmetic per element.
 void tap_update(const simd::Ops& sops, double* acc, std::int64_t acc_step,
-                const float* src, std::int64_t src_step, double a,
+                const float* src, std::int64_t src_step, const float* w,
                 std::int64_t n) {
   if (acc_step == 1 && src_step == 1) {
-    sops.gemm_update_f64(acc, src, a, n);
+    sops.gemm_tile_f64(acc, n, w, 1, src, n, 1, n, 1);
     return;
   }
+  const double a = static_cast<double>(*w);
   for (std::int64_t j = 0; j < n; ++j) {
     acc[j * acc_step] += a * static_cast<double>(src[j * src_step]);
   }
@@ -140,7 +141,7 @@ void conv2d_forward_into(const Tensor& input, const Tensor& weight,
                   if (x0 >= x1) continue;
                   tap_update(sops, acc + (x0 - o0), 1,
                              in_row + x0 * stride + off, stride,
-                             static_cast<double>(wt_row[kx]), x1 - x0);
+                             wt_row + kx, x1 - x0);
                 }
               }
             }
@@ -198,8 +199,7 @@ Tensor conv2d_backward_input(const Tensor& grad_output, const Tensor& weight,
                       valid_range(0, ow, off, stride, i1 - i0);
                   if (x0 >= x1) continue;
                   tap_update(sops, acc + x0 * stride + off, stride,
-                             go_row + x0, 1,
-                             static_cast<double>(wt_row[kx]), x1 - x0);
+                             go_row + x0, 1, wt_row + kx, x1 - x0);
                 }
               }
             }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include "attention/window_attention.hpp"
 #include "core/kernels.hpp"
 #include "core/rng.hpp"
+#include "core/simd/simd.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
@@ -201,6 +203,109 @@ TEST(Kernels, BmmMatchesPerBatchMatmulBitwise) {
       ASSERT_EQ(batched[bi * ref.numel() + i], ref[i]);
     }
   }
+}
+
+/// Floats over 2^-8 .. 2^8 with random signs: the products are exact in
+/// double, but partial sums of terms this far apart round, so a reordered
+/// or split k sum changes the rounded float.
+std::vector<float> spread_floats(std::int64_t count, Rng& rng) {
+  std::vector<float> v(static_cast<std::size_t>(count));
+  for (float& x : v) {
+    x = static_cast<float>(rng.normal() *
+                           std::ldexp(1.0, static_cast<int>(
+                                               rng.uniform(-8.0, 8.0))));
+  }
+  return v;
+}
+
+TEST(Kernels, GemmMatchesAscendingKReferenceOnEveryIsa) {
+  // The documented accumulation policy, written out per element with no
+  // shared code: a double sum over ascending k from 0.0, one float rounding,
+  // then (when accumulating) one float add. Every panel and tile edge of
+  // the library kernel must reproduce it byte for byte, on every ISA and
+  // thread count, for gemm and for each problem of gemm_batched.
+  const simd::Isa saved_isa = simd::active_isa();
+  Rng rng(29);
+  for (const std::int64_t m : {1, 3, 4, 5, 63, 64, 65}) {
+    for (const std::int64_t n : {1, 15, 16, 17, 129, 513}) {
+      for (const std::int64_t k : {0, 1, 255, 256, 257}) {
+        constexpr std::int64_t kBatch = 2;
+        std::vector<float> a = spread_floats(kBatch * m * k, rng);
+        std::vector<float> b = spread_floats(kBatch * k * n, rng);
+        const std::vector<float> c0 = spread_floats(kBatch * m * n, rng);
+        // A rounded double sum seldom changes its float cast, so each row
+        // gets an exactly cancelling pair of ~2^50 products at q = 0 and
+        // q = k - 1. Every partial sum in between then rounds on a coarse
+        // grid, and any other summation order moves the float result.
+        for (std::int64_t bi = 0; k >= 2 && bi < kBatch; ++bi) {
+          for (std::int64_t i = 0; i < m; ++i) {
+            float* arow = a.data() + (bi * m + i) * k;
+            arow[0] = static_cast<float>(std::ldexp(rng.normal(), 50));
+            arow[k - 1] = -arow[0];
+          }
+          const float* first = b.data() + bi * k * n;
+          std::copy(first, first + n, b.data() + (bi * k + k - 1) * n);
+        }
+        std::vector<float> product(static_cast<std::size_t>(kBatch * m * n));
+        for (std::int64_t bi = 0; bi < kBatch; ++bi) {
+          const float* ab = a.data() + bi * m * k;
+          const float* bb = b.data() + bi * k * n;
+          for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t j = 0; j < n; ++j) {
+              double sum = 0.0;
+              for (std::int64_t q = 0; q < k; ++q) {
+                sum += static_cast<double>(ab[i * k + q]) *
+                       static_cast<double>(bb[q * n + j]);
+              }
+              product[static_cast<std::size_t>((bi * m + i) * n + j)] =
+                  static_cast<float>(sum);
+            }
+          }
+        }
+        for (const bool accumulate : {false, true}) {
+          std::vector<float> want = product;
+          if (accumulate) {
+            for (std::size_t i = 0; i < want.size(); ++i) {
+              want[i] = c0[i] + product[i];
+            }
+          }
+          const std::size_t first = static_cast<std::size_t>(m * n);
+          for (const simd::Isa isa : simd::supported_isas()) {
+            simd::set_isa(isa);
+            for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+              kernels::set_max_threads(threads);
+              std::vector<float> single = c0;
+              kernels::gemm(kernels::Trans::kN, kernels::Trans::kN, m, n, k,
+                            a.data(), b.data(), single.data(), accumulate);
+              std::vector<float> batched = c0;
+              kernels::gemm_batched(kernels::Trans::kN, kernels::Trans::kN,
+                                    kBatch, m, n, k, a.data(), b.data(),
+                                    batched.data(), accumulate);
+              const std::string where =
+                  std::string(" isa=") + simd::isa_name(isa) +
+                  " threads=" + std::to_string(threads) +
+                  " m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                  " k=" + std::to_string(k) +
+                  " accumulate=" + std::to_string(accumulate);
+              EXPECT_EQ(0, std::memcmp(single.data(), want.data(),
+                                       first * sizeof(float)))
+                  << "gemm" << where;
+              // gemm must leave the second problem's output untouched.
+              EXPECT_EQ(0, std::memcmp(single.data() + first,
+                                       c0.data() + first,
+                                       first * sizeof(float)))
+                  << "gemm wrote past its output" << where;
+              EXPECT_EQ(0, std::memcmp(batched.data(), want.data(),
+                                       want.size() * sizeof(float)))
+                  << "gemm_batched" << where;
+            }
+          }
+        }
+      }
+    }
+  }
+  kernels::set_max_threads(0);
+  simd::set_isa(saved_isa);
 }
 
 // ---- Serial vs parallel bit-identity for every refactored kernel ----------

@@ -191,53 +191,89 @@ TEST(SimdMatrix, Bf16RoundF32AllBitClasses) {
       });
 }
 
-// ---- GEMM inner-loop row update (f64 accumulators, f32 operand) ------------
-
-TEST(SimdMatrix, GemmUpdateF64) {
-  const IsaRestore restore;
-  const std::vector<simd::Isa> isas = simd::supported_isas();
-  std::uint64_t seed = 2000;
-  for (const std::int64_t n : kSizes) {
-    for (const std::int64_t off : kOffsets) {
-      const std::size_t used = static_cast<std::size_t>(off + n);
-      const std::size_t total = used + kGuard;
-      const std::vector<float> b = interesting_floats(total, seed++);
-      std::vector<double> acc_init = interesting_doubles(total, seed++);
-      for (std::size_t i = used; i < total; ++i) acc_init[i] = 12345.0;
-      const double a = -0.81234567890123456;
-
-      simd::set_isa(simd::Isa::kScalar);
-      std::vector<double> expected = acc_init;
-      simd::ops().gemm_update_f64(expected.data() + off, b.data() + off, a, n);
-
-      for (const simd::Isa isa : isas) {
-        simd::set_isa(isa);
-        std::vector<double> got = acc_init;
-        simd::ops().gemm_update_f64(got.data() + off, b.data() + off, a, n);
-        EXPECT_EQ(0, std::memcmp(got.data(), expected.data(),
-                                 total * sizeof(double)))
-            << "gemm_update_f64 diverged: isa=" << simd::isa_name(isa)
-            << " n=" << n << " off=" << off;
-      }
-    }
-  }
-}
-
-// ---- fused multi-row axpy -------------------------------------------------
+// ---- register-tiled GEMM tile (f64 accumulators, f32 operands) -----------
 
 /// Byte equality, except that a NaN matches any NaN: which operand's payload
 /// a two-NaN operation keeps is not part of the contract.
-bool same_bits_any_nan(const std::vector<float>& got,
-                       const std::vector<float>& want) {
+template <typename T>
+bool same_bits_any_nan(const std::vector<T>& got, const std::vector<T>& want) {
   if (got.size() != want.size()) return false;
   for (std::size_t i = 0; i < got.size(); ++i) {
-    if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0 &&
+    if (std::memcmp(&got[i], &want[i], sizeof(T)) != 0 &&
         !(std::isnan(got[i]) && std::isnan(want[i]))) {
       return false;
     }
   }
   return true;
 }
+
+TEST(SimdMatrix, GemmTileF64) {
+  // acc rows sit ldacc > n apart, a rows lda > k apart and b rows ldb > n
+  // apart, so every gap (and a guard block past the last acc row) must come
+  // back byte-identical: a backend that reads or writes past its n or k
+  // shows up here. Shapes straddle the 4 x 16 / 4 x 8 register tiles. The
+  // finite pass spans many binades, so a reordered double sum changes bits
+  // and is compared with memcmp; the special pass adds NaN, +/-Inf, -0.0
+  // and subnormals to both operands.
+  const IsaRestore restore;
+  const std::vector<simd::Isa> isas = simd::supported_isas();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::uint64_t seed = 2000;
+  for (const bool special : {false, true}) {
+    for (const std::int64_t rows : {0, 1, 3, 4, 5, 8, 9}) {
+      for (const std::int64_t n : {0, 1, 7, 8, 15, 16, 17, 33, 67}) {
+        for (const std::int64_t k : {0, 1, 3, 16, 257}) {
+          const std::int64_t ldacc = n + 3;
+          const std::int64_t lda = k + 2;
+          const std::int64_t ldb = n + 5;
+          std::vector<float> a = interesting_floats(
+              static_cast<std::size_t>(rows * lda + 1), seed++);
+          std::vector<float> b = interesting_floats(
+              static_cast<std::size_t>(k * ldb + 1), seed++);
+          if (special && rows >= 3 && n >= 1 && k >= 3) {
+            a[static_cast<std::size_t>(lda + 1)] = nan;
+            a[static_cast<std::size_t>(2 * lda + k - 1)] = -inf;
+            a[2] = -0.0f;
+            b[static_cast<std::size_t>(ldb + n - 1)] = inf;
+            b[static_cast<std::size_t>(2 * ldb + n / 2)] = nan;
+            b[static_cast<std::size_t>(n / 3)] = -7.0e-42f;  // subnormal
+          }
+          const std::size_t used = static_cast<std::size_t>(rows * ldacc);
+          const std::size_t total = used + kGuard;
+          std::vector<double> acc_init = interesting_doubles(total, seed++);
+          for (std::int64_t r = 0; r < rows; ++r) {
+            for (std::int64_t j = n; j < ldacc; ++j) {
+              acc_init[static_cast<std::size_t>(r * ldacc + j)] = 12345.0;
+            }
+          }
+          for (std::size_t i = used; i < total; ++i) acc_init[i] = 12345.0;
+
+          simd::set_isa(simd::Isa::kScalar);
+          std::vector<double> expected = acc_init;
+          simd::ops().gemm_tile_f64(expected.data(), ldacc, a.data(), lda,
+                                    b.data(), ldb, rows, n, k);
+          for (const simd::Isa isa : isas) {
+            simd::set_isa(isa);
+            std::vector<double> got = acc_init;
+            simd::ops().gemm_tile_f64(got.data(), ldacc, a.data(), lda,
+                                      b.data(), ldb, rows, n, k);
+            const bool same =
+                special ? same_bits_any_nan(got, expected)
+                        : std::memcmp(got.data(), expected.data(),
+                                      total * sizeof(double)) == 0;
+            EXPECT_TRUE(same)
+                << "gemm_tile_f64 diverged from scalar: isa="
+                << simd::isa_name(isa) << " rows=" << rows << " n=" << n
+                << " k=" << k << " special=" << special;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---- fused multi-row axpy -------------------------------------------------
 
 TEST(SimdMatrix, AxpyRowsF32) {
   // Row r of x starts at r * ldx with ldx > n, so the bytes between rows
@@ -316,49 +352,6 @@ TEST(SimdMatrix, CmulF64) {
       [](const simd::Ops& o, double* d, const double* y, std::int64_t n) {
         o.cmul_f64(d, y, n);
       });
-}
-
-// ---- lane-ordered dot reduction --------------------------------------------
-
-/// Independent reimplementation of the documented reduce policy: element i
-/// accumulates into lane i % kReduceLanes; lanes combine in ascending order
-/// starting from lanes[0].
-double lane_ordered_dot_reference(const float* x, const float* y,
-                                  std::int64_t n) {
-  double lanes[simd::kReduceLanes] = {};
-  for (std::int64_t i = 0; i < n; ++i) {
-    lanes[i % simd::kReduceLanes] +=
-        static_cast<double>(x[i]) * static_cast<double>(y[i]);
-  }
-  double acc = lanes[0];
-  for (std::int64_t lane = 1; lane < simd::kReduceLanes; ++lane) {
-    acc += lanes[lane];
-  }
-  return acc;
-}
-
-TEST(SimdMatrix, DotF32LaneOrderedAcrossIsas) {
-  const IsaRestore restore;
-  const std::vector<simd::Isa> isas = simd::supported_isas();
-  std::uint64_t seed = 3000;
-  for (const std::int64_t n : kSizes) {
-    for (const std::int64_t off : kOffsets) {
-      const std::size_t total = static_cast<std::size_t>(off + n) + kGuard;
-      const std::vector<float> x = interesting_floats(total, seed++);
-      const std::vector<float> y = interesting_floats(total, seed++);
-      const double ref =
-          lane_ordered_dot_reference(x.data() + off, y.data() + off, n);
-      for (const simd::Isa isa : isas) {
-        simd::set_isa(isa);
-        const double got = simd::ops().dot_f32(x.data() + off,
-                                               y.data() + off, n);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
-                  std::bit_cast<std::uint64_t>(ref))
-            << "dot_f32 lane policy violated: isa=" << simd::isa_name(isa)
-            << " n=" << n << " off=" << off;
-      }
-    }
-  }
 }
 
 // ---- dispatch surface ------------------------------------------------------
