@@ -1,7 +1,9 @@
 // Compiled-inference benchmark: eager (tape-free) forward vs compiled plan
-// replay for Reslim and the ViT baseline, across thread counts, with
-// per-call heap-allocation counts proving the replay path's zero-allocation
-// contract and plan statistics (fusion + arena aliasing).
+// replay for Reslim, Reslim with adaptive compression (ratio 2) and the ViT
+// baseline, across thread counts, with per-call heap-allocation counts
+// (0 for replay, except that a compressed replay allocates in its partition
+// step: Canny plus the quad-tree search) and plan statistics (fusion +
+// arena aliasing). Each model is timed on its own cached plan.
 //
 // Usage: bench_infer [--reps N] [--quick] [--trace PATH]
 //   --reps N     best-of-N timing per case (default 5)
@@ -9,7 +11,9 @@
 //   --trace PATH enable obs tracing and write Chrome trace JSON to PATH
 //
 // Human-readable tables go to stderr; stdout carries a single JSON array so
-// CI can redirect and schema-check it.
+// CI can redirect and schema-check it. A row whose replay differs from the
+// eager forward (memcmp, on the bench input and on an all-zero input run
+// after it) prints DIVERGED and makes the exit code 1.
 
 #include <algorithm>
 #include <chrono>
@@ -27,7 +31,6 @@
 #include "core/kernels.hpp"
 #include "core/obs.hpp"
 #include "graph/executor.hpp"
-#include "graph/ir.hpp"
 #include "graph/plan.hpp"
 #include "model/reslim.hpp"
 #include "model/vit_baseline.hpp"
@@ -69,6 +72,12 @@ Tensor make_input(std::int64_t c, std::int64_t h, std::int64_t w) {
   return input;
 }
 
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
 template <typename Fn>
 double best_of(int reps, Fn&& fn) {
   double best = std::numeric_limits<double>::infinity();
@@ -92,28 +101,11 @@ std::int64_t allocs_of(Fn&& fn) {
 }
 
 /// Benchmarks one model on one input across thread counts; appends records.
-template <typename Model>
-void bench_model(const char* name, const Model& model, const Tensor& input,
-                 int reps, std::vector<Record>& records) {
-  // Compile once via the model-independent capture path so plan stats are
-  // reportable (predict_field uses its own internal cache).
-  std::shared_ptr<const graph::Plan> plan;
-  {
-    autograd::InferenceModeScope no_tape;
-    graph::CaptureSink sink(input);
-    Tensor out;
-    {
-      graph::CaptureScope scope(sink);
-      out = model.forward(input).value();
-    }
-    if (sink.failed()) {
-      std::fprintf(stderr, "%s: capture failed (%s); skipping\n", name,
-                   sink.fail_reason().c_str());
-      return;
-    }
-    plan = std::make_shared<const graph::Plan>(
-        graph::compile_plan(sink.take(out)));
-  }
+/// Returns false when a replay's bits differ from the eager forward's.
+bool bench_model(const char* name, const model::Downscaler& model,
+                 const Tensor& input, int reps, std::vector<Record>& records) {
+  const std::shared_ptr<const graph::Plan> plan =
+      model.compiled_for(input)->plan();
   std::fprintf(stderr,
                "%s plan: %lld ops (from %lld eager), arena %.2f MiB "
                "(unaliased %.2f MiB, %.1f%% saved)\n",
@@ -125,6 +117,7 @@ void bench_model(const char* name, const Model& model, const Tensor& input,
                    (1.0 - static_cast<double>(plan->arena_floats()) /
                               static_cast<double>(plan->unaliased_floats())));
 
+  bool all_match = true;
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     kernels::set_max_threads(threads);
     graph::Executor executor(plan);
@@ -134,12 +127,14 @@ void bench_model(const char* name, const Model& model, const Tensor& input,
     eager.model = name;
     eager.path = "eager";
     eager.threads = threads;
+    Tensor eager_out;
     {
       autograd::InferenceModeScope no_tape;
-      eager.seconds = best_of(reps, [&] { (void)model.forward(input); });
-      eager.checksum = tensor_checksum(model.forward(input).value());
+      eager.seconds = best_of(reps, [&] { (void)model.downscale(input); });
+      eager_out = model.downscale(input).value();
+      eager.checksum = tensor_checksum(eager_out);
       eager.allocs_per_call =
-          allocs_of([&] { (void)model.forward(input).value(); });
+          allocs_of([&] { (void)model.downscale(input).value(); });
     }
     records.push_back(eager);
 
@@ -152,6 +147,20 @@ void bench_model(const char* name, const Model& model, const Tensor& input,
     compiled.allocs_per_call = allocs_of([&] { executor.run(input); });
     records.push_back(compiled);
 
+    // Bitwise check on the bench input, then on an all-zero input replayed
+    // right after it. Under compression the zero input has fewer leaves
+    // (58 of 64 at --quick, where the bench input fills all 64), so rows the
+    // first replay left in the padded trunk would show in the second.
+    const Tensor zeros = Tensor::zeros(input.shape());
+    Tensor zeros_eager;
+    {
+      autograd::InferenceModeScope no_tape;
+      zeros_eager = model.downscale(zeros).value();
+    }
+    const bool match = same_bits(executor.run(input), eager_out) &&
+                       same_bits(executor.run(zeros), zeros_eager);
+    all_match = all_match && match;
+
     std::fprintf(stderr,
                  "%-14s t=%zu  eager %8.3f ms (%6lld allocs)   compiled "
                  "%8.3f ms (%lld allocs)   speedup %.2fx   bitwise %s\n",
@@ -160,9 +169,10 @@ void bench_model(const char* name, const Model& model, const Tensor& input,
                  compiled.seconds * 1e3,
                  static_cast<long long>(compiled.allocs_per_call),
                  eager.seconds / compiled.seconds,
-                 eager.checksum == compiled.checksum ? "ok" : "DIVERGED");
+                 match ? "ok" : "DIVERGED");
   }
   kernels::set_max_threads(0);
+  return all_match;
 }
 
 void emit_json(const std::vector<Record>& records) {
@@ -214,12 +224,21 @@ int main(int argc, char** argv) {
 
   const Tensor input = bench::make_input(in_channels, h, w);
   std::vector<bench::Record> records;
+  bool all_match = true;
 
   {
     Rng rng(42);
     model::ReslimModel reslim(
         bench::bench_model_config(0, in_channels, out_channels), rng);
-    bench::bench_model("reslim", reslim, input, reps, records);
+    all_match &= bench::bench_model("reslim", reslim, input, reps, records);
+  }
+  {
+    Rng rng(42);
+    model::ModelConfig config =
+        bench::bench_model_config(0, in_channels, out_channels);
+    config.compression_ratio = 2.0f;
+    model::ReslimModel reslim(config, rng);
+    all_match &= bench::bench_model("reslim_c2", reslim, input, reps, records);
   }
   {
     Rng rng(43);
@@ -227,7 +246,7 @@ int main(int argc, char** argv) {
         bench::bench_model_config(0, in_channels, out_channels);
     config.architecture = model::Architecture::kViTBaseline;
     model::ViTBaselineModel vit(config, rng);
-    bench::bench_model("vit_baseline", vit, input, reps, records);
+    all_match &= bench::bench_model("vit_baseline", vit, input, reps, records);
   }
 
   if (!trace_path.empty()) {
@@ -245,5 +264,10 @@ int main(int argc, char** argv) {
   }
 
   bench::emit_json(records);
+  if (!all_match) {
+    std::fprintf(stderr,
+                 "bench_infer: a compiled replay DIVERGED from eager\n");
+    return 1;
+  }
   return 0;
 }

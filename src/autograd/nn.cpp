@@ -82,12 +82,13 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(std::string name,
   bo_ = make_const_param(name + ".bo", Shape{dim}, 0.0f);
 }
 
-Var MultiHeadSelfAttention::forward(const Var& x, bool use_flash) const {
+Var MultiHeadSelfAttention::forward(const Var& x, bool use_flash,
+                                    const Tensor* partition) const {
   MhaWeights weights{Var::parameter(wq_), Var::parameter(wk_),
                      Var::parameter(wv_), Var::parameter(wo_),
                      Var::parameter(bq_), Var::parameter(bk_),
                      Var::parameter(bv_), Var::parameter(bo_)};
-  return multihead_self_attention(x, weights, heads_, use_flash);
+  return multihead_self_attention(x, weights, heads_, use_flash, partition);
 }
 
 Var MultiHeadSelfAttention::forward_windowed(
@@ -143,8 +144,9 @@ TransformerBlock::TransformerBlock(std::string name, std::int64_t dim,
       norm2_(name + ".norm2", dim),
       mlp_(name + ".mlp", dim, mlp_hidden, rng) {}
 
-Var TransformerBlock::forward(const Var& x, bool use_flash) const {
-  Var h = add(x, attention_.forward(norm1_.forward(x), use_flash));
+Var TransformerBlock::forward(const Var& x, bool use_flash,
+                              const Tensor* partition) const {
+  Var h = add(x, attention_.forward(norm1_.forward(x), use_flash, partition));
   return add(h, mlp_.forward(norm2_.forward(h)));
 }
 

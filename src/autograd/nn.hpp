@@ -98,8 +98,10 @@ class MultiHeadSelfAttention : public Module {
   MultiHeadSelfAttention(std::string name, std::int64_t dim,
                          std::int64_t heads, Rng& rng);
 
-  /// `use_flash` selects the cache-blocked kernel.
-  Var forward(const Var& x, bool use_flash) const;
+  /// `use_flash` selects the cache-blocked kernel. `partition` marks the
+  /// live rows of a padded sequence (see multihead_self_attention).
+  Var forward(const Var& x, bool use_flash,
+              const Tensor* partition = nullptr) const;
 
   /// Swin-style (shifted-)window variant: attention restricted to the
   /// windows of `spec` over a token grid, sharing this module's projection
@@ -124,7 +126,10 @@ class TransformerBlock : public Module {
   TransformerBlock(std::string name, std::int64_t dim, std::int64_t heads,
                    std::int64_t mlp_hidden, Rng& rng);
 
-  Var forward(const Var& x, bool use_flash) const;
+  /// `partition` marks the live rows of a padded sequence; every sublayer
+  /// but attention is row-wise, so only attention reads it.
+  Var forward(const Var& x, bool use_flash,
+              const Tensor* partition = nullptr) const;
   /// Windowed-trunk variant (spec.window restricted attention).
   Var forward_windowed(const Var& x, bool use_flash,
                        const WindowAttentionSpec& spec) const;

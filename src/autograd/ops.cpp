@@ -112,6 +112,13 @@ Tensor colsum(const Tensor& x) {
   return out;
 }
 
+/// `t` [rows, cols] followed by zero rows up to `n` rows.
+Tensor pad_rows(const Tensor& t, std::int64_t n) {
+  Tensor out(Shape{n, t.dim(1)});
+  std::copy(t.data().begin(), t.data().end(), out.data().begin());
+  return out;
+}
+
 /// In-place row-broadcast bias add on a rank-2 tensor.
 void add_bias_inplace(Tensor& x, const float* bias) {
   const std::int64_t rows = x.dim(0), cols = x.dim(1);
@@ -336,10 +343,10 @@ Var layernorm(const Var& x, const Var& gamma, const Var& beta, float epsilon) {
 }
 
 Var sum(const Var& x) {
-  Tensor value = Tensor::scalar(x.value().sum());
-  if (graph::CaptureSink* sink = graph::capture_sink()) {
-    sink->fail("sum() has no graph replay rule");
+  if (graph::capture_sink() != nullptr) {
+    ORBIT2_FAIL("sum() has no graph replay rule");
   }
+  Tensor value = Tensor::scalar(x.value().sum());
   const Shape in_shape = x.shape();
   return make_op(std::move(value), {x}, [x, in_shape](const Tensor& g) {
     accumulate_into(x, Tensor::full(in_shape, g.item()));
@@ -347,11 +354,11 @@ Var sum(const Var& x) {
 }
 
 Var mean(const Var& x) {
+  if (graph::capture_sink() != nullptr) {
+    ORBIT2_FAIL("mean() has no graph replay rule");
+  }
   const float inv_n = 1.0f / static_cast<float>(x.value().numel());
   Tensor value = Tensor::scalar(x.value().mean());
-  if (graph::CaptureSink* sink = graph::capture_sink()) {
-    sink->fail("mean() has no graph replay rule");
-  }
   const Shape in_shape = x.shape();
   return make_op(std::move(value), {x}, [x, in_shape, inv_n](const Tensor& g) {
     accumulate_into(x, Tensor::full(in_shape, g.item() * inv_n));
@@ -418,7 +425,8 @@ Var tokens_to_image(const Var& tokens, std::int64_t channels, std::int64_t h,
 }
 
 Var multihead_self_attention(const Var& x, const MhaWeights& weights,
-                             std::int64_t heads, bool use_flash) {
+                             std::int64_t heads, bool use_flash,
+                             const Tensor* partition) {
   ORBIT2_REQUIRE(x.value().rank() == 2, "mha expects [N, D] tokens");
   const std::int64_t n = x.value().dim(0);
   const std::int64_t d = x.value().dim(1);
@@ -426,8 +434,14 @@ Var multihead_self_attention(const Var& x, const MhaWeights& weights,
                  "head count " << heads << " must divide model dim " << d);
   const std::int64_t dh = d / heads;
   const float attn_scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  const std::int64_t rows =
+      partition != nullptr ? static_cast<std::int64_t>(partition->data()[0])
+                           : n;
+  ORBIT2_REQUIRE(rows >= 0 && rows <= n,
+                 "live rows " << rows << " outside [0, " << n << "]");
 
-  const Tensor xv = x.value();
+  // Everything below runs on the live rows; padding is re-added at the end.
+  const Tensor xv = rows == n ? x.value() : x.value().slice(0, 0, rows);
 
   // Projections.
   auto project = [&](const Var& w, const Var& b) {
@@ -442,7 +456,7 @@ Var multihead_self_attention(const Var& x, const MhaWeights& weights,
   // Per-head attention; contexts saved for backward.
   auto contexts = std::make_shared<std::vector<AttentionContext>>(
       static_cast<std::size_t>(heads));
-  Tensor concat(Shape{n, d});
+  Tensor concat(Shape{rows, d});
   for (std::int64_t hd = 0; hd < heads; ++hd) {
     const Tensor qh = slice_cols(q, hd * dh, dh);
     const Tensor kh = slice_cols(k, hd * dh, dh);
@@ -457,12 +471,14 @@ Var multihead_self_attention(const Var& x, const MhaWeights& weights,
   // Output projection.
   Tensor out = orbit2::matmul(concat, weights.wo.value());
   add_bias_inplace(out, weights.bo.value().data().data());
+  if (rows < n) out = pad_rows(out, n);
 
   if (graph::CaptureSink* sink = graph::capture_sink()) {
     // One composite op per MHA call; the executor replays the identical
     // project / per-head attention / reassemble / project sequence out of
     // planned workspaces (q, k, v, concat full-width; per-head tiles; one
-    // score matrix or log-sum-exp vector depending on the kernel).
+    // score matrix or log-sum-exp vector depending on the kernel), sized for
+    // all N rows.
     graph::GraphOp op;
     op.kind = graph::OpKind::kMhsa;
     op.inputs = {sink->value_for(x.value()),
@@ -474,6 +490,7 @@ Var multihead_self_attention(const Var& x, const MhaWeights& weights,
                  sink->value_for(weights.bv.value()),
                  sink->value_for(weights.wo.value()),
                  sink->value_for(weights.bo.value())};
+    if (partition != nullptr) op.inputs.push_back(sink->value_for(*partition));
     op.iparams = {heads, use_flash ? std::int64_t{1} : std::int64_t{0}};
     op.fparams = {attn_scale};
     for (int i = 0; i < 4; ++i) {
@@ -499,7 +516,10 @@ Var multihead_self_attention(const Var& x, const MhaWeights& weights,
   return make_op(
       std::move(out), parents,
       [x, weights, contexts, concat, xv, wo_value, wq_value, wk_value,
-       wv_value, heads, dh, n, d, use_flash](const Tensor& g) {
+       wv_value, heads, dh, n, rows, d, use_flash](const Tensor& g_all) {
+        // Padded rows took no part in the forward: they get no gradient.
+        const Tensor g = rows == n ? g_all : g_all.slice(0, 0, rows);
+
         // Output projection backward.
         if (weights.wo.needs_grad()) {
           accumulate_into(weights.wo, matmul_tn(concat, g));
@@ -507,8 +527,8 @@ Var multihead_self_attention(const Var& x, const MhaWeights& weights,
         if (weights.bo.needs_grad()) accumulate_into(weights.bo, colsum(g));
         const Tensor d_concat = matmul_nt(g, wo_value);
 
-        // Per-head attention backward, reassembled into [N, D] grads.
-        Tensor dq(Shape{n, d}), dk(Shape{n, d}), dv(Shape{n, d});
+        // Per-head attention backward, reassembled into [rows, D] grads.
+        Tensor dq(Shape{rows, d}), dk(Shape{rows, d}), dv(Shape{rows, d});
         for (std::int64_t hd = 0; hd < heads; ++hd) {
           const Tensor d_oh = slice_cols(d_concat, hd * dh, dh);
           const AttentionContext& ctx = (*contexts)[static_cast<std::size_t>(hd)];
@@ -521,7 +541,7 @@ Var multihead_self_attention(const Var& x, const MhaWeights& weights,
         }
 
         // Projection backward: accumulate into weights and into x.
-        Tensor dx = Tensor::zeros(Shape{n, d});
+        Tensor dx = Tensor::zeros(Shape{rows, d});
         auto unproject = [&](const Tensor& dproj, const Var& w, const Var& b,
                              const Tensor& w_value) {
           if (w.needs_grad()) accumulate_into(w, matmul_tn(xv, dproj));
@@ -531,7 +551,7 @@ Var multihead_self_attention(const Var& x, const MhaWeights& weights,
         unproject(dq, weights.wq, weights.bq, wq_value);
         unproject(dk, weights.wk, weights.bk, wk_value);
         unproject(dv, weights.wv, weights.bv, wv_value);
-        accumulate_into(x, dx);
+        accumulate_into(x, rows == n ? dx : pad_rows(dx, n));
       });
 }
 

@@ -95,7 +95,14 @@ struct MhaWeights {
 /// Multi-head self-attention over tokens x [N, D]; `heads` must divide D.
 /// When `use_flash` is set the cache-blocked streaming-softmax kernel is
 /// used; otherwise the naive quadratic kernel.
+///
+/// `partition`, when given, is a partition value (quadtree/quadtree.hpp)
+/// whose element 0 is the live row count L <= N of a padded token
+/// sequence. Attention then runs on rows [0, L) alone, so no padded key is
+/// ever seen, and output rows from L on are zero. Under capture the value
+/// is the op's last input, so a replay reads each input's own L.
 Var multihead_self_attention(const Var& x, const MhaWeights& weights,
-                             std::int64_t heads, bool use_flash);
+                             std::int64_t heads, bool use_flash,
+                             const Tensor* partition = nullptr);
 
 }  // namespace orbit2::autograd

@@ -62,13 +62,11 @@ ValueId CaptureSink::add_workspace(const Shape& shape) {
 }
 
 void CaptureSink::record(GraphOp op) {
-  if (failed()) return;
   ORBIT2_REQUIRE(op.output != kNoValue, "graph op recorded without output");
   graph_.ops.push_back(std::move(op));
 }
 
 void CaptureSink::record_view(const Tensor& out, const Tensor& src) {
-  if (failed()) return;
   const ValueId src_vid = value_for(src);
   const ValueId out_vid = bind_output(out);
   graph_.values[static_cast<std::size_t>(out_vid)].view_of = src_vid;
@@ -79,12 +77,7 @@ void CaptureSink::record_view(const Tensor& out, const Tensor& src) {
   graph_.ops.push_back(std::move(op));
 }
 
-void CaptureSink::fail(std::string reason) {
-  if (fail_reason_.empty()) fail_reason_ = std::move(reason);
-}
-
 CapturedGraph CaptureSink::take(const Tensor& output) {
-  ORBIT2_REQUIRE(!failed(), "take() on failed capture: " << fail_reason_);
   const float* key = output.data().data();
   ValueId out_vid = kNoValue;
   for (auto it = bindings_.rbegin(); it != bindings_.rend(); ++it) {

@@ -21,6 +21,12 @@ void copy_result(const Tensor& result, Tensor& out) {
 
 }  // namespace
 
+CompiledShape::CompiledShape(std::shared_ptr<const Plan> plan)
+    : plan_(std::move(plan)),
+      pool_(std::make_unique<core::ObjectPool<Executor>>()) {
+  ORBIT2_REQUIRE(plan_ != nullptr, "CompiledShape needs a plan");
+}
+
 Tensor CompiledShape::run(const Tensor& input) const {
   Tensor result;
   run_into(input, result);
@@ -28,7 +34,6 @@ Tensor CompiledShape::run(const Tensor& input) const {
 }
 
 void CompiledShape::run_into(const Tensor& input, Tensor& out) const {
-  ORBIT2_REQUIRE(valid(), "run_into() on an invalid (failed-capture) plan");
   std::unique_ptr<Executor> executor = pool_->try_acquire();
   if (executor == nullptr) executor = std::make_unique<Executor>(plan_);
   copy_result(executor->run(input), out);
@@ -36,7 +41,6 @@ void CompiledShape::run_into(const Tensor& input, Tensor& out) const {
 }
 
 void CompiledShape::warm(std::size_t count) const {
-  ORBIT2_REQUIRE(valid(), "warm() on an invalid (failed-capture) plan");
   while (pool_->size() < count) {
     pool_->release(std::make_unique<Executor>(plan_));
   }
@@ -51,7 +55,6 @@ std::shared_ptr<const CompiledShape> PlanCache::get_or_compile(
       CaptureScope scope(sink);
       output = run_forward(sink);
     }
-    if (sink.failed()) return CompiledShape(nullptr);
     return CompiledShape(
         std::make_shared<const Plan>(compile_plan(sink.take(output))));
   });

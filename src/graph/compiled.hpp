@@ -1,12 +1,13 @@
 #pragma once
 // Serving façade over capture/plan/replay.
 //
-// A model owns one PlanCache; predict-time callers hand it the input and a
-// callback that runs the eager forward (under the installed CaptureScope).
-// The cache compiles at most one plan per input shape, pools executors per
-// plan so concurrent callers never share arena buffers, and returns a deep
-// copy of the output. A capture that hits an unsupported op is cached as a
-// null plan: callers fall back to eager without re-capturing every call.
+// Every Downscaler owns one PlanCache; predict-time callers hand it the
+// input and a callback that runs the eager forward (under the installed
+// CaptureScope). The cache compiles at most one plan per input shape, pools
+// executors per plan so concurrent callers never share arena buffers, and
+// returns a deep copy of the output. A capture either yields a plan or
+// throws (an op with no replay rule, or an input the forward rejects), and
+// a throwing capture caches nothing.
 
 #include <cstddef>
 #include <cstdint>
@@ -23,12 +24,11 @@ namespace orbit2::graph {
 /// A compiled plan plus a pool of idle executors for it.
 class CompiledShape {
  public:
-  explicit CompiledShape(std::shared_ptr<const Plan> plan)
-      : plan_(std::move(plan)),
-        pool_(std::make_unique<core::ObjectPool<Executor>>()) {}
+  explicit CompiledShape(std::shared_ptr<const Plan> plan);
 
-  /// Null when the capture failed (eager fallback).
+  /// Never null.
   const std::shared_ptr<const Plan>& plan() const { return plan_; }
+  /// Always true; kept because perfbench's probes still ask.
   bool valid() const { return plan_ != nullptr; }
 
   /// Replays the plan on `input`; returns a tensor the caller owns.
@@ -63,9 +63,9 @@ class PlanCache {
  public:
   explicit PlanCache(std::size_t capacity = 16) : cache_(capacity) {}
 
-  /// Compiled plan (or cached capture failure) for this input shape.
-  /// `run_forward` executes the eager forward; it is called at most once
-  /// per shape across the cache's lifetime.
+  /// Compiled plan for this input shape. `run_forward` executes the eager
+  /// forward; it is called once per shape across the cache's lifetime,
+  /// unless it throws, which propagates and caches nothing.
   std::shared_ptr<const CompiledShape> get_or_compile(
       const Tensor& input, const CaptureForwardFn& run_forward);
 

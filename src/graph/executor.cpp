@@ -223,56 +223,16 @@ void Executor::run_elementwise(const GraphOp& op) {
   const EwStage* stage = stages.data();
   const float* const* aux_ptrs = stage_aux_.data();
 
-  // The planner may run a chain in place (output reuses input 0's dying
-  // slot). That alone is fine for the stage-major path below — every stage
-  // is elementwise over dst. But if an aux operand is that same buffer, a
-  // later stage would reread elements an earlier stage already overwrote;
-  // element-major order is what keeps that case correct, because all of
-  // element i's reads happen before its write.
-  bool aux_aliases_out = false;
-  for (std::size_t s = 0; s < num_stages && !aux_aliases_out; ++s) {
-    aux_aliases_out = aux_ptrs[s] == dst;
-  }
-  if (aux_aliases_out) {
-    kernels::parallel_for(
-        out.numel(), kEwGrain, [&](std::int64_t i0, std::int64_t i1) {
-          for (std::int64_t i = i0; i < i1; ++i) {
-            float cur = src[i];
-            for (std::size_t s = 0; s < num_stages; ++s) {
-              const EwStage& st = stage[s];
-              const float* aux = aux_ptrs[s];
-              switch (st.kind) {
-                case EwKind::kAddCA: cur = cur + aux[i]; break;
-                case EwKind::kAddAC: cur = aux[i] + cur; break;
-                case EwKind::kSubCA: cur = cur - aux[i]; break;
-                case EwKind::kSubAC: cur = aux[i] - cur; break;
-                case EwKind::kMulCA: cur = cur * aux[i]; break;
-                case EwKind::kMulAC: cur = aux[i] * cur; break;
-                case EwKind::kScale: cur = cur * st.scalar; break;
-                case EwKind::kGelu: cur = gelu_scalar(cur); break;
-                case EwKind::kAddBiasRows: cur = cur + aux[i % st.a]; break;
-                case EwKind::kAddTableRow:
-                  cur = cur + aux[st.b * st.a + i % st.a];
-                  break;
-                case EwKind::kAddVarEmb:
-                  cur = cur + aux[(i / st.a / st.b) * st.a + i % st.a];
-                  break;
-              }
-            }
-            dst[i] = cur;
-          }
-        });
-    return;
-  }
-
-  // Out of place: stage-major over the cache-resident chunk, so each stage
-  // is one contiguous simd primitive call (gelu stays scalar — it is not a
-  // lane-wise primitive). Every element still sees the same operations in
-  // the same order as the element-major loop, so results are bitwise
-  // identical. The AC variants share the CA primitives: a+b and b+a (and
-  // a*b / b*a) round identically for every non-NaN input, and for NaN
-  // payloads the operand order was already compiler-chosen in the scalar
-  // loops this replaces.
+  // Stage-major over the cache-resident chunk, so each stage is one
+  // contiguous simd primitive call (gelu stays scalar — it is not a
+  // lane-wise primitive). Every element sees the same operations in the
+  // same order as the eager ops, so results are bitwise identical. When the
+  // planner runs a chain in place, no aux operand shares the output buffer
+  // (compile_plan declines that case), so no stage rereads an element an
+  // earlier stage overwrote. The AC variants share the CA primitives: a+b
+  // and b+a (and a*b / b*a) round identically for every non-NaN input, and
+  // for NaN payloads the operand order was already compiler-chosen in the
+  // scalar loops this replaces.
   const simd::Ops& sops = simd::ops();
   kernels::parallel_for(
       out.numel(), kEwGrain, [&](std::int64_t i0, std::int64_t i1) {
@@ -343,26 +303,38 @@ void Executor::run_elementwise(const GraphOp& op) {
 }
 
 void Executor::run_mhsa(const GraphOp& op) {
-  const Tensor& x = value(op.inputs[0]);
-  const std::int64_t n = x.dim(0), d = x.dim(1);
+  const Tensor& x_all = value(op.inputs[0]);
+  const std::int64_t n = x_all.dim(0), d = x_all.dim(1);
   const std::int64_t heads = op.iparams[0];
   const bool use_flash = op.iparams[1] != 0;
   const std::int64_t dh = d / heads;
   const float attn_scale = op.fparams[0];
+  // A tenth input is a partition value: only its first L rows are live, and
+  // the op runs on prefix views of its planned [N, ...] buffers, exactly as
+  // the eager op runs on the sliced [L, D] tokens.
+  const std::int64_t rows =
+      op.inputs.size() > 9
+          ? static_cast<std::int64_t>(value(op.inputs[9]).data()[0])
+          : n;
+  auto live = [&](ValueId v, Shape shape) {
+    return mutable_value(v).prefix(shape);
+  };
 
-  Tensor& q = mutable_value(op.workspaces[0]);
-  Tensor& k = mutable_value(op.workspaces[1]);
-  Tensor& v = mutable_value(op.workspaces[2]);
-  Tensor& concat = mutable_value(op.workspaces[3]);
-  Tensor& qh = mutable_value(op.workspaces[4]);
-  Tensor& kh = mutable_value(op.workspaces[5]);
-  Tensor& vh = mutable_value(op.workspaces[6]);
-  Tensor& oh = mutable_value(op.workspaces[7]);
-  Tensor& attn_ws = mutable_value(op.workspaces[8]);
+  const Tensor x = x_all.prefix(Shape{rows, d});
+  Tensor q = live(op.workspaces[0], Shape{rows, d});
+  Tensor k = live(op.workspaces[1], Shape{rows, d});
+  Tensor v = live(op.workspaces[2], Shape{rows, d});
+  Tensor concat = live(op.workspaces[3], Shape{rows, d});
+  Tensor qh = live(op.workspaces[4], Shape{rows, dh});
+  Tensor kh = live(op.workspaces[5], Shape{rows, dh});
+  Tensor vh = live(op.workspaces[6], Shape{rows, dh});
+  Tensor oh = live(op.workspaces[7], Shape{rows, dh});
+  Tensor attn_ws = live(op.workspaces[8],
+                        use_flash ? Shape{rows} : Shape{rows, rows});
 
   // Projections: same gemm + bias-add sequence as the eager MHA.
   auto project = [&](ValueId w, ValueId b, Tensor& out) {
-    kernels::gemm(kernels::Trans::kN, kernels::Trans::kN, n, d, d,
+    kernels::gemm(kernels::Trans::kN, kernels::Trans::kN, rows, d, d,
                   x.data().data(), value(w).data().data(), out.data().data());
     add_bias_rows_inplace(out, value(b).data().data());
   };
@@ -382,11 +354,13 @@ void Executor::run_mhsa(const GraphOp& op) {
     paste_cols(concat, hd * dh, oh);
   }
 
-  Tensor& out = mutable_value(op.output);
-  kernels::gemm(kernels::Trans::kN, kernels::Trans::kN, n, d, d,
+  Tensor out = live(op.output, Shape{rows, d});
+  kernels::gemm(kernels::Trans::kN, kernels::Trans::kN, rows, d, d,
                 concat.data().data(), value(op.inputs[7]).data().data(),
                 out.data().data());
   add_bias_rows_inplace(out, value(op.inputs[8]).data().data());
+  float* pad = mutable_value(op.output).data().data();
+  std::fill(pad + rows * d, pad + n * d, 0.0f);
 }
 
 }  // namespace orbit2::graph

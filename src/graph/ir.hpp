@@ -7,6 +7,8 @@
 // touched. The capture is a straight-line trace: value IDs are assigned in
 // execution order, so the captured graph is a pure function of
 // (model config, input shape) as long as the eager forward itself is.
+// Data-dependent structure travels as an ordinary value (Reslim's quad-tree
+// partition is one), and an op with no replay rule throws under capture.
 //
 // Downstream, plan.hpp fuses elementwise chains and assigns arena slots via
 // liveness analysis, and executor.hpp replays the plan with zero
@@ -14,7 +16,6 @@
 // planner").
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -37,7 +38,9 @@ enum class OpKind : std::uint8_t {
   kResizeBilinear,  // target size given by the output value's shape
   kImageToTokens,   // iparams {patch}
   kTokensToImage,   // iparams {channels, h, w, patch}
-  kMhsa,            // multi-head self-attention composite (see executor)
+  kMhsa,            // multi-head self-attention composite (see executor);
+                    // an optional tenth input's element 0 is the live row
+                    // count (a quad-tree partition value)
   kView,            // out aliases inputs[0] with a different shape
   kCustom,          // replayed by the captured function pointer
 };
@@ -129,12 +132,6 @@ class CaptureSink {
   /// Records `out` as a reshaped alias of `src` (shared storage).
   void record_view(const Tensor& out, const Tensor& src);
 
-  /// Marks the capture unusable (op without a replay rule on the path).
-  /// The compiled path then falls back to no-tape eager execution.
-  void fail(std::string reason);
-  bool failed() const { return !fail_reason_.empty(); }
-  const std::string& fail_reason() const { return fail_reason_; }
-
   /// Finalizes the trace; `output` must resolve to a recorded value.
   CapturedGraph take(const Tensor& output);
 
@@ -145,7 +142,6 @@ class CaptureSink {
   // address-independent, which the orbit2_analyze determinism rules require.
   std::vector<std::pair<const float*, ValueId>> bindings_;
   std::vector<Tensor> keep_alive_;
-  std::string fail_reason_;
 
   ValueId bind_tensor(const Tensor& t, bool is_leaf);
 };

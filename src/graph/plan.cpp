@@ -162,12 +162,21 @@ Plan compile_plan(CapturedGraph graph) {
         plan.slot_of[out] = fresh_slot(out_numel);
       } else if (op.kind == OpKind::kElementwise) {
         // In-place elementwise: reuse input 0's slot when this op is its
-        // last use. Safe because stage evaluation reads element i of input
-        // 0 before writing element i of the output, and aux operands never
-        // share the slot (they are other values, alive past or distinct).
+        // last use and no stage reads input 0 as its aux operand. Stages
+        // run one after another over the output buffer, so an aux operand
+        // in that buffer would be reread after an earlier stage overwrote
+        // it; every other aux is a distinct value alive past this op, so it
+        // never shares the slot.
         const ValueId in0 = root_of(graph.values, op.inputs[0]);
         const auto in0_idx = static_cast<std::size_t>(in0);
+        bool aux_reads_in0 = false;
+        for (const EwStage& s : op.stages) {
+          if (s.aux != kNoValue && root_of(graph.values, s.aux) == in0) {
+            aux_reads_in0 = true;
+          }
+        }
         if (plan.slot_of[in0_idx] >= 0 && last_use[in0_idx] == i &&
+            !aux_reads_in0 &&
             graph.values[in0_idx].shape.numel() == out_numel) {
           plan.slot_of[out] = plan.slot_of[in0_idx];
           transferred = in0;

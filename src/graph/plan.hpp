@@ -11,7 +11,8 @@
 //      recycled between values of EQUAL numel whose lifetimes do not
 //      overlap (equal-size aliasing keeps every tensor's storage exactly
 //      shape-sized, which in-place tensor ops rely on). The graph output
-//      owns a dedicated slot that is never aliased.
+//      owns a dedicated slot that is never aliased. An elementwise chain
+//      takes its dying input 0's slot unless a stage reads input 0 as aux.
 //
 // The plan is a pure function of the captured graph: identical captures
 // yield byte-identical signatures.

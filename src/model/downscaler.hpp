@@ -1,6 +1,13 @@
 #pragma once
 // Common interface for downscaling models, so the trainer, TILES executor,
 // serving layer and benchmarks treat Reslim and the ViT baseline uniformly.
+//
+// Inference has one path: predict_field replays the compiled plan of the
+// input's shape, compiled on first use from the model's own eager forward.
+// Every model config compiles — Reslim's adaptive compression included, its
+// quad-tree partition being a runtime value of the plan. A shape whose
+// capture throws (an input the forward rejects) throws from compiled_for
+// and predict_field alike.
 
 #include <memory>
 
@@ -16,24 +23,18 @@ class Downscaler : public autograd::Module {
   virtual autograd::Var downscale(const Tensor& input) const = 0;
   virtual const ModelConfig& model_config() const = 0;
 
-  /// Inference: no tape is built (InferenceModeScope), no gradients are
-  /// retained. Concrete models override this with the compiled-plan replay
-  /// path; the default runs the eager forward tape-free.
-  virtual Tensor predict_field(const Tensor& input) const {
-    autograd::InferenceModeScope no_tape;
-    return downscale(input).value();
-  }
+  /// Inference: replays this input shape's compiled plan, bitwise identical
+  /// to downscale(input).value(). No tape is built.
+  Tensor predict_field(const Tensor& input) const;
 
-  /// Compiled per-shape plan for this input, from the model's PlanCache.
-  /// Returns nullptr when the model cannot compile for this input at all
-  /// (e.g. data-dependent op sequences); returns an invalid CompiledShape
-  /// when a capture was attempted and failed. Callers (the serving layer's
-  /// dynamic batcher) fall back to predict_field in both cases.
-  virtual std::shared_ptr<const graph::CompiledShape> compiled_for(
-      const Tensor& input) const {
-    (void)input;
-    return nullptr;
-  }
+  /// The cached compiled plan for this input shape, compiling on first use.
+  /// Never null; throws when the forward cannot run on `input`.
+  std::shared_ptr<const graph::CompiledShape> compiled_for(
+      const Tensor& input) const;
+
+ private:
+  /// Per-input-shape plans. Mutable: caching does not change the model.
+  mutable graph::PlanCache plan_cache_;
 };
 
 }  // namespace orbit2::model

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 
 #include "core/kernels.hpp"
 #include "graph/executor.hpp"
@@ -42,6 +43,61 @@ void replay_tokenize(const graph::GraphOp& op, graph::Executor& ex) {
           }
         }
       });
+}
+
+/// The quad-tree leaves of the aggregated tokens [P, D]: the RMS of each
+/// token on the [gh, gw] grid is the feature density, Canny marks its
+/// edges, and the threshold search hits `ratio`. The eager forward and the
+/// compiled partition op both call this, so they pick the same leaves.
+std::vector<PatchRect> adaptive_leaves(const Tensor& tokens, std::int64_t gh,
+                                       std::int64_t gw, float ratio) {
+  Tensor density(Shape{gh, gw});
+  const float* src = tokens.data().data();
+  float* dst = density.data().data();
+  const std::int64_t d = tokens.dim(1);
+  for (std::int64_t i = 0; i < gh * gw; ++i) {
+    double norm = 0.0;
+    const float* row = src + i * d;
+    for (std::int64_t f = 0; f < d; ++f) {
+      norm += static_cast<double>(row[f]) * row[f];
+    }
+    dst[i] = static_cast<float>(std::sqrt(norm / static_cast<double>(d)));
+  }
+  return partition_with_target_ratio(canny(density), ratio);
+}
+
+// Replays of the compression stage. iparams {gh, gw}; the partition value is
+// the pool's and the scatter's second input.
+
+void replay_partition(const graph::GraphOp& op, graph::Executor& ex) {
+  encode_partition(adaptive_leaves(ex.value(op.inputs[0]), op.iparams[0],
+                                   op.iparams[1], op.fparams[0]),
+                   ex.mutable_value(op.output));
+}
+
+void replay_pool(const graph::GraphOp& op, graph::Executor& ex) {
+  pool_tokens_into(ex.value(op.inputs[0]), op.iparams[0], op.iparams[1],
+                   ex.value(op.inputs[1]), ex.mutable_value(op.output));
+}
+
+void replay_scatter(const graph::GraphOp& op, graph::Executor& ex) {
+  scatter_tokens_into(ex.value(op.inputs[0]), op.iparams[0], op.iparams[1],
+                      ex.value(op.inputs[1]), ex.mutable_value(op.output));
+}
+
+/// Records one kCustom op reading `inputs` and writing `output`.
+void record_custom(graph::CaptureSink& sink, graph::CustomReplayFn fn,
+                   std::initializer_list<const Tensor*> inputs,
+                   const Tensor& output, std::vector<std::int64_t> iparams,
+                   std::vector<float> fparams = {}) {
+  graph::GraphOp op;
+  op.kind = graph::OpKind::kCustom;
+  for (const Tensor* in : inputs) op.inputs.push_back(sink.value_for(*in));
+  op.iparams = std::move(iparams);
+  op.fparams = std::move(fparams);
+  op.custom = fn;
+  op.output = sink.bind_output(output);
+  sink.record(std::move(op));
 }
 
 }  // namespace
@@ -228,13 +284,7 @@ Var ReslimModel::forward(const Tensor& input, ForwardStats* stats) const {
               raw_tokens.data().begin() + v * positions * (p * p));
   }
   if (graph::CaptureSink* sink = graph::capture_sink()) {
-    graph::GraphOp op;
-    op.kind = graph::OpKind::kCustom;
-    op.inputs.push_back(sink->value_for(input));
-    op.iparams = {p};
-    op.custom = &replay_tokenize;
-    op.output = sink->bind_output(raw_tokens);
-    sink->record(std::move(op));
+    record_custom(*sink, &replay_tokenize, {&input}, raw_tokens, {p});
   }
 
   // Shared patch embedding + per-variable embedding.
@@ -259,37 +309,40 @@ Var ReslimModel::forward(const Tensor& input, ForwardStats* stats) const {
   // space, detect feature density with Canny, and pool tokens per quad-tree
   // leaf. The partition itself is data-dependent structure, computed on the
   // CPU outside the tape (as the paper's asynchronous quad-tree builders do).
+  // Under capture it is a graph value instead: the trunk runs on
+  // max_leaves_for_ratio(P, ratio) rows, the first L of them live (L = the
+  // value's leaf count) and the rest zero, so one plan serves every
+  // partition of this input shape.
   std::vector<PatchRect> leaves;
+  Tensor partition;
+  const Tensor* live = nullptr;  // &partition while capturing compression
   Var trunk_input = aggregated;
   if (config_.compression_ratio > 1.0f) {
+    const float ratio = config_.compression_ratio;
+    leaves = adaptive_leaves(aggregated.value(), gh, gw, ratio);
     if (graph::CaptureSink* sink = graph::capture_sink()) {
-      sink->fail("adaptive compression is data-dependent");
+      const std::int64_t max_leaves = max_leaves_for_ratio(positions, ratio);
+      partition = Tensor(Shape{partition_value_size(max_leaves)});
+      encode_partition(leaves, partition);
+      record_custom(*sink, &replay_partition, {&aggregated.value()},
+                    partition, {gh, gw}, {ratio});
+      Tensor pooled(Shape{max_leaves, config_.embed_dim});
+      pool_tokens_into(aggregated.value(), gh, gw, partition, pooled);
+      record_custom(*sink, &replay_pool, {&aggregated.value(), &partition},
+                    pooled, {gh, gw});
+      trunk_input = Var::constant(pooled);
+      live = &partition;
+    } else {
+      trunk_input = compress_tokens(aggregated, gh, gw, leaves);
     }
-    const Tensor& agg_value = aggregated.value();
-    Tensor density(Shape{gh, gw});
-    {
-      const float* src = agg_value.data().data();
-      float* dst = density.data().data();
-      const std::int64_t d = agg_value.dim(1);
-      for (std::int64_t i = 0; i < positions; ++i) {
-        double norm = 0.0;
-        const float* row = src + i * d;
-        for (std::int64_t f = 0; f < d; ++f) {
-          norm += static_cast<double>(row[f]) * row[f];
-        }
-        dst[i] = static_cast<float>(std::sqrt(norm / static_cast<double>(d)));
-      }
-    }
-    const Tensor edges = canny(density);
-    leaves = partition_with_target_ratio(edges, config_.compression_ratio);
-    trunk_input = compress_tokens(aggregated, gh, gw, leaves);
   }
   if (stats) {
+    const std::int64_t tokens =
+        leaves.empty() ? positions : static_cast<std::int64_t>(leaves.size());
     stats->tokens_before_compression = positions;
-    stats->tokens_after_compression = trunk_input.value().dim(0);
+    stats->tokens_after_compression = tokens;
     stats->achieved_compression =
-        static_cast<float>(positions) /
-        static_cast<float>(trunk_input.value().dim(0));
+        static_cast<float>(positions) / static_cast<float>(tokens);
   }
 
   // ViT trunk on the (possibly compressed) sequence. With a windowed
@@ -311,12 +364,20 @@ Var ReslimModel::forward(const Tensor& input, ForwardStats* stats) const {
     }
   } else {
     for (const auto& block : blocks_) {
-      x = block->forward(x, config_.use_flash_attention);
+      x = block->forward(x, config_.use_flash_attention, live);
     }
   }
 
   // Decompression back to the uniform grid.
-  if (!leaves.empty()) x = decompress_tokens(x, gh, gw, leaves);
+  if (live != nullptr) {
+    Tensor grid(Shape{positions, config_.embed_dim});
+    scatter_tokens_into(x.value(), gh, gw, partition, grid);
+    record_custom(*graph::capture_sink(), &replay_scatter,
+                  {&x.value(), &partition}, grid, {gh, gw});
+    x = Var::constant(grid);
+  } else if (!leaves.empty()) {
+    x = decompress_tokens(x, gh, gw, leaves);
+  }
 
   // Decoder: LayerNorm -> linear to (p*up)^2 * Cout per token -> image.
   x = final_norm_.forward(x);
@@ -330,28 +391,6 @@ Var ReslimModel::forward(const Tensor& input, ForwardStats* stats) const {
   if (!config_.use_residual_path) return main;
   Var residual = residual_path(input, out_h, out_w);
   return autograd::add(main, residual);
-}
-
-Tensor ReslimModel::predict(const Tensor& input) const {
-  return predict_field(input);
-}
-
-Tensor ReslimModel::predict_field(const Tensor& input) const {
-  autograd::InferenceModeScope no_tape;
-  const auto compiled = compiled_for(input);
-  if (compiled == nullptr || !compiled->valid()) return forward(input).value();
-  return compiled->run(input);
-}
-
-std::shared_ptr<const graph::CompiledShape> ReslimModel::compiled_for(
-    const Tensor& input) const {
-  // Adaptive compression picks a data-dependent token partition, so the op
-  // sequence is not a pure function of the input shape: serve it eagerly.
-  if (config_.compression_ratio > 1.0f) return nullptr;
-  autograd::InferenceModeScope no_tape;
-  return plan_cache_.get_or_compile(
-      input,
-      [this, &input](graph::CaptureSink&) { return forward(input).value(); });
 }
 
 void ReslimModel::collect_parameters(

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "autograd/nn.hpp"
-#include "graph/compiled.hpp"
 #include "model/config.hpp"
 #include "model/downscaler.hpp"
 #include "quadtree/quadtree.hpp"
@@ -39,21 +38,10 @@ class ReslimModel : public Downscaler {
 
   /// Downscales one normalized sample [Cin, h, w] ->
   /// prediction Var [Cout, h*upscale, w*upscale]. Differentiable.
+  /// Under graph capture with adaptive compression, the partition becomes
+  /// a value of the captured graph (see the forward's compression step), so
+  /// predict_field serves compressed configs from one plan per shape.
   autograd::Var forward(const Tensor& input, ForwardStats* stats = nullptr) const;
-
-  /// Inference convenience: forward without retaining the tape.
-  Tensor predict(const Tensor& input) const;
-
-  /// Serve path: replays a compiled per-shape plan from the arena executor
-  /// (bitwise identical to the eager forward); falls back to tape-free eager
-  /// when the shape cannot be captured (adaptive compression).
-  Tensor predict_field(const Tensor& input) const override;
-
-  /// The cached compiled plan for this input shape (compiling on first use).
-  /// Null with adaptive compression: the quad-tree partition is
-  /// data-dependent, so there is no per-shape plan to share.
-  std::shared_ptr<const graph::CompiledShape> compiled_for(
-      const Tensor& input) const override;
 
   autograd::Var downscale(const Tensor& input) const override {
     return forward(input);
@@ -82,9 +70,6 @@ class ReslimModel : public Downscaler {
   autograd::Conv2dLayer residual_conv1_;
   autograd::Conv2dLayer residual_conv2_;
   autograd::Conv2dLayer residual_conv3_;
-  /// Per-input-shape compiled inference plans (capture is lazy, on first
-  /// predict_field for a shape). Mutable: caching does not change the model.
-  mutable graph::PlanCache plan_cache_;
 };
 
 /// Adds table[row] to every token row (the resolution embedding broadcast).

@@ -73,25 +73,6 @@ Var ViTBaselineModel::forward(const Tensor& input) const {
                                    p);
 }
 
-Tensor ViTBaselineModel::predict(const Tensor& input) const {
-  return predict_field(input);
-}
-
-Tensor ViTBaselineModel::predict_field(const Tensor& input) const {
-  autograd::InferenceModeScope no_tape;
-  const auto compiled = compiled_for(input);
-  if (compiled == nullptr || !compiled->valid()) return forward(input).value();
-  return compiled->run(input);
-}
-
-std::shared_ptr<const graph::CompiledShape> ViTBaselineModel::compiled_for(
-    const Tensor& input) const {
-  autograd::InferenceModeScope no_tape;
-  return plan_cache_.get_or_compile(
-      input,
-      [this, &input](graph::CaptureSink&) { return forward(input).value(); });
-}
-
 void ViTBaselineModel::collect_parameters(
     std::vector<autograd::ParamPtr>& out) const {
   channel_conv_.collect_parameters(out);

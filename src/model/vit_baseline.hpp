@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "autograd/nn.hpp"
-#include "graph/compiled.hpp"
 #include "model/config.hpp"
 #include "model/downscaler.hpp"
 
@@ -23,15 +22,6 @@ class ViTBaselineModel : public Downscaler {
 
   /// [Cin, h, w] -> prediction Var [Cout, h*upscale, w*upscale].
   autograd::Var forward(const Tensor& input) const;
-  Tensor predict(const Tensor& input) const;
-
-  /// Serve path: replays a compiled per-shape plan from the arena executor,
-  /// bitwise identical to the eager forward.
-  Tensor predict_field(const Tensor& input) const override;
-
-  /// The cached compiled plan for this input shape (compiling on first use).
-  std::shared_ptr<const graph::CompiledShape> compiled_for(
-      const Tensor& input) const override;
 
   autograd::Var downscale(const Tensor& input) const override {
     return forward(input);
@@ -49,8 +39,6 @@ class ViTBaselineModel : public Downscaler {
   std::vector<std::unique_ptr<autograd::TransformerBlock>> blocks_;
   autograd::LayerNorm final_norm_;
   autograd::Linear decoder_;
-  /// Per-input-shape compiled inference plans (lazy, first predict_field).
-  mutable graph::PlanCache plan_cache_;
 
   /// Width of the aggregated feature stack fed to tokenization.
   static constexpr std::int64_t kAggregatedChannels = 8;

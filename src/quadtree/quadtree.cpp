@@ -88,14 +88,18 @@ std::vector<PatchRect> adaptive_partition(const Tensor& edge_map,
   return leaves;
 }
 
+std::int64_t max_leaves_for_ratio(std::int64_t cells, float target_ratio) {
+  ORBIT2_REQUIRE(target_ratio >= 1.0f, "compression ratio must be >= 1");
+  return std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(
+             std::ceil(static_cast<float>(cells) / target_ratio)));
+}
+
 std::vector<PatchRect> partition_with_target_ratio(const Tensor& edge_map,
                                                    float target_ratio,
                                                    std::int64_t min_patch) {
-  ORBIT2_REQUIRE(target_ratio >= 1.0f, "compression ratio must be >= 1");
-  const std::int64_t cells = edge_map.dim(0) * edge_map.dim(1);
-  const std::int64_t max_leaves = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(
-             std::ceil(static_cast<float>(cells) / target_ratio)));
+  const std::int64_t max_leaves =
+      max_leaves_for_ratio(edge_map.dim(0) * edge_map.dim(1), target_ratio);
 
   QuadTreeParams params;
   params.min_patch = min_patch;
@@ -157,18 +161,67 @@ void check_token_grid(const Tensor& tokens, std::int64_t grid_h,
                  "token count " << tokens.dim(0) << " vs grid "
                                 << grid_h * grid_w);
 }
+
+std::int64_t partition_leaf_count(const Tensor& value) {
+  return static_cast<std::int64_t>(value.data()[0]);
+}
+
+PatchRect partition_leaf(const Tensor& value, std::int64_t l) {
+  const float* rect = value.data().data() + 1 + 4 * l;
+  return {static_cast<std::int64_t>(rect[0]),
+          static_cast<std::int64_t>(rect[1]),
+          static_cast<std::int64_t>(rect[2]),
+          static_cast<std::int64_t>(rect[3])};
+}
+
+/// `leaves` as an exactly sized partition value.
+Tensor partition_value(const std::vector<PatchRect>& leaves) {
+  Tensor value(
+      Shape{partition_value_size(static_cast<std::int64_t>(leaves.size()))});
+  encode_partition(leaves, value);
+  return value;
+}
+
 }  // namespace
 
-Tensor pool_tokens(const Tensor& tokens, std::int64_t grid_h,
-                   std::int64_t grid_w, const std::vector<PatchRect>& leaves) {
+std::int64_t partition_value_size(std::int64_t max_leaves) {
+  return 1 + 4 * max_leaves;
+}
+
+void encode_partition(const std::vector<PatchRect>& leaves, Tensor& value) {
+  const auto count = static_cast<std::int64_t>(leaves.size());
+  ORBIT2_REQUIRE(value.rank() == 1 &&
+                     value.numel() >= partition_value_size(count),
+                 "partition value " << value.shape().to_string()
+                                    << " has no room for " << count
+                                    << " leaves");
+  float* dst = value.data().data();
+  dst[0] = static_cast<float>(count);
+  for (std::int64_t l = 0; l < count; ++l) {
+    const PatchRect& r = leaves[static_cast<std::size_t>(l)];
+    float* rect = dst + 1 + 4 * l;
+    rect[0] = static_cast<float>(r.y0);
+    rect[1] = static_cast<float>(r.x0);
+    rect[2] = static_cast<float>(r.h);
+    rect[3] = static_cast<float>(r.w);
+  }
+}
+
+void pool_tokens_into(const Tensor& tokens, std::int64_t grid_h,
+                      std::int64_t grid_w, const Tensor& partition,
+                      Tensor& out) {
   check_token_grid(tokens, grid_h, grid_w);
   const std::int64_t d = tokens.dim(1);
-  Tensor out = Tensor::zeros(Shape{static_cast<std::int64_t>(leaves.size()), d});
+  const std::int64_t count = partition_leaf_count(partition);
+  ORBIT2_REQUIRE(out.rank() == 2 && out.dim(0) >= count && out.dim(1) == d,
+                 "pooled tokens " << out.shape().to_string() << " for "
+                                  << count << " leaves of width " << d);
   const float* src = tokens.data().data();
   float* dst = out.data().data();
-  for (std::size_t l = 0; l < leaves.size(); ++l) {
-    const PatchRect& r = leaves[l];
-    float* leaf = dst + static_cast<std::int64_t>(l) * d;
+  std::fill(dst, dst + out.numel(), 0.0f);
+  for (std::int64_t l = 0; l < count; ++l) {
+    const PatchRect r = partition_leaf(partition, l);
+    float* leaf = dst + l * d;
     for (std::int64_t y = r.y0; y < r.y0 + r.h; ++y) {
       for (std::int64_t x = r.x0; x < r.x0 + r.w; ++x) {
         const float* cell = src + (y * grid_w + x) * d;
@@ -178,6 +231,35 @@ Tensor pool_tokens(const Tensor& tokens, std::int64_t grid_h,
     const float inv = 1.0f / static_cast<float>(r.area());
     for (std::int64_t f = 0; f < d; ++f) leaf[f] *= inv;
   }
+}
+
+void scatter_tokens_into(const Tensor& leaf_tokens, std::int64_t grid_h,
+                         std::int64_t grid_w, const Tensor& partition,
+                         Tensor& out) {
+  check_token_grid(out, grid_h, grid_w);
+  const std::int64_t d = out.dim(1);
+  const std::int64_t count = partition_leaf_count(partition);
+  ORBIT2_REQUIRE(leaf_tokens.rank() == 2 && leaf_tokens.dim(0) >= count &&
+                     leaf_tokens.dim(1) == d,
+                 "leaf tokens " << leaf_tokens.shape().to_string() << " for "
+                                << count << " leaves of width " << d);
+  const float* src = leaf_tokens.data().data();
+  float* dst = out.data().data();
+  for (std::int64_t l = 0; l < count; ++l) {
+    const PatchRect r = partition_leaf(partition, l);
+    for (std::int64_t y = r.y0; y < r.y0 + r.h; ++y) {
+      for (std::int64_t x = r.x0; x < r.x0 + r.w; ++x) {
+        std::copy(src + l * d, src + (l + 1) * d, dst + (y * grid_w + x) * d);
+      }
+    }
+  }
+}
+
+Tensor pool_tokens(const Tensor& tokens, std::int64_t grid_h,
+                   std::int64_t grid_w, const std::vector<PatchRect>& leaves) {
+  check_token_grid(tokens, grid_h, grid_w);
+  Tensor out(Shape{static_cast<std::int64_t>(leaves.size()), tokens.dim(1)});
+  pool_tokens_into(tokens, grid_h, grid_w, partition_value(leaves), out);
   return out;
 }
 
@@ -188,20 +270,9 @@ Tensor scatter_tokens(const Tensor& leaf_tokens, std::int64_t grid_h,
   ORBIT2_REQUIRE(leaf_tokens.dim(0) ==
                      static_cast<std::int64_t>(leaves.size()),
                  "leaf token count mismatch");
-  const std::int64_t d = leaf_tokens.dim(1);
-  Tensor out = Tensor::zeros(Shape{grid_h * grid_w, d});
-  const float* src = leaf_tokens.data().data();
-  float* dst = out.data().data();
-  for (std::size_t l = 0; l < leaves.size(); ++l) {
-    const PatchRect& r = leaves[l];
-    const float* leaf = src + static_cast<std::int64_t>(l) * d;
-    for (std::int64_t y = r.y0; y < r.y0 + r.h; ++y) {
-      for (std::int64_t x = r.x0; x < r.x0 + r.w; ++x) {
-        float* cell = dst + (y * grid_w + x) * d;
-        std::copy(leaf, leaf + d, cell);
-      }
-    }
-  }
+  Tensor out(Shape{grid_h * grid_w, leaf_tokens.dim(1)});
+  scatter_tokens_into(leaf_tokens, grid_h, grid_w, partition_value(leaves),
+                      out);
   return out;
 }
 

@@ -47,9 +47,14 @@ struct QuadTreeParams {
 std::vector<PatchRect> adaptive_partition(const Tensor& edge_map,
                                           const QuadTreeParams& params);
 
+/// Leaf-count bound of partition_with_target_ratio: ceil(cells /
+/// target_ratio), at least 1. A compiled compressed trunk is sized by it.
+std::int64_t max_leaves_for_ratio(std::int64_t cells, float target_ratio);
+
 /// Binary-searches the density threshold so that the leaf count is at most
-/// ceil(cells / target_ratio), i.e. compression >= target_ratio whenever the
-/// min-patch constraint allows it. Returns the partition found.
+/// max_leaves_for_ratio(cells, target_ratio), i.e. compression >=
+/// target_ratio whenever the min-patch constraint allows it. Returns the
+/// partition found.
 std::vector<PatchRect> partition_with_target_ratio(const Tensor& edge_map,
                                                    float target_ratio,
                                                    std::int64_t min_patch = 1);
@@ -75,6 +80,29 @@ Tensor pool_tokens(const Tensor& tokens, std::int64_t grid_h,
 Tensor scatter_tokens(const Tensor& leaf_tokens, std::int64_t grid_h,
                       std::int64_t grid_w,
                       const std::vector<PatchRect>& leaves);
+
+// ---- Partition as a graph value --------------------------------------------
+// A compiled plan carries a partition as one rank-1 float value of
+// partition_value_size(max_leaves) elements: the leaf count L, then
+// (y0, x0, h, w) per leaf. Entries past leaf L - 1 are unused. Grid
+// coordinates are small integers, which float holds exactly.
+
+std::int64_t partition_value_size(std::int64_t max_leaves);
+
+/// Writes `leaves` into `value`, which must have room for all of them.
+void encode_partition(const std::vector<PatchRect>& leaves, Tensor& value);
+
+/// pool_tokens into `out` [rows, D], rows >= L: leaf l's mean lands in row
+/// l with pool_tokens' arithmetic, and rows from L on are zero.
+void pool_tokens_into(const Tensor& tokens, std::int64_t grid_h,
+                      std::int64_t grid_w, const Tensor& partition,
+                      Tensor& out);
+
+/// scatter_tokens from the first L rows of `leaf_tokens` [rows, D] into
+/// `out` [P, D]; rows from L on are never read.
+void scatter_tokens_into(const Tensor& leaf_tokens, std::int64_t grid_h,
+                         std::int64_t grid_w, const Tensor& partition,
+                         Tensor& out);
 
 /// Adjoint of pool_tokens (equals scatter with 1/area weights); needed for
 /// backprop through the compression stage.

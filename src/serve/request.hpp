@@ -4,7 +4,8 @@
 // Requests are caller-owned and reusable: the service never allocates or
 // frees them, it only moves pointers through the bounded queue and the
 // batcher. A caller fills {model, input, deadline}, submits, and waits (or
-// polls in manual mode); the service fills {output, timestamps, status}.
+// polls in manual mode); the service fills {output, timestamps, status},
+// the output always from a replay of the model's compiled plan.
 // Reusing a request object whose `output` already has the right shape makes
 // the steady-state serve path allocation-free (see docs/API.md).
 //
@@ -63,7 +64,6 @@ class Request {
   std::int64_t done_ns = 0;       // completion timestamp
   std::uint64_t arrival_seq = 0;  // service-wide admission order
   std::int64_t batch_size = 0;    // size of the batch this request rode in
-  bool served_eager = false;      // capture-fallback path was taken
 
   // ---- Completion handshake --------------------------------------------
 
@@ -91,7 +91,6 @@ class Request {
     enqueue_ns = 0;
     done_ns = 0;
     batch_size = 0;
-    served_eager = false;
   }
 
   // ---- Service-side transitions (not for callers) -----------------------

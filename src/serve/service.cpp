@@ -104,7 +104,7 @@ void Service::dispatch(std::vector<Request*>& batch) {
   // batch shares a BatchKey, so one lookup covers all of them, and plan
   // *compilation* (which allocates and uses thread-local inference scopes)
   // must not happen inside the sample-parallel loop. A shape the model
-  // rejects fails the whole batch.
+  // cannot compile (its forward throws on it) fails the whole batch.
   const Request& head = *batch.front();
   std::shared_ptr<const graph::CompiledShape> compiled;
   try {
@@ -112,11 +112,6 @@ void Service::dispatch(std::vector<Request*>& batch) {
   } catch (...) {
     for (Request* request : batch) fail(*request, n);
     return;
-  }
-  const bool use_plan = compiled != nullptr && compiled->valid();
-  if (!use_plan) {
-    eager_fallback_batches_.fetch_add(1, std::memory_order_relaxed);
-    ORBIT2_OBS_COUNT("serve/eager_fallback", 1);
   }
 
   {
@@ -129,18 +124,11 @@ void Service::dispatch(std::vector<Request*>& batch) {
     kernels::parallel_for(n, /*grain=*/1, [&](std::int64_t b, std::int64_t e) {
       for (std::int64_t i = b; i < e; ++i) {
         Request*& slot = batch[static_cast<std::size_t>(i)];
-        Request& request = *slot;
         try {
-          if (use_plan) {
-            compiled->run_into(request.input, request.output);
-          } else {
-            // predict_field enters its own thread-local inference scope.
-            request.output = request.model->predict_field(request.input);
-            request.served_eager = true;
-          }
+          compiled->run_into(slot->input, slot->output);
         } catch (...) {
+          fail(*slot, n);
           slot = nullptr;  // completed here; the loop below skips it
-          fail(request, n);
         }
       }
     });
@@ -249,13 +237,9 @@ void Service::stop() {
   workers_.clear();
 }
 
-bool Service::warm(const model::Downscaler& model, const Tensor& example,
+void Service::warm(const model::Downscaler& model, const Tensor& example,
                    std::size_t count) {
-  std::shared_ptr<const graph::CompiledShape> compiled =
-      model.compiled_for(example);
-  if (compiled == nullptr || !compiled->valid()) return false;
-  compiled->warm(count);
-  return true;
+  model.compiled_for(example)->warm(count);
 }
 
 Service::Stats Service::stats() const {
@@ -267,8 +251,6 @@ Service::Stats Service::stats() const {
   s.completed = completed_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
-  s.eager_fallback_batches =
-      eager_fallback_batches_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -9,7 +9,9 @@
 // replaying the *same* cached plan through its own pooled executor. Nested
 // kernels inside a replay run inline-serial (PR 3's region rule), so every
 // sample's arithmetic is bit-identical to a sequential eager call — batching
-// changes wall time, never bits.
+// changes wall time, never bits. It is the only dispatch path: every model
+// config compiles (Reslim's adaptive compression too), and a shape whose
+// capture throws fails its whole batch kFailed.
 //
 // Two driving modes share all policy code:
 //
@@ -106,8 +108,8 @@ class Service {
 
   /// Pre-compiles `model`'s plan for `example`'s shape and pools `count`
   /// executors, so steady-state serving performs zero heap allocations.
-  /// Returns false when the shape falls back to eager (nothing to warm).
-  bool warm(const model::Downscaler& model, const Tensor& example,
+  /// Throws when the model cannot compile that shape.
+  void warm(const model::Downscaler& model, const Tensor& example,
             std::size_t count);
 
   struct Stats {
@@ -118,6 +120,8 @@ class Service {
     std::int64_t completed = 0;
     std::int64_t failed = 0;  // the model threw on the request (kFailed)
     std::int64_t batches = 0;
+    /// Always 0: every batch replays a compiled plan. Kept because
+    /// perfbench's serve probe still reads it.
     std::int64_t eager_fallback_batches = 0;
   };
   Stats stats() const;
@@ -133,8 +137,8 @@ class Service {
   /// `batch` as scratch. Caller holds mutex_.
   void reject_staged_locked(std::vector<Request*>& batch);
   /// Sheds expired requests, then runs the survivors as one sample-parallel
-  /// compiled replay (or eager fallback). Every survivor ends kOk or
-  /// kFailed. Called with mutex_ released.
+  /// compiled replay. Every survivor ends kOk or kFailed. Called with mutex_
+  /// released.
   void dispatch(std::vector<Request*>& batch);
   /// Completes `request` kFailed (the model threw on it).
   void fail(Request& request, std::int64_t batch_size);
@@ -163,7 +167,6 @@ class Service {
   std::atomic<std::int64_t> completed_{0};
   std::atomic<std::int64_t> failed_{0};
   std::atomic<std::int64_t> batches_{0};
-  std::atomic<std::int64_t> eager_fallback_batches_{0};
 };
 
 }  // namespace orbit2::serve

@@ -72,6 +72,15 @@ Tensor Tensor::reshape(Shape new_shape) const {
   return view;
 }
 
+Tensor Tensor::prefix(Shape shape) const {
+  ORBIT2_REQUIRE(shape.numel() <= numel(),
+                 "prefix " << shape.to_string() << " exceeds "
+                           << shape_.to_string());
+  Tensor view = *this;
+  view.shape_ = shape;
+  return view;
+}
+
 Tensor Tensor::clone() const {
   Tensor out(shape_);
   std::copy(data().begin(), data().end(), out.data().begin());

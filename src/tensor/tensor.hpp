@@ -58,6 +58,11 @@ class Tensor {
   /// View with a new shape of identical numel; shares storage.
   Tensor reshape(Shape new_shape) const;
 
+  /// View of the first shape.numel() elements under `shape`; shares storage
+  /// and allocates nothing. The compiled executor runs an op on the live
+  /// leading rows of a planned buffer through it.
+  Tensor prefix(Shape shape) const;
+
   /// Deep copy with independent storage.
   Tensor clone() const;
 
@@ -79,8 +84,11 @@ class Tensor {
   using const_span = std::span<const float>;
 #endif
 
-  span data() { return {storage_->data(), storage_->size()}; }
-  const_span data() const { return {storage_->data(), storage_->size()}; }
+  // Spans cover numel() elements: a prefix() view sees only its own.
+  span data() { return {storage_->data(), static_cast<std::size_t>(numel())}; }
+  const_span data() const {
+    return {storage_->data(), static_cast<std::size_t>(numel())};
+  }
 
   float& operator[](std::int64_t flat_index) {
     ORBIT2_CHECK(flat_index >= 0 && flat_index < numel(),

@@ -1,8 +1,10 @@
 // Compiled inference graph tests: capture/fusion/planning invariants,
-// eager-vs-compiled bitwise equivalence for Reslim and the ViT baseline
-// across thread counts and non-power-of-two grids, tape-free predict, plan
-// determinism, obs counters, and a kill->resume check that checkpointing is
-// unaffected by plan caching.
+// eager-vs-compiled bitwise equivalence for Reslim (adaptive compression
+// included: one plan per shape across differing quad-tree partitions) and
+// the ViT baseline across thread counts and non-power-of-two grids,
+// tape-free predict, plan determinism, throw-on-no-replay-rule capture, obs
+// counters, and a kill->resume check that checkpointing is unaffected by
+// plan caching.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "autograd/ops.hpp"
 #include "autograd/variable.hpp"
+#include "core/error.hpp"
 #include "core/kernels.hpp"
 #include "core/obs.hpp"
 #include "core/rng.hpp"
@@ -25,6 +29,7 @@
 #include "graph/ir.hpp"
 #include "graph/plan.hpp"
 #include "model/reslim.hpp"
+#include "quadtree/quadtree.hpp"
 #include "model/vit_baseline.hpp"
 #include "train/trainer.hpp"
 
@@ -65,7 +70,6 @@ Plan capture_plan(const Model& m, const Tensor& input) {
     CaptureScope scope(sink);
     out = m.forward(input).value();
   }
-  EXPECT_FALSE(sink.failed()) << sink.fail_reason();
   return compile_plan(sink.take(out));
 }
 
@@ -84,7 +88,7 @@ TEST(InferenceMode, PredictBuildsNoTapeNodes) {
   const Tensor input = make_input(3, 12, 20, 0.1f);
 
   const std::int64_t before = autograd::tape_node_count();
-  (void)model.predict(input);
+  (void)model.predict_field(input);
   (void)model.predict_field(input);
   EXPECT_EQ(autograd::tape_node_count(), before)
       << "predict retained tape nodes";
@@ -100,7 +104,7 @@ TEST(InferenceMode, ViTPredictBuildsNoTapeNodes) {
   const Tensor input = make_input(3, 12, 20, 0.2f);
 
   const std::int64_t before = autograd::tape_node_count();
-  (void)model.predict(input);
+  (void)model.predict_field(input);
   EXPECT_EQ(autograd::tape_node_count(), before);
   (void)model.forward(input);
   EXPECT_GT(autograd::tape_node_count(), before);
@@ -136,24 +140,131 @@ TEST(Planner, PlanIsPureFunctionOfConfigAndShape) {
   EXPECT_EQ(vit_first.signature(), vit_second.signature());
 }
 
-TEST(Planner, CompressionConfigFailsCaptureAndFallsBackToEager) {
+/// Inputs of one shape whose quad-tree partitions differ: a constant field
+/// (no edges, so a single leaf) first, then seeded uniform noise.
+std::vector<Tensor> partition_probe_inputs(std::int64_t c, std::int64_t h,
+                                           std::int64_t w) {
+  std::vector<Tensor> inputs = {Tensor::zeros(Shape{c, h, w})};
+  for (std::uint64_t seed = 1; seed <= 31; ++seed) {
+    Rng rng(seed);
+    inputs.push_back(Tensor::uniform(Shape{c, h, w}, rng, -1.0f, 1.0f));
+  }
+  return inputs;
+}
+
+/// Live leaf count L of `input`'s partition, from the eager forward.
+std::int64_t leaf_count(const model::ReslimModel& m, const Tensor& input) {
+  autograd::InferenceModeScope no_tape;
+  model::ForwardStats stats;
+  (void)m.forward(input, &stats);
+  return stats.tokens_after_compression;
+}
+
+TEST(Planner, CompressionConfigCompilesOnePlanPerShape) {
   model::ModelConfig config = graph_reslim_config();
   config.compression_ratio = 2.0f;
   Rng rng(6);
   model::ReslimModel model(config, rng);
-  const Tensor input = make_input(3, 16, 16, 0.5f);
+  const std::vector<Tensor> inputs = partition_probe_inputs(3, 16, 16);
+  const Tensor& a = inputs[0];
+  const Tensor& b = inputs[1];
+  ASSERT_NE(leaf_count(model, a), leaf_count(model, b))
+      << "the probe inputs must partition differently";
+
+  const auto compiled = model.compiled_for(a);
+  ASSERT_NE(compiled, nullptr);
+  EXPECT_EQ(model.compiled_for(b), compiled)
+      << "a second partition of the same shape compiled a second plan";
+
+  // The trunk is sized for the L_max bound: a partition value of
+  // 1 + 4 * L_max floats, with L_max = ceil(P / ratio) = ceil(64 / 2).
+  const std::int64_t max_leaves = max_leaves_for_ratio(64, 2.0f);
+  EXPECT_EQ(max_leaves, 32);
+  bool has_partition_value = false;
+  for (const ValueInfo& info : compiled->plan()->graph.values) {
+    has_partition_value = has_partition_value ||
+                          info.shape == Shape{partition_value_size(max_leaves)};
+  }
+  EXPECT_TRUE(has_partition_value);
 
   autograd::InferenceModeScope no_tape;
+  expect_bitwise(model.predict_field(a), model.forward(a).value(), "input a");
+  expect_bitwise(model.predict_field(b), model.forward(b).value(), "input b");
+}
+
+/// Captures `chain(x)` for the planned temporary x = 1.5 * input, followed by
+/// a non-elementwise consumer so the chain output is an ordinary planned
+/// value, not the dedicated graph output. Asserts that the fused chain, whose
+/// aux operand is its own dying input 0, runs out of place and that replay
+/// equals eager bit for bit.
+template <typename Chain>
+void expect_aux_alias_out_of_place(Chain&& chain, const char* what) {
+  const Tensor input = make_input(2, 8, 8, 0.2f);
+  autograd::InferenceModeScope no_tape;
   CaptureSink sink(input);
+  Tensor eager;
   {
     CaptureScope scope(sink);
-    (void)model.forward(input).value();
+    const autograd::Var x =
+        autograd::scale(autograd::Var::constant(input), 1.5f);
+    eager = autograd::slice_rows(chain(x), 0, 2).value();
   }
-  EXPECT_TRUE(sink.failed());
+  auto plan = std::make_shared<const Plan>(compile_plan(sink.take(eager)));
 
-  // predict_field pre-checks the config and serves eagerly.
-  const Tensor eager = model.forward(input).value();
-  expect_bitwise(model.predict_field(input), eager, "compression fallback");
+  const GraphOp* chain_op = nullptr;
+  for (const GraphOp& op : plan->graph.ops) {
+    for (const EwStage& stage : op.stages) {
+      if (op.stages.size() == 2 && stage.aux == op.inputs[0]) chain_op = &op;
+    }
+  }
+  ASSERT_NE(chain_op, nullptr) << what << "\n" << plan->signature();
+  EXPECT_NE(plan->slot_of[static_cast<std::size_t>(chain_op->output)],
+            plan->slot_of[static_cast<std::size_t>(chain_op->inputs[0])])
+      << what;
+
+  Executor executor(plan);
+  expect_bitwise(executor.run(input), eager, what);
+}
+
+TEST(Planner, AuxReadingInputZeroRunsOutOfPlace) {
+  // Stages run one after another over the output buffer, so a chain may
+  // not take the slot of an input 0 that one of its stages reads as aux.
+  expect_aux_alias_out_of_place(
+      [](const autograd::Var& x) {
+        return autograd::gelu(autograd::add(x, x));
+      },
+      "add(x, x) -> gelu");
+  // Here the aux read follows a stage that already wrote the buffer, so an
+  // in-place run would multiply by gelu(x) instead of x.
+  expect_aux_alias_out_of_place(
+      [](const autograd::Var& x) {
+        return autograd::mul(autograd::gelu(x), x);
+      },
+      "gelu(x) * x");
+}
+
+TEST(Capture, OpWithoutReplayRuleThrows) {
+  const Tensor input = make_input(2, 4, 4, 0.3f);
+  autograd::InferenceModeScope no_tape;
+  {
+    CaptureSink sink(input);
+    CaptureScope scope(sink);
+    const autograd::Var x = autograd::Var::constant(input);
+    EXPECT_THROW((void)autograd::sum(x), Error);
+    EXPECT_THROW((void)autograd::mean(x), Error);
+  }
+
+  // Through a PlanCache the throw propagates and caches nothing, so the
+  // next call captures (and throws) again.
+  PlanCache cache;
+  int captures = 0;
+  const CaptureForwardFn forward = [&](CaptureSink&) {
+    ++captures;
+    return autograd::mean(autograd::Var::constant(input)).value();
+  };
+  EXPECT_THROW((void)cache.get_or_compile(input, forward), Error);
+  EXPECT_THROW((void)cache.get_or_compile(input, forward), Error);
+  EXPECT_EQ(captures, 2);
 }
 
 // ---- bitwise eager equivalence --------------------------------------------
@@ -206,6 +317,69 @@ TEST(Equivalence, ReslimNonPow2GridWithPatch4) {
   model::ModelConfig config = graph_reslim_config();
   config.patch = 4;
   expect_compiled_matches_eager_reslim(config, 24, 40, "reslim 24x40 p4");
+}
+
+TEST(Equivalence, ReslimAdaptiveCompression) {
+  // One plan per shape, captured on the input A with the fewest leaves,
+  // replays inputs whose partitions differ. Each other input B runs
+  // B -> A -> B, so trunk rows a longer partition left behind would show in
+  // A's run if any op read past A's live rows.
+  struct Case {
+    float ratio;
+    std::int64_t h, w;
+    // Whether a probe input reaches a single leaf. At ratio 2 on the 10x18
+    // token grid none does: scanning 60 inputs found L from 39 to 90.
+    bool single_leaf;
+  };
+  for (const Case c : {Case{2.0f, 16, 16, true}, Case{2.0f, 20, 36, false},
+                       Case{4.0f, 16, 16, true}, Case{4.0f, 20, 36, true}}) {
+    for (const bool flash : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "ratio " << c.ratio << (flash ? " flash " : " naive ")
+                   << c.h << "x" << c.w);
+      model::ModelConfig config = graph_reslim_config();
+      config.compression_ratio = c.ratio;
+      config.use_flash_attention = flash;
+      Rng rng(7);
+      model::ReslimModel model(config, rng);
+      const std::vector<Tensor> inputs = partition_probe_inputs(3, c.h, c.w);
+
+      // One representative input per distinct leaf count, fewest first.
+      std::map<std::int64_t, std::size_t> by_leaves;
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        by_leaves.emplace(leaf_count(model, inputs[i]), i);
+      }
+      ASSERT_GE(by_leaves.size(), 3u);
+      if (c.single_leaf) {
+        ASSERT_EQ(by_leaves.begin()->first, 1);
+      }
+      // B runs: the next two leaf counts above A's and the largest.
+      std::vector<std::size_t> reps;
+      for (const auto& [leaves, index] : by_leaves) reps.push_back(index);
+      const std::size_t a = reps.front();
+      std::vector<std::size_t> order;
+      for (const std::size_t b : {reps[1], reps[2], reps.back()}) {
+        if (order.empty() || b != order.back()) {
+          order.insert(order.end(), {b, a, b});
+        }
+      }
+
+      const auto compiled = model.compiled_for(inputs[a]);
+      Executor executor(compiled->plan());
+      for (std::size_t threads :
+           {std::size_t{1}, std::size_t{3}, std::size_t{4}}) {
+        kernels::set_max_threads(threads);
+        autograd::InferenceModeScope no_tape;
+        for (const std::size_t i : order) {
+          const Tensor eager = model.forward(inputs[i]).value();
+          expect_bitwise(executor.run(inputs[i]), eager, "executor");
+          expect_bitwise(model.predict_field(inputs[i]), eager,
+                         "predict_field");
+        }
+      }
+      kernels::set_max_threads(0);
+    }
+  }
 }
 
 TEST(Equivalence, ViTAcrossThreadCounts) {

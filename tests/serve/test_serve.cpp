@@ -7,11 +7,13 @@
 //   * FIFO within a compatibility class, full-batch-first across classes;
 //   * bounded-queue admission rejects explicitly; expired deadlines shed
 //     explicitly at batch assembly;
-//   * shapes that fail graph capture fall back to eager *inside* the
-//     batcher (regression: adaptive-compression models serve correctly);
+//   * adaptive-compression models serve from one compiled plan per shape,
+//     bitwise equal to eager for same-shape inputs whose quad-tree
+//     partitions differ, with no eager fallback batch;
 //   * stop() drains or rejects per configuration;
 //   * a request the model throws on ends kFailed and the service keeps
-//     serving, in manual and threaded mode.
+//     serving, in manual and threaded mode; so do degenerate grids (empty,
+//     rank-2, all-NaN) sent to a compressed model.
 
 #include <gtest/gtest.h>
 
@@ -19,11 +21,13 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "autograd/variable.hpp"
+#include "core/error.hpp"
 #include "core/kernels.hpp"
 #include "core/obs.hpp"
 #include "model/reslim.hpp"
@@ -333,28 +337,40 @@ TEST(ServeAdmission, ZeroDeadlineNeverSheds) {
   EXPECT_EQ(request.status(), RequestStatus::kOk);
 }
 
-// ---- Capture fallback --------------------------------------------------------
+// ---- Adaptive compression ---------------------------------------------------
 
-TEST(ServeFallback, AdaptiveCompressionServesEagerInsideBatcher) {
-  // compression_ratio > 1 makes the op sequence data-dependent, so
-  // compiled_for() reports no plan; the batcher must fall back to eager for
-  // the whole batch and still return correct results.
+TEST(ServeCompression, AdaptiveCompressionServesFromPlanInsideBatcher) {
+  // compression_ratio > 1 compiles like any config: the quad-tree partition
+  // is a runtime value of the plan, so one batch of same-shape inputs with
+  // different partitions replays one plan and matches eager bit for bit.
   model::ModelConfig config = serving_config(model::Architecture::kReslim);
   config.compression_ratio = 2.0f;
   const auto model = make_model(config, 9);
-  ASSERT_EQ(model->compiled_for(make_input(3, 12, 20, 0)), nullptr);
+  const auto& reslim = dynamic_cast<const model::ReslimModel&>(*model);
 
-  const Tensor input = make_input(3, 12, 20, 0);
-  const Tensor expected = eager_reference(*model, input);
+  std::vector<Tensor> inputs;
+  std::vector<std::int64_t> leaf_counts;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    inputs.push_back(Tensor::uniform(Shape{3, 16, 16}, rng, -1.0f, 1.0f));
+    autograd::InferenceModeScope no_tape;
+    model::ForwardStats stats;
+    (void)reslim.forward(inputs.back(), &stats);
+    leaf_counts.push_back(stats.tokens_after_compression);
+  }
+  ASSERT_TRUE(leaf_counts[0] != leaf_counts[1] ||
+              leaf_counts[1] != leaf_counts[2])
+      << "the batch should mix partitions";
+  ASSERT_NE(model->compiled_for(inputs[0]), nullptr);
 
   kernels::set_max_threads(2);
   ServiceConfig sc;
   sc.manual = true;
   sc.max_batch = 3;
   SimClock clock;
-  Service service(sc, &clock);
   std::deque<Request> requests;
-  for (int i = 0; i < 3; ++i) {
+  Service service(sc, &clock);
+  for (const Tensor& input : inputs) {
     requests.emplace_back();
     requests.back().model = model.get();
     requests.back().input = input;
@@ -363,31 +379,40 @@ TEST(ServeFallback, AdaptiveCompressionServesEagerInsideBatcher) {
   service.flush();
   kernels::set_max_threads(0);
 
-  for (const Request& request : requests) {
-    ASSERT_EQ(request.status(), RequestStatus::kOk);
-    EXPECT_TRUE(request.served_eager);
-    EXPECT_TRUE(bitwise_equal(request.output, expected));
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_EQ(requests[i].status(), RequestStatus::kOk);
+    EXPECT_EQ(requests[i].batch_size, 3);
+    EXPECT_TRUE(bitwise_equal(requests[i].output,
+                              eager_reference(*model, inputs[i])))
+        << "request " << i;
   }
-  EXPECT_EQ(service.stats().eager_fallback_batches, 1);
+  EXPECT_EQ(service.stats().batches, 1);
+  EXPECT_EQ(service.stats().eager_fallback_batches, 0);
 }
 
 // ---- Warmup / shutdown --------------------------------------------------------
 
-TEST(ServeLifecycle, WarmPoolsExecutorsAndReportsFallback) {
-  const auto model = make_model(serving_config(model::Architecture::kReslim),
-                                10);
+TEST(ServeLifecycle, WarmPoolsExecutorsForEveryConfig) {
   ServiceConfig sc;
   sc.manual = true;
   SimClock clock;
   Service service(sc, &clock);
   const Tensor example = make_input(3, 10, 14, 0);
-  EXPECT_TRUE(service.warm(*model, example, 4));
+
+  const auto model = make_model(serving_config(model::Architecture::kReslim),
+                                10);
+  service.warm(*model, example, 4);
   EXPECT_GE(model->compiled_for(example)->pooled_executors(), 4u);
 
   model::ModelConfig compressed = serving_config(model::Architecture::kReslim);
   compressed.compression_ratio = 2.0f;
-  const auto eager_only = make_model(compressed, 11);
-  EXPECT_FALSE(service.warm(*eager_only, example, 4));
+  const auto compressed_model = make_model(compressed, 11);
+  service.warm(*compressed_model, example, 4);
+  EXPECT_GE(compressed_model->compiled_for(example)->pooled_executors(), 4u);
+
+  // A shape the model cannot compile throws instead of warming nothing.
+  EXPECT_THROW(service.warm(*compressed_model, make_input(5, 10, 14, 0), 4),
+               Error);
 }
 
 TEST(ServeLifecycle, StopDrainsStagedWork) {
@@ -496,13 +521,56 @@ TEST(ServeFailure, ThrowingRequestsFailInManualMode) {
   run_failure_mix_manual(*model);
 }
 
-TEST(ServeFailure, ThrowingEagerRequestsFailInManualMode) {
-  // Eager path: compression has no plan, so each bad request throws inside
-  // the sample loop instead.
+TEST(ServeFailure, ThrowingCompressedRequestsFailInManualMode) {
+  // Compressed Reslim compiles like any config, so its bad shapes fail at
+  // plan resolution too.
   model::ModelConfig compressed = serving_config(model::Architecture::kReslim);
   compressed.compression_ratio = 2.0f;
   const auto model = make_model(compressed, 17);
   run_failure_mix_manual(*model);
+
+  // Degenerate grids: empty and rank-2 (the forward rejects both) and
+  // all-NaN, which may run or throw, but must end in one terminal status.
+  Request degenerate[3];
+  degenerate[0].input = Tensor(Shape{3, 0, 0});
+  degenerate[1].input = make_input(3, 10, 14, 0).reshape(Shape{3, 140});
+  degenerate[2].input =
+      Tensor::full(Shape{3, 10, 14}, std::numeric_limits<float>::quiet_NaN());
+  Request after;
+  after.model = model.get();
+  after.input = make_input(3, 10, 14, 3);
+  ServiceConfig sc;
+  sc.manual = true;
+  SimClock clock;
+  Service service(sc, &clock);  // after the requests, which it points to
+  for (Request& request : degenerate) {
+    request.model = model.get();
+    ASSERT_TRUE(service.submit(&request));
+  }
+  service.flush();
+  EXPECT_EQ(degenerate[0].status(), RequestStatus::kFailed);
+  EXPECT_EQ(degenerate[1].status(), RequestStatus::kFailed);
+  const RequestStatus nan_status = degenerate[2].status();
+  EXPECT_TRUE(nan_status == RequestStatus::kOk ||
+              nan_status == RequestStatus::kFailed);
+  if (nan_status == RequestStatus::kOk) {
+    EXPECT_TRUE(bitwise_equal(degenerate[2].output,
+                              eager_reference(*model, degenerate[2].input)));
+  }
+
+  // The service keeps serving, from the plan.
+  ASSERT_TRUE(service.submit(&after));
+  service.flush();
+  ASSERT_EQ(after.status(), RequestStatus::kOk);
+  EXPECT_TRUE(
+      bitwise_equal(after.output, eager_reference(*model, after.input)));
+
+  // Each request was counted under exactly one terminal status.
+  const Service::Stats stats = service.stats();
+  EXPECT_EQ(stats.submitted, 4);
+  EXPECT_EQ(stats.completed + stats.failed, 4);
+  EXPECT_EQ(stats.shed + stats.rejected, 0);
+  EXPECT_EQ(stats.eager_fallback_batches, 0);
 }
 
 TEST(ServeFailure, ThrowingRequestsFailInThreadedMode) {

@@ -59,7 +59,7 @@ TEST(ServeAlloc, SteadyStateRequestIsAllocationFree) {
       request.model = &model;
       request.input = make_input(3, 12, 20);
     }
-    ASSERT_TRUE(service.warm(model, requests.front().input, 1));
+    service.warm(model, requests.front().input, 1);
 
     // One full batch per cycle. Two warm-up cycles: the first compiles
     // nothing new (warm() did) but sizes each request's output, grows the
