@@ -1,5 +1,5 @@
 // Data-pipeline benchmarks: sample-build and epoch-level timings for the
-// synthetic dataset, plus an obs-traced 2-step TilesTrainer run whose
+// synthetic dataset, plus an obs-traced 2-step TILES Trainer run whose
 // train/data phase totals quantify input-pipeline cost against the model
 // phases. Emits a JSON array on stdout so EXPERIMENTS.md and CI can diff
 // runs mechanically (same contract as bench_kernels).
@@ -24,7 +24,7 @@
 #include "core/obs.hpp"
 #include "data/dataset.hpp"
 #include "model/reslim.hpp"
-#include "train/tiles_trainer.hpp"
+#include "train/trainer.hpp"
 
 namespace {
 
@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
     orbit2::kernels::set_max_threads(0);
   }
 
-  // --- Obs-traced 2-step TilesTrainer run (fixed region): per-phase span
+  // --- Obs-traced 2-step TILES Trainer run (fixed region): per-phase span
   // totals expose how much of the step the data pipeline consumes. The
   // scenario is the paper's regional fine-tuning task (one fixed terrain,
   // precipitation downscaled from its coarse analogue), where terrain
@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
                              "train/optimizer"};
     double prior[4] = {0.0, 0.0, 0.0, 0.0};
     for (const char* variant : {"cold", "steady"}) {
-      orbit2::train::TilesTrainer trainer(
+      orbit2::train::Trainer trainer(
           [mconfig] {
             Rng rng(4);
             return std::make_unique<orbit2::model::ReslimModel>(mconfig, rng);

@@ -11,7 +11,7 @@
 // This walks the same API surface a real application uses:
 //   data::SyntheticDataset  -> paired LR->HR samples
 //   model::ReslimModel      -> the paper's architecture
-//   train::Trainer          -> Bayesian-loss training loop
+//   train::Trainer          -> Bayesian-loss training loop (one TILES tile)
 //   train::evaluate_model   -> Table-IV style metrics
 
 #include <cstdio>

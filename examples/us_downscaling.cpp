@@ -14,7 +14,6 @@
 #include "model/reslim.hpp"
 #include "train/checkpoint.hpp"
 #include "train/evaluate.hpp"
-#include "train/tiles_trainer.hpp"
 #include "train/trainer.hpp"
 
 namespace {
@@ -83,7 +82,7 @@ int main() {
   tune_config.epochs = 1;
   tune_config.batch_size = 2;
   tune_config.lr = 1e-3f;
-  train::TilesTrainer tiles_trainer(
+  train::Trainer tiles_trainer(
       [] {
         Rng replica_rng(3);
         auto replica =

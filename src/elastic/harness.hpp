@@ -35,7 +35,7 @@ class KillSwitch {
   explicit KillSwitch(std::int64_t kill_at_step)
       : kill_at_step_(kill_at_step) {}
 
-  /// StepHook adapter for Trainer/TilesTrainer::set_step_hook.
+  /// StepHook adapter for Trainer::set_step_hook.
   train::StepHook hook();
 
   bool fired() const { return fired_; }

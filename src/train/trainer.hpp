@@ -1,18 +1,26 @@
 #pragma once
-// Training loop: per-sample forward/backward with gradient accumulation,
-// optional BF16 mixed precision with dynamic loss scaling (paper §III-D),
-// cosine LR schedule, gradient clipping, and the Bayesian objective.
-// A TILES-mode trainer drives per-tile replicas and the once-per-batch
-// gradient all-reduce.
+// Training loop (paper §III-B, §III-D): TILES replicas with one gradient
+// all-reduce per optimizer step, optional BF16 mixed precision with dynamic
+// loss scaling, cosine LR schedule, gradient clipping, and the Bayesian
+// objective. Single-model training is the one-tile case.
 //
-// Both trainers are resumable: `fit` can be interrupted at any optimizer
-// step and continued from the last checkpoint with a bit-identical loss
+// Each tile is owned by a model replica on its own virtual GPU (pool
+// worker). Every replica downscales its halo-padded tile of each sample and
+// computes the loss on the corresponding target tile; gradients are
+// all-reduced (averaged) once per batch — the paper's single low-frequency
+// collective — and every replica applies the identical optimizer step, so
+// replicas never diverge (an invariant the tests assert).
+//
+// The trainer is resumable: `fit` can be interrupted at any optimizer step
+// and continued from the last checkpoint with a bit-identical loss
 // trajectory versus an uninterrupted run. Checkpoints (v2 full state:
 // parameters, AdamW moments, GradScaler, schedule step, epoch/sample
-// cursor, data-order RNG) are taken at optimizer-step boundaries; resume
+// cursor, data-order RNG) are taken at optimizer-step boundaries; replica 0
+// stands in for all replicas, which the sync invariant makes exact. Resume
 // reconstructs the epoch's sample order from the saved RNG/cursor and
 // replays from the boundary.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -23,7 +31,7 @@
 #include "autograd/optim.hpp"
 #include "data/dataset.hpp"
 #include "model/downscaler.hpp"
-#include "model/loss.hpp"
+#include "tiles/tiles.hpp"
 #include "train/checkpoint.hpp"
 
 namespace orbit2::train {
@@ -39,7 +47,8 @@ struct TrainerConfig {
   /// Bayesian prior weight (0 = plain weighted MSE).
   float tv_weight = 0.005f;
   /// Emulated BF16 mixed precision: parameters are rounded to bf16 storage
-  /// before each forward and the dynamic GradScaler guards each step.
+  /// before each step's forward passes and the dynamic GradScaler guards
+  /// each step.
   bool mixed_precision = false;
   /// Use the latitude-weighted Bayesian loss (Reslim) vs plain MSE.
   bool bayesian_loss = true;
@@ -69,12 +78,22 @@ struct EpochStats {
 using StepHook =
     std::function<void(std::int64_t global_step, double batch_loss)>;
 
-/// Single-replica trainer.
+/// Builds one model replica; called once per tile with identical seeds so
+/// replicas start in sync.
+using ReplicaFactory = std::function<std::unique_ptr<model::Downscaler>()>;
+
 class Trainer {
  public:
+  /// TILES: one replica per tile of `tile_spec`, built by `factory` after
+  /// the spec is validated, then synced to replica 0's parameters.
+  Trainer(ReplicaFactory factory, TileSpec tile_spec, TrainerConfig config);
+
+  /// One tile (`TileSpec{1, 1, 0}`) on the caller's `model`, which is
+  /// trained in place and must outlive the trainer.
   Trainer(model::Downscaler& model, TrainerConfig config);
 
-  /// Runs one epoch over `indices` of `dataset`; returns loss/time stats.
+  /// Runs one epoch over `indices` of `dataset`; loss is the tile-mean of
+  /// replica losses.
   EpochStats train_epoch(const data::SyntheticDataset& dataset,
                          const std::vector<std::int64_t>& indices);
 
@@ -89,25 +108,45 @@ class Trainer {
   double validation_loss(const data::SyntheticDataset& dataset,
                          const std::vector<std::int64_t>& indices);
 
-  /// Writes a full-state v2 checkpoint (parameters, moments, scaler, step,
-  /// epoch/sample cursor, data-order RNG) atomically to `path`.
+  /// Writes a full-state v2 checkpoint of replica 0 (parameters, moments,
+  /// scaler, step, epoch/sample cursor, data-order RNG) atomically to
+  /// `path`.
   void save_state(const std::string& path) const;
 
-  /// Restores a full-state checkpoint; the next `fit` resumes bit-identically
-  /// from the saved optimizer-step boundary.
+  /// Restores a full-state checkpoint into every replica (load into replica
+  /// 0, broadcast parameters, copy optimizer state); the next `fit` resumes
+  /// bit-identically from the saved optimizer-step boundary.
   void load_state(const std::string& path);
 
   /// Observes optimizer-step boundaries (testing/logging).
   void set_step_hook(StepHook hook) { step_hook_ = std::move(hook); }
 
-  autograd::AdamW& optimizer() { return optimizer_; }
+  /// Tiled inference: each replica downscales its tile, cores are stitched.
+  Tensor predict(const Tensor& input) const;
+
+  /// Max |param difference| across replicas (0 when in sync).
+  float replica_divergence() const;
+
+  std::size_t replica_count() const { return replicas_.size(); }
+  model::Downscaler& replica(std::size_t i) { return *replicas_[i]; }
+  /// Replica i's AdamW (all replicas hold identical state in sync runs;
+  /// elastic tests compare moments across layouts through this).
+  const autograd::AdamW& optimizer(std::size_t i) const {
+    return *optimizers_[i];
+  }
   std::int64_t global_step() const { return global_step_; }
   std::int64_t epoch() const { return epoch_; }
   std::int64_t sample_cursor() const { return cursor_; }
 
  private:
-  autograd::Var compute_loss(const autograd::Var& prediction,
-                             const Tensor& target) const;
+  /// Validates the spec and config; the public constructors then attach
+  /// their replicas.
+  Trainer(TileSpec tile_spec, TrainerConfig config);
+  void attach_replicas(std::vector<model::Downscaler*> replicas);
+  /// Replica `tile`'s forward pass and loss on its tile of `sample`.
+  autograd::Var tile_loss(std::size_t tile, const data::Sample& sample,
+                          std::int64_t upscale) const;
+  void zero_grads();
   /// Seed stream that generates epoch `epoch`'s shuffle order.
   Rng order_rng_for_epoch(std::int64_t epoch) const;
   std::vector<std::int64_t> epoch_order(
@@ -119,13 +158,15 @@ class Trainer {
                          std::int64_t start, CheckpointManager* manager);
   TrainState snapshot_state() const;
 
-  model::Downscaler& model_;
+  TileSpec tile_spec_;
   TrainerConfig config_;
-  std::vector<autograd::ParamPtr> params_;
-  autograd::AdamW optimizer_;
+  /// Replicas built by the factory; empty when the model is borrowed.
+  std::vector<std::unique_ptr<model::Downscaler>> owned_;
+  std::vector<model::Downscaler*> replicas_;
+  std::vector<std::vector<autograd::ParamPtr>> replica_params_;
+  std::vector<std::unique_ptr<autograd::AdamW>> optimizers_;
   autograd::CosineSchedule schedule_;
   autograd::GradScaler scaler_;
-  Tensor latitude_weights_;  // built lazily per target height
   std::int64_t global_step_ = 0;
   std::int64_t epoch_ = 0;
   std::int64_t cursor_ = 0;  // samples consumed in the current epoch

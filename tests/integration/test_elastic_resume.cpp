@@ -19,7 +19,6 @@
 #include "elastic/harness.hpp"
 #include "elastic/reshard.hpp"
 #include "model/reslim.hpp"
-#include "train/tiles_trainer.hpp"
 #include "train/trainer.hpp"
 
 namespace orbit2::elastic {
@@ -162,8 +161,8 @@ void run_trainer_scenario(std::int64_t from_workers, std::int64_t to_workers,
   for (std::size_t i = 0; i < expect.size(); ++i) {
     expect_bitwise_equal(expect[i]->value, got[i]->value, expect[i]->name);
   }
-  expect_same_optimizer(ref_trainer.optimizer(),
-                        resumed_trainer->optimizer());
+  expect_same_optimizer(ref_trainer.optimizer(0),
+                        resumed_trainer->optimizer(0));
 
   std::filesystem::remove_all(dir);
   std::filesystem::remove_all(dir + "_ref");
@@ -196,7 +195,7 @@ TEST(ElasticResume, TilesTrainerKillShrinkResumeBitIdentical) {
   kernels::set_max_threads(2);
   std::map<std::int64_t, double> reference;
   auto ref_config = elastic_trainer_config(dir + "_ref");
-  train::TilesTrainer ref_trainer(factory, tiles, ref_config);
+  train::Trainer ref_trainer(factory, tiles, ref_config);
   ref_trainer.set_step_hook(
       [&](std::int64_t step, double loss) { reference[step] = loss; });
   ref_trainer.fit(dataset, indices);
@@ -211,17 +210,17 @@ TEST(ElasticResume, TilesTrainerKillShrinkResumeBitIdentical) {
   scenario.resume_path =
       (std::filesystem::path(dir) / "resharded.o2ck").string();
 
-  std::unique_ptr<train::TilesTrainer> resumed_trainer;
+  std::unique_ptr<train::Trainer> resumed_trainer;
   const ElasticOutcome outcome = run_kill_reshard_resume(
       scenario,
       [&](train::StepHook hook) {
-        train::TilesTrainer trainer(factory, tiles,
-                                    elastic_trainer_config(dir));
+        train::Trainer trainer(factory, tiles,
+                               elastic_trainer_config(dir));
         trainer.set_step_hook(std::move(hook));
         trainer.fit(dataset, indices);
       },
       [&](const std::string& resume_path, train::StepHook hook) {
-        resumed_trainer = std::make_unique<train::TilesTrainer>(
+        resumed_trainer = std::make_unique<train::Trainer>(
             factory, tiles, elastic_trainer_config(dir));
         resumed_trainer->load_state(resume_path);
         EXPECT_EQ(resumed_trainer->global_step(), scenario.kill_at_step);

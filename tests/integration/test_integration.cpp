@@ -13,7 +13,6 @@
 #include "tiles/tiles.hpp"
 #include "train/checkpoint.hpp"
 #include "train/evaluate.hpp"
-#include "train/tiles_trainer.hpp"
 #include "train/trainer.hpp"
 
 namespace orbit2 {
@@ -233,7 +232,7 @@ TEST(TilesWithCompression, QuadtreeInsideTiledTrainingStaysInSync) {
   train::TrainerConfig tconf;
   tconf.epochs = 1;
   tconf.batch_size = 2;
-  train::TilesTrainer trainer(
+  train::Trainer trainer(
       [] {
         Rng rng(14);
         return std::make_unique<model::ReslimModel>(mini_model(4.0f), rng);

@@ -1,5 +1,5 @@
 // Integration tests for observability in the training loop: a short
-// TilesTrainer run must produce the expected phase spans
+// 2x2-tile Trainer run must produce the expected phase spans
 // (data/forward/backward/optimizer/checkpoint), and after a kill -> resume
 // the resumed trace's first optimizer span must carry the restored global
 // step — proving traces stitch correctly across restarts.
@@ -15,7 +15,7 @@
 
 #include "core/obs.hpp"
 #include "model/reslim.hpp"
-#include "train/tiles_trainer.hpp"
+#include "train/trainer.hpp"
 
 namespace orbit2::train {
 namespace {
@@ -44,7 +44,7 @@ model::ModelConfig obs_model_config() {
   return config;
 }
 
-TilesTrainer make_trainer(const std::string& checkpoint_dir) {
+Trainer make_trainer(const std::string& checkpoint_dir) {
   TrainerConfig config;
   config.epochs = 1;
   config.batch_size = 2;
@@ -57,7 +57,7 @@ TilesTrainer make_trainer(const std::string& checkpoint_dir) {
   tiles.cols = 2;
   tiles.halo = 2;
   const model::ModelConfig mconfig = obs_model_config();
-  return TilesTrainer(
+  return Trainer(
       [mconfig] {
         Rng rng(4);
         return std::make_unique<model::ReslimModel>(mconfig, rng);
@@ -107,7 +107,7 @@ TEST_F(ObsTrainerTest, TwoStepRunProducesPhaseSpans) {
       (std::filesystem::temp_directory_path() / "orbit2_obs_trainer").string();
   std::filesystem::remove_all(dir);
 
-  TilesTrainer trainer = make_trainer(dir);
+  Trainer trainer = make_trainer(dir);
   // 4 samples / batch 2 -> exactly 2 optimizer steps in the single epoch.
   trainer.fit(dataset, {0, 1, 2, 3});
   obs::set_enabled(false);
@@ -153,7 +153,7 @@ TEST_F(ObsTrainerTest, ResumedTraceStartsAtRestoredGlobalStep) {
   // (its checkpoint is already on disk).
   const std::int64_t kill_at = 1;
   {
-    TilesTrainer trainer = make_trainer(dir);
+    Trainer trainer = make_trainer(dir);
     trainer.set_step_hook([&](std::int64_t step, double) {
       if (step >= kill_at) throw SimulatedKill();
     });
@@ -168,7 +168,7 @@ TEST_F(ObsTrainerTest, ResumedTraceStartsAtRestoredGlobalStep) {
   obs::reset();
   obs::set_enabled(true);
 
-  TilesTrainer resumed = make_trainer(dir);
+  Trainer resumed = make_trainer(dir);
   resumed.load_state(
       (std::filesystem::path(dir) / "latest.o2ck").string());
   EXPECT_EQ(resumed.global_step(), kill_at);

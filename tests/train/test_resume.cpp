@@ -10,13 +10,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/crc32.hpp"
 #include "core/kernels.hpp"
 #include "model/reslim.hpp"
-#include "train/tiles_trainer.hpp"
+#include "train/checkpoint.hpp"
 #include "train/trainer.hpp"
 
 namespace orbit2::train {
@@ -131,51 +133,95 @@ TEST(Resume, TrainerKilledMidRunContinuesBitIdentically) {
   std::filesystem::remove_all(dir + "_ref");
 }
 
+std::uint32_t replica0_crc(Trainer& trainer) {
+  Crc32 crc;
+  for (const autograd::ParamPtr& p : trainer.replica(0).parameters()) {
+    crc.update(p->value.data().data(), p->value.data().size() * sizeof(float));
+  }
+  return crc.value();
+}
+
 TEST(Resume, TrainerMixedPrecisionScalerSurvivesResume) {
+  // One model, then 2x2 TILES: the GradScaler state rides the checkpoint,
+  // so a kill->resume AMP run matches the uninterrupted one bit for bit.
   const data::SyntheticDataset dataset(resume_dataset_config());
   const auto indices = range_indices(4);
   const std::string dir =
       (std::filesystem::temp_directory_path() / "orbit2_resume_amp").string();
-  std::filesystem::remove_all(dir);
 
-  auto config = resume_trainer_config(dir);
-  config.mixed_precision = true;
+  for (const bool tiled : {false, true}) {
+    SCOPED_TRACE(tiled ? "2x2 tiles" : "one model");
+    std::filesystem::remove_all(dir);
+    // One-model trainers borrow their model from here.
+    std::vector<std::unique_ptr<model::ReslimModel>> models;
+    const auto make_trainer = [&](std::uint64_t seed,
+                                  const TrainerConfig& config) {
+      const auto factory = [seed] {
+        Rng rng(seed);
+        return std::make_unique<model::ReslimModel>(resume_model_config(),
+                                                    rng);
+      };
+      if (tiled) {
+        return std::make_unique<Trainer>(factory, TileSpec{2, 2, 2}, config);
+      }
+      models.push_back(factory());
+      return std::make_unique<Trainer>(*models.back(), config);
+    };
 
-  Trajectory reference;
-  Rng ref_rng(5);
-  model::ReslimModel ref_model(resume_model_config(), ref_rng);
-  auto ref_config = config;
-  ref_config.checkpoint_dir = dir + "_ref";
-  Trainer ref_trainer(ref_model, ref_config);
-  ref_trainer.set_step_hook(
-      [&](std::int64_t step, double loss) { reference[step] = loss; });
-  ref_trainer.fit(dataset, indices);
+    auto config = resume_trainer_config(dir);
+    config.mixed_precision = true;
 
-  Trajectory interrupted;
-  Rng kill_rng(5);
-  model::ReslimModel kill_model(resume_model_config(), kill_rng);
-  Trainer kill_trainer(kill_model, config);
-  kill_trainer.set_step_hook([&](std::int64_t step, double loss) {
-    interrupted[step] = loss;
-    if (step >= 1) throw SimulatedKill();
-  });
-  EXPECT_THROW(kill_trainer.fit(dataset, indices), SimulatedKill);
+    Trajectory reference;
+    auto ref_config = config;
+    ref_config.checkpoint_dir = dir + "_ref";
+    const auto ref_trainer = make_trainer(5, ref_config);
+    ref_trainer->set_step_hook(
+        [&](std::int64_t step, double loss) { reference[step] = loss; });
+    ref_trainer->fit(dataset, indices);
+    EXPECT_EQ(ref_trainer->replica_divergence(), 0.0f);
 
-  Rng resume_rng(888);
-  model::ReslimModel resume_model(resume_model_config(), resume_rng);
-  Trainer resume_trainer(resume_model, config);
-  resume_trainer.load_state(
-      (std::filesystem::path(dir) / "latest.o2ck").string());
-  resume_trainer.set_step_hook(
-      [&](std::int64_t step, double loss) { interrupted[step] = loss; });
-  resume_trainer.fit(dataset, indices);
+    // AMP really runs: the fp32 run from the same init ends elsewhere.
+    auto fp32_config = ref_config;
+    fp32_config.mixed_precision = false;
+    fp32_config.checkpoint_dir = dir + "_fp32";
+    const auto fp32_trainer = make_trainer(5, fp32_config);
+    fp32_trainer->fit(dataset, indices);
+    EXPECT_NE(replica0_crc(*fp32_trainer), replica0_crc(*ref_trainer));
 
-  ASSERT_EQ(interrupted.size(), reference.size());
-  for (const auto& [step, loss] : reference) {
-    EXPECT_EQ(interrupted.at(step), loss) << "loss diverged at step " << step;
+    Trajectory interrupted;
+    const auto kill_trainer = make_trainer(5, config);
+    kill_trainer->set_step_hook([&](std::int64_t step, double loss) {
+      interrupted[step] = loss;
+      if (step >= 1) throw SimulatedKill();
+    });
+    EXPECT_THROW(kill_trainer->fit(dataset, indices), SimulatedKill);
+
+    const auto resume_trainer = make_trainer(888, config);
+    resume_trainer->load_state(
+        (std::filesystem::path(dir) / "latest.o2ck").string());
+    resume_trainer->set_step_hook(
+        [&](std::int64_t step, double loss) { interrupted[step] = loss; });
+    resume_trainer->fit(dataset, indices);
+
+    ASSERT_EQ(interrupted.size(), reference.size());
+    for (const auto& [step, loss] : reference) {
+      EXPECT_EQ(interrupted.at(step), loss) << "loss diverged at step " << step;
+    }
+    EXPECT_EQ(resume_trainer->replica_divergence(), 0.0f);
+    EXPECT_EQ(replica0_crc(*resume_trainer), replica0_crc(*ref_trainer));
+    // The scaler rides the checkpoint: the resumed run ends on the
+    // reference's good-step count, which a fresh scaler would miss.
+    const auto final_state = [](const std::string& d) {
+      return peek_checkpoint((std::filesystem::path(d) / "latest.o2ck").string())
+          .state;
+    };
+    EXPECT_GT(final_state(dir).scaler_scale, 0.0f);
+    EXPECT_EQ(final_state(dir).scaler_good_steps,
+              final_state(dir + "_ref").scaler_good_steps);
+    std::filesystem::remove_all(dir);
+    std::filesystem::remove_all(dir + "_ref");
+    std::filesystem::remove_all(dir + "_fp32");
   }
-  std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(dir + "_ref");
 }
 
 TEST(Resume, TilesTrainerKilledMidRunContinuesBitIdentically) {
@@ -195,21 +241,21 @@ TEST(Resume, TilesTrainerKilledMidRunContinuesBitIdentically) {
   Trajectory reference;
   auto ref_config = config;
   ref_config.checkpoint_dir = dir + "_ref";
-  TilesTrainer ref_trainer(factory, TileSpec{2, 2, 2}, ref_config);
+  Trainer ref_trainer(factory, TileSpec{2, 2, 2}, ref_config);
   ref_trainer.set_step_hook(
       [&](std::int64_t step, double loss) { reference[step] = loss; });
   ref_trainer.fit(dataset, indices);
   ASSERT_GE(reference.size(), 3u);
 
   Trajectory interrupted;
-  TilesTrainer kill_trainer(factory, TileSpec{2, 2, 2}, config);
+  Trainer kill_trainer(factory, TileSpec{2, 2, 2}, config);
   kill_trainer.set_step_hook([&](std::int64_t step, double loss) {
     interrupted[step] = loss;
     if (step >= 1) throw SimulatedKill();
   });
   EXPECT_THROW(kill_trainer.fit(dataset, indices), SimulatedKill);
 
-  TilesTrainer resume_trainer(factory, TileSpec{2, 2, 2}, config);
+  Trainer resume_trainer(factory, TileSpec{2, 2, 2}, config);
   resume_trainer.load_state(
       (std::filesystem::path(dir) / "latest.o2ck").string());
   EXPECT_EQ(resume_trainer.global_step(), 1);

@@ -14,7 +14,6 @@
 #include "model/reslim.hpp"
 #include "train/checkpoint.hpp"
 #include "train/evaluate.hpp"
-#include "train/tiles_trainer.hpp"
 #include "train/trainer.hpp"
 
 namespace orbit2::train {
@@ -178,7 +177,7 @@ TEST(TilesTrainer, ReplicasStayInSync) {
   config.epochs = 1;
   config.batch_size = 2;
   config.lr = 1e-3f;
-  TilesTrainer trainer(
+  Trainer trainer(
       [] {
         Rng rng(9);  // same seed per replica
         return std::make_unique<model::ReslimModel>(small_model_config(), rng);
@@ -197,7 +196,7 @@ TEST(TilesTrainer, TrainingReducesLoss) {
   config.epochs = 1;
   config.batch_size = 2;
   config.lr = 2e-3f;
-  TilesTrainer trainer(
+  Trainer trainer(
       [] {
         Rng rng(10);
         return std::make_unique<model::ReslimModel>(small_model_config(), rng);
@@ -215,7 +214,7 @@ TEST(TilesTrainer, PredictionHasFullShapeAndNoSeamsOnSmoothModel) {
   TrainerConfig config;
   config.epochs = 1;
   config.batch_size = 2;
-  TilesTrainer trainer(
+  Trainer trainer(
       [] {
         Rng rng(11);
         return std::make_unique<model::ReslimModel>(small_model_config(), rng);
@@ -229,49 +228,94 @@ TEST(TilesTrainer, PredictionHasFullShapeAndNoSeamsOnSmoothModel) {
 
 TEST(TilesTrainer, PartialBatchEpochBitsPinnedAtEveryThreadCount) {
   // 7 samples at batch 3: two full steps, then a trailing 1-sample step.
-  // The pins were taken from the trainer that built and trained one sample
-  // at a time. A change to batch assembly, to the per-replica gradient
-  // accumulation order or to the tile-order loss reduction moves them.
-  constexpr std::uint64_t kFinalLossBits = 0x40046caf28000000ull;
-  constexpr std::uint64_t kMeanLossBits = 0x4003431c45b6db6eull;
-  constexpr std::uint32_t kParamCrc = 0xaa717f50u;
+  // The 2x2 pins were taken from the trainer that built and trained one
+  // sample at a time; the one-model pins from the single-replica trainer
+  // that preceded the one-tile case. A change to batch assembly, to the
+  // per-replica gradient accumulation order, to the tile-order loss
+  // reduction or to the AMP step moves them.
+  struct Case {
+    const char* name;
+    bool one_model;
+    bool mixed_precision;
+    std::uint64_t final_loss_bits;
+    std::uint64_t mean_loss_bits;
+    std::uint32_t param_crc;
+  };
+  const Case cases[] = {
+      {"2x2 tiles", false, false, 0x40046caf28000000ull,
+       0x4003431c45b6db6eull, 0xaa717f50u},
+      {"one model", true, false, 0x4004d36480000000ull,
+       0x4003996ac0000000ull, 0x828c9f77u},
+      {"one model amp", true, true, 0x40051f9780000000ull,
+       0x4003b00492492492ull, 0x7716af9cu},
+  };
+  const auto factory = [] {
+    Rng rng(12);
+    return std::make_unique<model::ReslimModel>(small_model_config(), rng);
+  };
   data::SyntheticDataset dataset(small_dataset_config());
   for (const std::size_t threads : {1u, 4u}) {
     kernels::set_max_threads(threads);
-    TrainerConfig config;
-    config.epochs = 1;
-    config.batch_size = 3;
-    config.lr = 1e-3f;
-    TilesTrainer trainer(
-        [] {
-          Rng rng(12);
-          return std::make_unique<model::ReslimModel>(small_model_config(),
-                                                      rng);
-        },
-        TileSpec{2, 2, 2}, config);
-    std::vector<double> step_losses;
-    trainer.set_step_hook(
-        [&](std::int64_t, double loss) { step_losses.push_back(loss); });
-    const EpochStats stats = trainer.train_epoch(dataset, range_indices(7));
-    ASSERT_EQ(step_losses.size(), 3u) << "threads=" << threads;
-    EXPECT_EQ(stats.samples, 7);
-    EXPECT_EQ(trainer.global_step(), 3);
-    EXPECT_EQ(trainer.replica_divergence(), 0.0f);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(::testing::Message()
+                   << c.name << " threads=" << threads);
+      TrainerConfig config;
+      config.epochs = 1;
+      config.batch_size = 3;
+      config.lr = 1e-3f;
+      config.mixed_precision = c.mixed_precision;
+      // The one-model trainer borrows this model.
+      const std::unique_ptr<model::ReslimModel> model = factory();
+      const auto trainer =
+          c.one_model
+              ? std::make_unique<Trainer>(*model, config)
+              : std::make_unique<Trainer>(factory, TileSpec{2, 2, 2}, config);
+      std::vector<double> step_losses;
+      trainer->set_step_hook(
+          [&](std::int64_t, double loss) { step_losses.push_back(loss); });
+      const EpochStats stats = trainer->train_epoch(dataset, range_indices(7));
+      ASSERT_EQ(step_losses.size(), 3u);
+      EXPECT_EQ(stats.samples, 7);
+      EXPECT_EQ(trainer->global_step(), 3);
+      EXPECT_EQ(trainer->replica_divergence(), 0.0f);
 
-    std::uint64_t final_bits = 0;
-    std::uint64_t mean_bits = 0;
-    std::memcpy(&final_bits, &step_losses.back(), sizeof(final_bits));
-    std::memcpy(&mean_bits, &stats.mean_loss, sizeof(mean_bits));
-    Crc32 crc;
-    for (const autograd::ParamPtr& p : trainer.replica(0).parameters()) {
-      crc.update(p->value.data().data(),
-                 p->value.data().size() * sizeof(float));
+      std::uint64_t final_bits = 0;
+      std::uint64_t mean_bits = 0;
+      std::memcpy(&final_bits, &step_losses.back(), sizeof(final_bits));
+      std::memcpy(&mean_bits, &stats.mean_loss, sizeof(mean_bits));
+      Crc32 crc;
+      for (const autograd::ParamPtr& p : trainer->replica(0).parameters()) {
+        crc.update(p->value.data().data(),
+                   p->value.data().size() * sizeof(float));
+      }
+      EXPECT_EQ(final_bits, c.final_loss_bits);
+      EXPECT_EQ(mean_bits, c.mean_loss_bits);
+      EXPECT_EQ(crc.value(), c.param_crc);
     }
-    EXPECT_EQ(final_bits, kFinalLossBits) << "threads=" << threads;
-    EXPECT_EQ(mean_bits, kMeanLossBits) << "threads=" << threads;
-    EXPECT_EQ(crc.value(), kParamCrc) << "threads=" << threads;
   }
   kernels::set_max_threads(0);
+}
+
+TEST(TilesTrainer, InvalidTileSpecThrowsBeforeBuildingReplicas) {
+  // {-2,-2,2} has a positive tile count, so a product check alone would
+  // build four replicas and fail only at the first step.
+  TrainerConfig config;
+  config.epochs = 1;
+  for (const TileSpec spec :
+       {TileSpec{-2, -2, 2}, TileSpec{0, 4, 0}, TileSpec{1, 1, -1}}) {
+    int built = 0;
+    EXPECT_THROW(Trainer(
+                     [&built] {
+                       ++built;
+                       Rng rng(13);
+                       return std::make_unique<model::ReslimModel>(
+                           small_model_config(), rng);
+                     },
+                     spec, config),
+                 Error)
+        << spec.rows << "x" << spec.cols << " halo " << spec.halo;
+    EXPECT_EQ(built, 0);
+  }
 }
 
 }  // namespace
