@@ -226,6 +226,7 @@ struct Record {
   double seconds = 0.0;
   double gflops = 0.0;
   double checksum = 0.0;  // sum of output elements; sanity, not bit-exactness
+  double ns_per_element = 0.0;  // elementwise rows only; emitted when set
 };
 
 double now_seconds() {
@@ -277,9 +278,13 @@ void emit_json(const std::vector<Record>& records) {
     std::printf(
         "  {\"bench\": \"%s\", \"shape\": \"%s\", \"variant\": \"%s\", "
         "\"threads\": %zu, \"seconds\": %.6f, \"gflops\": %.3f, "
-        "\"checksum\": %.6g}%s\n",
+        "\"checksum\": %.6g",
         r.bench.c_str(), r.shape.c_str(), r.variant.c_str(), r.threads,
-        r.seconds, r.gflops, r.checksum, i + 1 < records.size() ? "," : "");
+        r.seconds, r.gflops, r.checksum);
+    if (r.ns_per_element > 0.0) {
+      std::printf(", \"ns_per_element\": %.3f", r.ns_per_element);
+    }
+    std::printf("}%s\n", i + 1 < records.size() ? "," : "");
   }
   std::printf("]\n");
 }
@@ -489,6 +494,20 @@ int main(int argc, char** argv) {
     const Tensor sx = Tensor::randn(Shape{stream_n}, rng);
     Tensor sy = Tensor::randn(Shape{stream_n}, rng);
     const double stream_flops = 2.0 * static_cast<double>(stream_n);
+    // The GELU primitives over one 20x36 tile's MLP hidden activation (720
+    // tokens x 128), into a reused buffer; "gflops" counts elements, and
+    // ns_per_element is the cost of one.
+    const std::int64_t gelu_n = 720 * 128;
+    const Tensor gelu_x = Tensor::randn(Shape{gelu_n}, rng, 2.0f);
+    const Tensor gelu_gy = Tensor::randn(Shape{gelu_n}, rng);
+    std::vector<float> gelu_out(static_cast<std::size_t>(gelu_n));
+    const auto elementwise_case = [&](const char* bench, const std::string&
+                                          variant, auto&& fn) {
+      Record rec = time_case(bench, "n=" + std::to_string(gelu_n), variant,
+                             kSerial, reps, static_cast<double>(gelu_n), fn);
+      rec.ns_per_element = rec.seconds * 1e9 / static_cast<double>(gelu_n);
+      return rec;
+    };
     orbit2::kernels::set_max_threads(1);
     for (const orbit2::simd::Isa isa : orbit2::simd::supported_isas()) {
       orbit2::simd::set_isa(isa);
@@ -520,6 +539,17 @@ int main(int argc, char** argv) {
             t.round_to_bf16_inplace();
             return static_cast<double>(t.data()[0]);
           }));
+      records.push_back(elementwise_case("gelu_f32", variant, [&] {
+        orbit2::simd::ops().gelu_f32(gelu_out.data(), gelu_x.data().data(),
+                                     gelu_n);
+        return buffer_checksum(gelu_out);
+      }));
+      records.push_back(elementwise_case("gelu_grad_f32", variant, [&] {
+        orbit2::simd::ops().gelu_grad_f32(gelu_out.data(),
+                                          gelu_gy.data().data(),
+                                          gelu_x.data().data(), gelu_n);
+        return buffer_checksum(gelu_out);
+      }));
     }
     orbit2::kernels::set_max_threads(0);
     orbit2::simd::set_isa(saved_isa);

@@ -5,10 +5,10 @@
 // and bit-stable, but left all inner arithmetic scalar. This layer supplies
 // the vectorized inner loops: a small set of primitive microkernels (a
 // register-tiled GEMM tile, radix-2 FFT butterflies, contiguous elementwise
-// stages, row rescales, bf16 convert-and-round) behind one function-pointer
-// table selected once at startup from the host ISA (AVX-512 > AVX2 > NEON >
-// scalar) and overridable with `ORBIT2_SIMD=scalar|avx2|avx512|neon` for
-// testing.
+// stages, row rescales, bf16 convert-and-round, GELU forward and backward)
+// behind one function-pointer table selected once at startup from the host
+// ISA (AVX-512 > AVX2 > NEON > scalar) and overridable with
+// `ORBIT2_SIMD=scalar|avx2|avx512|neon` for testing.
 //
 // Determinism contract (the reason these kernels are hand-written instead of
 // relying on compiler auto-vectorization):
@@ -28,6 +28,11 @@
 //     LOGICAL lane count independent of the vector width (element i into
 //     lane i % L, lanes combined in ascending order) and implement exactly
 //     that order in the scalar reference, so every ISA matches bit for bit.
+//   * Transcendentals are ported, not called: GELU's tanh is fdlibm's tanhf
+//     (scalar_ref.hpp tanh_ref), float operations only, bit-identical to
+//     glibc 2.36's tanhf. Vector backends compute every branch on every lane and
+//     blend, so each lane sees the reference's operations, and results do
+//     not depend on the host's libm.
 //   * Complex products (FFT butterflies, Bluestein pointwise multiplies) use
 //     the naive formula with pinned operand order:
 //     re = xr*wr - xi*wi, im = xi*wr + xr*wi (each product rounded once).
@@ -109,6 +114,14 @@ struct Ops {
   /// n pointwise complex products x[k] *= y[k], interleaved re/im doubles.
   void (*cmul_f64)(double* x, const double* y, std::int64_t n);
 
+  /// Tanh-approximation GELU: y[i] = gelu(x[i]), with tanh computed as
+  /// fdlibm's tanhf (scalar_ref.hpp gelu_ref). `y` may equal `x`.
+  void (*gelu_f32)(float* y, const float* x, std::int64_t n);
+
+  /// GELU backward: gx[i] = gy[i] * gelu'(x[i]) (scalar_ref.hpp
+  /// gelu_grad_ref).
+  void (*gelu_grad_f32)(float* gx, const float* gy, const float* x,
+                        std::int64_t n);
 };
 
 /// The active table. First call resolves the ISA (ORBIT2_SIMD env override,

@@ -255,6 +255,176 @@ void avx2_cmul_f64(double* x, const double* y, std::int64_t n) {
   if (k < n) scalar_cmul_f64(x + 2 * k, y + 2 * k, n - k);
 }
 
+// Per-lane select: b where the mask lane is all-ones, else a.
+inline __m256 select256(__m256i mask, __m256 a, __m256 b) {
+  return _mm256_blendv_ps(a, b, _mm256_castsi256_ps(mask));
+}
+
+// fdlibm tanhf (scalar_ref.hpp tanh_ref) on 8 lanes. Every branch of the
+// reference runs on every lane and a blend picks each lane's result, so
+// each lane sees exactly the reference's float operations.
+//
+// expm1 only sees tanh's arguments: 2|x| >= 2 for |x| >= 1, else -2|x| in
+// (-2, -2^-54]. So the reference's overflow, -1 saturation and k = +1 cases
+// never fire; the cases left are |a| < 2^-25, k = 0, k = -1, k <= -2 or
+// k > 56, 2 <= k < 23 and 23 <= k <= 56.
+inline __m256 avx2_tanh(__m256 x) {
+  const __m256i abs_mask = _mm256_set1_epi32(0x7fffffff);
+  const __m256i sign_mask =
+      _mm256_set1_epi32(static_cast<std::int32_t>(0x80000000u));
+  const __m256i one_bits = _mm256_set1_epi32(0x3f800000);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 two = _mm256_set1_ps(2.0f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+
+  // Integer compares below are signed; every operand is <= 0x7fffffff
+  // except k, which is a signed count.
+  const __m256i jx = _mm256_castps_si256(x);
+  const __m256i ix = _mm256_and_si256(jx, abs_mask);
+  const __m256i sign = _mm256_andnot_si256(abs_mask, jx);
+  // |x| >= 1: t = expm1(2|x|), z = 1 - 2/(t+2); else t = expm1(-2|x|),
+  // z = -t/(t+2).
+  const __m256i big =
+      _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(kTanhOneBits - 1));
+  const __m256i two_ax =
+      _mm256_castps_si256(_mm256_mul_ps(two, _mm256_castsi256_ps(ix)));
+  const __m256 a = _mm256_castsi256_ps(
+      _mm256_xor_si256(two_ax, _mm256_andnot_si256(big, sign_mask)));
+
+  // expm1(a): k and the reduced argument xr = a - k*ln2 = hi - lo.
+  const __m256 round_half = select256(big, _mm256_set1_ps(-0.5f), half);
+  __m256i k = _mm256_cvttps_epi32(_mm256_add_ps(
+      _mm256_mul_ps(_mm256_set1_ps(f32_from_bits(kInvLn2Bits)), a),
+      round_half));
+  k = _mm256_blendv_epi8(
+      k, _mm256_set1_epi32(-1),
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(kThreeHalfLn2Bits), two_ax));
+  k = _mm256_andnot_si256(
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(kHalfLn2Bits + 1), two_ax), k);
+  const __m256 tk = _mm256_cvtepi32_ps(k);
+  const __m256 hi = _mm256_sub_ps(
+      a, _mm256_mul_ps(tk, _mm256_set1_ps(f32_from_bits(kLn2HiBits))));
+  const __m256 lo =
+      _mm256_mul_ps(tk, _mm256_set1_ps(f32_from_bits(kLn2LoBits)));
+  const __m256 xr = _mm256_sub_ps(hi, lo);
+  const __m256 c = _mm256_sub_ps(_mm256_sub_ps(hi, xr), lo);
+
+  const __m256 hfx = _mm256_mul_ps(half, xr);
+  const __m256 hxs = _mm256_mul_ps(xr, hfx);
+  __m256 p = _mm256_mul_ps(hxs, _mm256_set1_ps(f32_from_bits(kQ5Bits)));
+  p = _mm256_mul_ps(
+      hxs, _mm256_add_ps(_mm256_set1_ps(f32_from_bits(kQ4Bits)), p));
+  p = _mm256_mul_ps(
+      hxs, _mm256_add_ps(_mm256_set1_ps(f32_from_bits(kQ3Bits)), p));
+  p = _mm256_mul_ps(
+      hxs, _mm256_add_ps(_mm256_set1_ps(f32_from_bits(kQ2Bits)), p));
+  p = _mm256_mul_ps(
+      hxs, _mm256_add_ps(_mm256_set1_ps(f32_from_bits(kQ1Bits)), p));
+  const __m256 r1 = _mm256_add_ps(one, p);
+  const __m256 t = _mm256_sub_ps(_mm256_set1_ps(3.0f), _mm256_mul_ps(r1, hfx));
+  const __m256 e = _mm256_mul_ps(
+      hxs, _mm256_div_ps(_mm256_sub_ps(r1, t),
+                         _mm256_sub_ps(_mm256_set1_ps(6.0f),
+                                       _mm256_mul_ps(xr, t))));
+  // k == 0.
+  const __m256 r_k0 =
+      _mm256_sub_ps(xr, _mm256_sub_ps(_mm256_mul_ps(xr, e), hxs));
+  const __m256 e2 = _mm256_sub_ps(
+      _mm256_sub_ps(_mm256_mul_ps(xr, _mm256_sub_ps(e, c)), c), hxs);
+  // k == -1.
+  const __m256 r_km1 =
+      _mm256_sub_ps(_mm256_mul_ps(half, _mm256_sub_ps(xr, e2)), half);
+  // k <= -2 or k > 56: y = 1 - (e - x); 2 <= k < 23: y = (1 - 2^-k) - (e - x);
+  // 23 <= k <= 56: y = (x - (e + 2^-k)) + 1. Then k joins y's exponent, and
+  // the first case subtracts 1.
+  const __m256i far =
+      _mm256_or_si256(_mm256_cmpgt_epi32(_mm256_set1_epi32(-1), k),
+                      _mm256_cmpgt_epi32(k, _mm256_set1_epi32(56)));
+  const __m256i upper = _mm256_andnot_si256(
+      far, _mm256_cmpgt_epi32(k, _mm256_set1_epi32(22)));
+  const __m256i t_lower = _mm256_blendv_epi8(
+      _mm256_sub_epi32(one_bits,
+                       _mm256_srlv_epi32(_mm256_set1_epi32(0x1000000), k)),
+      one_bits, far);
+  const __m256i t_upper = _mm256_slli_epi32(
+      _mm256_sub_epi32(_mm256_set1_epi32(0x7f), k), 23);
+  const __m256 y_lower = _mm256_sub_ps(_mm256_castsi256_ps(t_lower),
+                                       _mm256_sub_ps(e2, xr));
+  const __m256 y_upper = _mm256_add_ps(
+      _mm256_sub_ps(xr, _mm256_add_ps(e2, _mm256_castsi256_ps(t_upper))),
+      one);
+  __m256 y = _mm256_castsi256_ps(_mm256_add_epi32(
+      _mm256_castps_si256(select256(upper, y_lower, y_upper)),
+      _mm256_slli_epi32(k, 23)));
+  y = select256(far, y, _mm256_sub_ps(y, one));
+  __m256 em1 = y;
+  em1 = select256(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(-1)), em1, r_km1);
+  em1 = select256(_mm256_cmpeq_epi32(k, _mm256_setzero_si256()), em1, r_k0);
+  // |a| < 2^-25: expm1(a) = a.
+  em1 = select256(
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(kExpm1TinyBits), two_ax), em1, a);
+
+  // tanh: one division serves both halves.
+  const __m256 num = select256(
+      big,
+      _mm256_castsi256_ps(
+          _mm256_xor_si256(_mm256_castps_si256(em1), sign_mask)),
+      two);
+  const __m256 q = _mm256_div_ps(num, _mm256_add_ps(em1, two));
+  const __m256 z = select256(big, q, _mm256_sub_ps(one, q));
+  __m256 r = _mm256_castsi256_ps(_mm256_xor_si256(_mm256_castps_si256(z), sign));
+  // |x| >= 22 and +-Inf: +-1. NaN: 1/x +- 1 is x quieted, as is x + x.
+  r = select256(_mm256_cmpgt_epi32(ix, _mm256_set1_epi32(kTanhSatBits - 1)),
+                r, _mm256_castsi256_ps(_mm256_or_si256(one_bits, sign)));
+  r = select256(_mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x7f800000)), r,
+                _mm256_add_ps(x, x));
+  // |x| < 2^-55, zeros included: x * (1 + x).
+  return select256(_mm256_cmpgt_epi32(_mm256_set1_epi32(kTanhTinyBits), ix),
+                   r, _mm256_mul_ps(x, _mm256_add_ps(one, x)));
+}
+
+// inner = C * (x + A*x*x*x), as in gelu_ref.
+inline __m256 avx2_gelu_inner(__m256 x) {
+  const __m256 cube = _mm256_mul_ps(
+      _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(kGeluA), x), x), x);
+  return _mm256_mul_ps(_mm256_set1_ps(kGeluC), _mm256_add_ps(x, cube));
+}
+
+void avx2_gelu_f32(float* y, const float* x, std::int64_t n) {
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 vx = _mm256_loadu_ps(x + i);
+    const __m256 th = avx2_tanh(avx2_gelu_inner(vx));
+    _mm256_storeu_ps(y + i, _mm256_mul_ps(_mm256_mul_ps(half, vx),
+                                          _mm256_add_ps(one, th)));
+  }
+  if (i < n) scalar_gelu_f32(y + i, x + i, n - i);
+}
+
+void avx2_gelu_grad_f32(float* gx, const float* gy, const float* x,
+                        std::int64_t n) {
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 a3 = _mm256_set1_ps(3.0f * kGeluA);
+  const __m256 gelu_c = _mm256_set1_ps(kGeluC);
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 vx = _mm256_loadu_ps(x + i);
+    const __m256 t = avx2_tanh(avx2_gelu_inner(vx));
+    const __m256 sech2 = _mm256_sub_ps(one, _mm256_mul_ps(t, t));
+    const __m256 dinner = _mm256_mul_ps(
+        gelu_c,
+        _mm256_add_ps(one, _mm256_mul_ps(_mm256_mul_ps(a3, vx), vx)));
+    const __m256 grad = _mm256_add_ps(
+        _mm256_mul_ps(half, _mm256_add_ps(one, t)),
+        _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(half, vx), sech2), dinner));
+    _mm256_storeu_ps(gx + i, _mm256_mul_ps(_mm256_loadu_ps(gy + i), grad));
+  }
+  if (i < n) scalar_gelu_grad_f32(gx + i, gy + i, x + i, n - i);
+}
+
 }  // namespace
 
 const Ops* avx2_ops() {
@@ -271,6 +441,8 @@ const Ops* avx2_ops() {
       avx2_bf16_round_f32,
       avx2_fft_butterfly_f64,
       avx2_cmul_f64,
+      avx2_gelu_f32,
+      avx2_gelu_grad_f32,
   };
   return &table;
 }

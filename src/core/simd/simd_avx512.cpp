@@ -259,6 +259,177 @@ void avx512_cmul_f64(double* x, const double* y, std::int64_t n) {
   if (k < n) scalar_cmul_f64(x + 2 * k, y + 2 * k, n - k);
 }
 
+// fdlibm tanhf (scalar_ref.hpp tanh_ref) on 16 lanes. Every branch of the
+// reference runs on every lane and a mask blend picks each lane's result,
+// so each lane sees exactly the reference's float operations.
+//
+// expm1 only sees tanh's arguments: 2|x| >= 2 for |x| >= 1, else -2|x| in
+// (-2, -2^-54]. So the reference's overflow, -1 saturation and k = +1 cases
+// never fire; the cases left are |a| < 2^-25, k = 0, k = -1, k <= -2 or
+// k > 56, 2 <= k < 23 and 23 <= k <= 56.
+inline __m512 avx512_tanh(__m512 x) {
+  const __m512i abs_mask = _mm512_set1_epi32(0x7fffffff);
+  const __m512i sign_mask =
+      _mm512_set1_epi32(static_cast<std::int32_t>(0x80000000u));
+  const __m512i one_bits = _mm512_set1_epi32(0x3f800000);
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 two = _mm512_set1_ps(2.0f);
+  const __m512 half = _mm512_set1_ps(0.5f);
+
+  const __m512i jx = _mm512_castps_si512(x);
+  const __m512i ix = _mm512_and_si512(jx, abs_mask);
+  const __m512i sign = _mm512_andnot_si512(abs_mask, jx);
+  // |x| >= 1: t = expm1(2|x|), z = 1 - 2/(t+2); else t = expm1(-2|x|),
+  // z = -t/(t+2).
+  const __mmask16 big =
+      _mm512_cmpge_epi32_mask(ix, _mm512_set1_epi32(kTanhOneBits));
+  const __m512i two_ax =
+      _mm512_castps_si512(_mm512_mul_ps(two, _mm512_castsi512_ps(ix)));
+  const __m512 a = _mm512_castsi512_ps(
+      _mm512_mask_xor_epi32(two_ax, _mm512_knot(big), two_ax, sign_mask));
+
+  // expm1(a): k and the reduced argument xr = a - k*ln2 = hi - lo.
+  const __m512 round_half =
+      _mm512_mask_blend_ps(big, _mm512_set1_ps(-0.5f), half);
+  __m512i k = _mm512_cvttps_epi32(_mm512_add_ps(
+      _mm512_mul_ps(_mm512_set1_ps(f32_from_bits(kInvLn2Bits)), a),
+      round_half));
+  k = _mm512_mask_mov_epi32(
+      k, _mm512_cmplt_epi32_mask(two_ax, _mm512_set1_epi32(kThreeHalfLn2Bits)),
+      _mm512_set1_epi32(-1));
+  k = _mm512_mask_mov_epi32(
+      k, _mm512_cmple_epi32_mask(two_ax, _mm512_set1_epi32(kHalfLn2Bits)),
+      _mm512_setzero_si512());
+  const __m512 tk = _mm512_cvtepi32_ps(k);
+  const __m512 hi = _mm512_sub_ps(
+      a, _mm512_mul_ps(tk, _mm512_set1_ps(f32_from_bits(kLn2HiBits))));
+  const __m512 lo =
+      _mm512_mul_ps(tk, _mm512_set1_ps(f32_from_bits(kLn2LoBits)));
+  const __m512 xr = _mm512_sub_ps(hi, lo);
+  const __m512 c = _mm512_sub_ps(_mm512_sub_ps(hi, xr), lo);
+
+  const __m512 hfx = _mm512_mul_ps(half, xr);
+  const __m512 hxs = _mm512_mul_ps(xr, hfx);
+  __m512 p = _mm512_mul_ps(hxs, _mm512_set1_ps(f32_from_bits(kQ5Bits)));
+  p = _mm512_mul_ps(
+      hxs, _mm512_add_ps(_mm512_set1_ps(f32_from_bits(kQ4Bits)), p));
+  p = _mm512_mul_ps(
+      hxs, _mm512_add_ps(_mm512_set1_ps(f32_from_bits(kQ3Bits)), p));
+  p = _mm512_mul_ps(
+      hxs, _mm512_add_ps(_mm512_set1_ps(f32_from_bits(kQ2Bits)), p));
+  p = _mm512_mul_ps(
+      hxs, _mm512_add_ps(_mm512_set1_ps(f32_from_bits(kQ1Bits)), p));
+  const __m512 r1 = _mm512_add_ps(one, p);
+  const __m512 t = _mm512_sub_ps(_mm512_set1_ps(3.0f), _mm512_mul_ps(r1, hfx));
+  const __m512 e = _mm512_mul_ps(
+      hxs, _mm512_div_ps(_mm512_sub_ps(r1, t),
+                         _mm512_sub_ps(_mm512_set1_ps(6.0f),
+                                       _mm512_mul_ps(xr, t))));
+  // k == 0.
+  const __m512 r_k0 =
+      _mm512_sub_ps(xr, _mm512_sub_ps(_mm512_mul_ps(xr, e), hxs));
+  const __m512 e2 = _mm512_sub_ps(
+      _mm512_sub_ps(_mm512_mul_ps(xr, _mm512_sub_ps(e, c)), c), hxs);
+  // k == -1.
+  const __m512 r_km1 =
+      _mm512_sub_ps(_mm512_mul_ps(half, _mm512_sub_ps(xr, e2)), half);
+  // k <= -2 or k > 56: y = 1 - (e - x); 2 <= k < 23: y = (1 - 2^-k) - (e - x);
+  // 23 <= k <= 56: y = (x - (e + 2^-k)) + 1. Then k joins y's exponent, and
+  // the first case subtracts 1.
+  const __mmask16 far =
+      _mm512_kor(_mm512_cmplt_epi32_mask(k, _mm512_set1_epi32(-1)),
+                 _mm512_cmpgt_epi32_mask(k, _mm512_set1_epi32(56)));
+  const __mmask16 upper = _mm512_kandn(
+      far, _mm512_cmpge_epi32_mask(k, _mm512_set1_epi32(23)));
+  const __m512i t_lower = _mm512_mask_mov_epi32(
+      _mm512_sub_epi32(one_bits,
+                       _mm512_srlv_epi32(_mm512_set1_epi32(0x1000000), k)),
+      far, one_bits);
+  const __m512i t_upper = _mm512_slli_epi32(
+      _mm512_sub_epi32(_mm512_set1_epi32(0x7f), k), 23);
+  const __m512 y_lower = _mm512_sub_ps(_mm512_castsi512_ps(t_lower),
+                                       _mm512_sub_ps(e2, xr));
+  const __m512 y_upper = _mm512_add_ps(
+      _mm512_sub_ps(xr, _mm512_add_ps(e2, _mm512_castsi512_ps(t_upper))),
+      one);
+  __m512 y = _mm512_castsi512_ps(_mm512_add_epi32(
+      _mm512_castps_si512(_mm512_mask_blend_ps(upper, y_lower, y_upper)),
+      _mm512_slli_epi32(k, 23)));
+  y = _mm512_mask_sub_ps(y, far, y, one);
+  __m512 em1 = y;
+  em1 = _mm512_mask_blend_ps(
+      _mm512_cmpeq_epi32_mask(k, _mm512_set1_epi32(-1)), em1, r_km1);
+  em1 = _mm512_mask_blend_ps(
+      _mm512_cmpeq_epi32_mask(k, _mm512_setzero_si512()), em1, r_k0);
+  // |a| < 2^-25: expm1(a) = a.
+  em1 = _mm512_mask_blend_ps(
+      _mm512_cmplt_epi32_mask(two_ax, _mm512_set1_epi32(kExpm1TinyBits)), em1,
+      a);
+
+  // tanh: one division serves both halves.
+  const __m512 num = _mm512_mask_blend_ps(
+      big,
+      _mm512_castsi512_ps(
+          _mm512_xor_si512(_mm512_castps_si512(em1), sign_mask)),
+      two);
+  const __m512 q = _mm512_div_ps(num, _mm512_add_ps(em1, two));
+  const __m512 z = _mm512_mask_sub_ps(q, big, one, q);
+  __m512 r = _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(z), sign));
+  // |x| >= 22 and +-Inf: +-1. NaN: 1/x +- 1 is x quieted, as is x + x.
+  r = _mm512_mask_blend_ps(
+      _mm512_cmpge_epi32_mask(ix, _mm512_set1_epi32(kTanhSatBits)), r,
+      _mm512_castsi512_ps(_mm512_or_si512(one_bits, sign)));
+  r = _mm512_mask_blend_ps(
+      _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(0x7f800000)), r,
+      _mm512_add_ps(x, x));
+  // |x| < 2^-55, zeros included: x * (1 + x).
+  return _mm512_mask_blend_ps(
+      _mm512_cmplt_epi32_mask(ix, _mm512_set1_epi32(kTanhTinyBits)), r,
+      _mm512_mul_ps(x, _mm512_add_ps(one, x)));
+}
+
+// inner = C * (x + A*x*x*x), as in gelu_ref.
+inline __m512 avx512_gelu_inner(__m512 x) {
+  const __m512 cube = _mm512_mul_ps(
+      _mm512_mul_ps(_mm512_mul_ps(_mm512_set1_ps(kGeluA), x), x), x);
+  return _mm512_mul_ps(_mm512_set1_ps(kGeluC), _mm512_add_ps(x, cube));
+}
+
+void avx512_gelu_f32(float* y, const float* x, std::int64_t n) {
+  const __m512 half = _mm512_set1_ps(0.5f);
+  const __m512 one = _mm512_set1_ps(1.0f);
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512 vx = _mm512_loadu_ps(x + i);
+    const __m512 th = avx512_tanh(avx512_gelu_inner(vx));
+    _mm512_storeu_ps(y + i, _mm512_mul_ps(_mm512_mul_ps(half, vx),
+                                          _mm512_add_ps(one, th)));
+  }
+  if (i < n) scalar_gelu_f32(y + i, x + i, n - i);
+}
+
+void avx512_gelu_grad_f32(float* gx, const float* gy, const float* x,
+                          std::int64_t n) {
+  const __m512 half = _mm512_set1_ps(0.5f);
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 a3 = _mm512_set1_ps(3.0f * kGeluA);
+  const __m512 gelu_c = _mm512_set1_ps(kGeluC);
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512 vx = _mm512_loadu_ps(x + i);
+    const __m512 t = avx512_tanh(avx512_gelu_inner(vx));
+    const __m512 sech2 = _mm512_sub_ps(one, _mm512_mul_ps(t, t));
+    const __m512 dinner = _mm512_mul_ps(
+        gelu_c,
+        _mm512_add_ps(one, _mm512_mul_ps(_mm512_mul_ps(a3, vx), vx)));
+    const __m512 grad = _mm512_add_ps(
+        _mm512_mul_ps(half, _mm512_add_ps(one, t)),
+        _mm512_mul_ps(_mm512_mul_ps(_mm512_mul_ps(half, vx), sech2), dinner));
+    _mm512_storeu_ps(gx + i, _mm512_mul_ps(_mm512_loadu_ps(gy + i), grad));
+  }
+  if (i < n) scalar_gelu_grad_f32(gx + i, gy + i, x + i, n - i);
+}
+
 }  // namespace
 
 const Ops* avx512_ops() {
@@ -275,6 +446,8 @@ const Ops* avx512_ops() {
       avx512_bf16_round_f32,
       avx512_fft_butterfly_f64,
       avx512_cmul_f64,
+      avx512_gelu_f32,
+      avx512_gelu_grad_f32,
   };
   return &table;
 }

@@ -233,6 +233,147 @@ void neon_cmul_f64(double* x, const double* y, std::int64_t n) {
   }
 }
 
+// fdlibm tanhf (scalar_ref.hpp tanh_ref) on 4 lanes. Every branch of the
+// reference runs on every lane and a bit select picks each lane's result,
+// so each lane sees exactly the reference's float operations.
+//
+// expm1 only sees tanh's arguments: 2|x| >= 2 for |x| >= 1, else -2|x| in
+// (-2, -2^-54]. So the reference's overflow, -1 saturation and k = +1 cases
+// never fire; the cases left are |a| < 2^-25, k = 0, k = -1, k <= -2 or
+// k > 56, 2 <= k < 23 and 23 <= k <= 56.
+inline float32x4_t neon_tanh(float32x4_t x) {
+  const uint32x4_t abs_mask = vdupq_n_u32(0x7fffffffu);
+  const uint32x4_t sign_mask = vdupq_n_u32(0x80000000u);
+  const uint32x4_t one_bits = vdupq_n_u32(0x3f800000u);
+  const float32x4_t one = vdupq_n_f32(1.0f);
+  const float32x4_t two = vdupq_n_f32(2.0f);
+  const float32x4_t half = vdupq_n_f32(0.5f);
+
+  const uint32x4_t jx = vreinterpretq_u32_f32(x);
+  const uint32x4_t ix = vandq_u32(jx, abs_mask);
+  const uint32x4_t sign = vbicq_u32(jx, abs_mask);
+  // |x| >= 1: t = expm1(2|x|), z = 1 - 2/(t+2); else t = expm1(-2|x|),
+  // z = -t/(t+2).
+  const uint32x4_t big = vcgeq_u32(ix, vdupq_n_u32(kTanhOneBits));
+  const uint32x4_t two_ax =
+      vreinterpretq_u32_f32(vmulq_f32(two, vreinterpretq_f32_u32(ix)));
+  const float32x4_t a = vreinterpretq_f32_u32(
+      veorq_u32(two_ax, vbicq_u32(sign_mask, big)));
+
+  // expm1(a): k and the reduced argument xr = a - k*ln2 = hi - lo.
+  const float32x4_t round_half = vbslq_f32(big, half, vdupq_n_f32(-0.5f));
+  int32x4_t k = vcvtq_s32_f32(vaddq_f32(
+      vmulq_f32(vdupq_n_f32(f32_from_bits(kInvLn2Bits)), a), round_half));
+  k = vbslq_s32(vcltq_u32(two_ax, vdupq_n_u32(kThreeHalfLn2Bits)),
+                vdupq_n_s32(-1), k);
+  k = vbslq_s32(vcleq_u32(two_ax, vdupq_n_u32(kHalfLn2Bits)),
+                vdupq_n_s32(0), k);
+  const float32x4_t tk = vcvtq_f32_s32(k);
+  const float32x4_t hi =
+      vsubq_f32(a, vmulq_f32(tk, vdupq_n_f32(f32_from_bits(kLn2HiBits))));
+  const float32x4_t lo = vmulq_f32(tk, vdupq_n_f32(f32_from_bits(kLn2LoBits)));
+  const float32x4_t xr = vsubq_f32(hi, lo);
+  const float32x4_t c = vsubq_f32(vsubq_f32(hi, xr), lo);
+
+  const float32x4_t hfx = vmulq_f32(half, xr);
+  const float32x4_t hxs = vmulq_f32(xr, hfx);
+  float32x4_t p = vmulq_f32(hxs, vdupq_n_f32(f32_from_bits(kQ5Bits)));
+  p = vmulq_f32(hxs, vaddq_f32(vdupq_n_f32(f32_from_bits(kQ4Bits)), p));
+  p = vmulq_f32(hxs, vaddq_f32(vdupq_n_f32(f32_from_bits(kQ3Bits)), p));
+  p = vmulq_f32(hxs, vaddq_f32(vdupq_n_f32(f32_from_bits(kQ2Bits)), p));
+  p = vmulq_f32(hxs, vaddq_f32(vdupq_n_f32(f32_from_bits(kQ1Bits)), p));
+  const float32x4_t r1 = vaddq_f32(one, p);
+  const float32x4_t t = vsubq_f32(vdupq_n_f32(3.0f), vmulq_f32(r1, hfx));
+  const float32x4_t e = vmulq_f32(
+      hxs, vdivq_f32(vsubq_f32(r1, t),
+                     vsubq_f32(vdupq_n_f32(6.0f), vmulq_f32(xr, t))));
+  // k == 0.
+  const float32x4_t r_k0 = vsubq_f32(xr, vsubq_f32(vmulq_f32(xr, e), hxs));
+  const float32x4_t e2 =
+      vsubq_f32(vsubq_f32(vmulq_f32(xr, vsubq_f32(e, c)), c), hxs);
+  // k == -1.
+  const float32x4_t r_km1 =
+      vsubq_f32(vmulq_f32(half, vsubq_f32(xr, e2)), half);
+  // k <= -2 or k > 56: y = 1 - (e - x); 2 <= k < 23: y = (1 - 2^-k) - (e - x);
+  // 23 <= k <= 56: y = (x - (e + 2^-k)) + 1. Then k joins y's exponent, and
+  // the first case subtracts 1. vshlq by -k shifts right by k.
+  const uint32x4_t far = vorrq_u32(vcltq_s32(k, vdupq_n_s32(-1)),
+                                   vcgtq_s32(k, vdupq_n_s32(56)));
+  const uint32x4_t upper = vbicq_u32(vcgeq_s32(k, vdupq_n_s32(23)), far);
+  const uint32x4_t t_lower = vbslq_u32(
+      far, one_bits,
+      vsubq_u32(one_bits, vshlq_u32(vdupq_n_u32(0x1000000u), vnegq_s32(k))));
+  const uint32x4_t t_upper =
+      vshlq_n_u32(vreinterpretq_u32_s32(vsubq_s32(vdupq_n_s32(0x7f), k)), 23);
+  const float32x4_t y_lower =
+      vsubq_f32(vreinterpretq_f32_u32(t_lower), vsubq_f32(e2, xr));
+  const float32x4_t y_upper = vaddq_f32(
+      vsubq_f32(xr, vaddq_f32(e2, vreinterpretq_f32_u32(t_upper))), one);
+  float32x4_t y = vreinterpretq_f32_u32(
+      vaddq_u32(vreinterpretq_u32_f32(vbslq_f32(upper, y_upper, y_lower)),
+                vreinterpretq_u32_s32(vshlq_n_s32(k, 23))));
+  y = vbslq_f32(far, vsubq_f32(y, one), y);
+  float32x4_t em1 = y;
+  em1 = vbslq_f32(vceqq_s32(k, vdupq_n_s32(-1)), r_km1, em1);
+  em1 = vbslq_f32(vceqq_s32(k, vdupq_n_s32(0)), r_k0, em1);
+  // |a| < 2^-25: expm1(a) = a.
+  em1 = vbslq_f32(vcltq_u32(two_ax, vdupq_n_u32(kExpm1TinyBits)), a, em1);
+
+  // tanh: one division serves both halves.
+  const float32x4_t num = vbslq_f32(big, two, vnegq_f32(em1));
+  const float32x4_t q = vdivq_f32(num, vaddq_f32(em1, two));
+  const float32x4_t z = vbslq_f32(big, vsubq_f32(one, q), q);
+  float32x4_t r =
+      vreinterpretq_f32_u32(veorq_u32(vreinterpretq_u32_f32(z), sign));
+  // |x| >= 22 and +-Inf: +-1. NaN: 1/x +- 1 is x quieted, as is x + x.
+  r = vbslq_f32(vcgeq_u32(ix, vdupq_n_u32(kTanhSatBits)),
+                vreinterpretq_f32_u32(vorrq_u32(one_bits, sign)), r);
+  r = vbslq_f32(vcgtq_u32(ix, vdupq_n_u32(0x7f800000u)), vaddq_f32(x, x), r);
+  // |x| < 2^-55, zeros included: x * (1 + x).
+  return vbslq_f32(vcltq_u32(ix, vdupq_n_u32(kTanhTinyBits)),
+                   vmulq_f32(x, vaddq_f32(one, x)), r);
+}
+
+// inner = C * (x + A*x*x*x), as in gelu_ref.
+inline float32x4_t neon_gelu_inner(float32x4_t x) {
+  const float32x4_t cube =
+      vmulq_f32(vmulq_f32(vmulq_f32(vdupq_n_f32(kGeluA), x), x), x);
+  return vmulq_f32(vdupq_n_f32(kGeluC), vaddq_f32(x, cube));
+}
+
+void neon_gelu_f32(float* y, const float* x, std::int64_t n) {
+  const float32x4_t half = vdupq_n_f32(0.5f);
+  const float32x4_t one = vdupq_n_f32(1.0f);
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const float32x4_t vx = vld1q_f32(x + i);
+    const float32x4_t th = neon_tanh(neon_gelu_inner(vx));
+    vst1q_f32(y + i, vmulq_f32(vmulq_f32(half, vx), vaddq_f32(one, th)));
+  }
+  if (i < n) scalar_gelu_f32(y + i, x + i, n - i);
+}
+
+void neon_gelu_grad_f32(float* gx, const float* gy, const float* x,
+                        std::int64_t n) {
+  const float32x4_t half = vdupq_n_f32(0.5f);
+  const float32x4_t one = vdupq_n_f32(1.0f);
+  const float32x4_t a3 = vdupq_n_f32(3.0f * kGeluA);
+  const float32x4_t gelu_c = vdupq_n_f32(kGeluC);
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const float32x4_t vx = vld1q_f32(x + i);
+    const float32x4_t t = neon_tanh(neon_gelu_inner(vx));
+    const float32x4_t sech2 = vsubq_f32(one, vmulq_f32(t, t));
+    const float32x4_t dinner =
+        vmulq_f32(gelu_c, vaddq_f32(one, vmulq_f32(vmulq_f32(a3, vx), vx)));
+    const float32x4_t grad =
+        vaddq_f32(vmulq_f32(half, vaddq_f32(one, t)),
+                  vmulq_f32(vmulq_f32(vmulq_f32(half, vx), sech2), dinner));
+    vst1q_f32(gx + i, vmulq_f32(vld1q_f32(gy + i), grad));
+  }
+  if (i < n) scalar_gelu_grad_f32(gx + i, gy + i, x + i, n - i);
+}
+
 }  // namespace
 
 const Ops* neon_ops() {
@@ -249,6 +390,8 @@ const Ops* neon_ops() {
       neon_bf16_round_f32,
       neon_fft_butterfly_f64,
       neon_cmul_f64,
+      neon_gelu_f32,
+      neon_gelu_grad_f32,
   };
   return &table;
 }

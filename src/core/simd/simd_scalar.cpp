@@ -21,6 +21,8 @@ const Ops* scalar_ops() {
       scalar_bf16_round_f32,
       scalar_fft_butterfly_f64,
       scalar_cmul_f64,
+      scalar_gelu_f32,
+      scalar_gelu_grad_f32,
   };
   return &table;
 }

@@ -224,15 +224,14 @@ void Executor::run_elementwise(const GraphOp& op) {
   const float* const* aux_ptrs = stage_aux_.data();
 
   // Stage-major over the cache-resident chunk, so each stage is one
-  // contiguous simd primitive call (gelu stays scalar — it is not a
-  // lane-wise primitive). Every element sees the same operations in the
-  // same order as the eager ops, so results are bitwise identical. When the
-  // planner runs a chain in place, no aux operand shares the output buffer
-  // (compile_plan declines that case), so no stage rereads an element an
-  // earlier stage overwrote. The AC variants share the CA primitives: a+b
-  // and b+a (and a*b / b*a) round identically for every non-NaN input, and
-  // for NaN payloads the operand order was already compiler-chosen in the
-  // scalar loops this replaces.
+  // contiguous simd primitive call, gelu included. Every element sees the
+  // same operations in the same order as the eager ops, so results are
+  // bitwise identical. When the planner runs a chain in place, no aux
+  // operand shares the output buffer (compile_plan declines that case), so
+  // no stage rereads an element an earlier stage overwrote. The AC variants
+  // share the CA primitives: a+b and b+a (and a*b / b*a) round identically
+  // for every non-NaN input, and for NaN payloads the operand order was
+  // already compiler-chosen in the scalar loops this replaces.
   const simd::Ops& sops = simd::ops();
   kernels::parallel_for(
       out.numel(), kEwGrain, [&](std::int64_t i0, std::int64_t i1) {
@@ -262,9 +261,7 @@ void Executor::run_elementwise(const GraphOp& op) {
               sops.scale_f32(dst + i0, st.scalar, i1 - i0);
               break;
             case EwKind::kGelu:
-              for (std::int64_t i = i0; i < i1; ++i) {
-                dst[i] = gelu_scalar(dst[i]);
-              }
+              sops.gelu_f32(dst + i0, dst + i0, i1 - i0);
               break;
             // Row-indexed adds run as contiguous per-row segments so each
             // segment is one primitive call, like the eager row loops they

@@ -55,7 +55,7 @@ enum class EwKind : std::uint8_t {
   kMulCA,    // cur * aux[i]
   kMulAC,    // aux[i] * cur
   kScale,    // cur * scalar
-  kGelu,     // gelu_scalar(cur)
+  kGelu,     // gelu(cur): simd::Ops gelu_f32
   kAddBiasRows,  // cur + aux[i % a]                   (a = feature dim D)
   kAddTableRow,  // cur + aux[b*a + i % a]             (b = row index)
   kAddVarEmb,    // cur + aux[(i / a / b)*a + i % a]   (a = D, b = P)

@@ -204,11 +204,10 @@ Tensor gelu(const Tensor& input) {
   Tensor out(input.shape());
   const float* x = input.data().data();
   float* y = out.data().data();
+  const simd::Ops& sops = simd::ops();
   kernels::parallel_for(input.numel(), kElementwiseGrain,
                         [&](std::int64_t i0, std::int64_t i1) {
-                          for (std::int64_t i = i0; i < i1; ++i) {
-                            y[i] = gelu_scalar(x[i]);
-                          }
+                          sops.gelu_f32(y + i0, x + i0, i1 - i0);
                         });
   return out;
 }
@@ -219,11 +218,11 @@ Tensor gelu_backward(const Tensor& input, const Tensor& grad_output) {
   const float* x = input.data().data();
   const float* gy = grad_output.data().data();
   float* gx = out.data().data();
+  const simd::Ops& sops = simd::ops();
   kernels::parallel_for(input.numel(), kElementwiseGrain,
                         [&](std::int64_t i0, std::int64_t i1) {
-                          for (std::int64_t i = i0; i < i1; ++i) {
-                            gx[i] = gy[i] * gelu_grad_scalar(x[i]);
-                          }
+                          sops.gelu_grad_f32(gx + i0, gy + i0, x + i0,
+                                             i1 - i0);
                         });
   return out;
 }

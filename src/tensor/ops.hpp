@@ -3,8 +3,6 @@
 // softmax, layernorm, GELU. Kept as raw (non-differentiable) kernels here;
 // autograd wires forward/backward pairs.
 
-#include <cmath>
-
 #include "tensor/tensor.hpp"
 
 namespace orbit2 {
@@ -43,26 +41,9 @@ Tensor layernorm_rows_backward(const Tensor& grad_output, const Tensor& input,
                                const Tensor& saved_inv_std,
                                Tensor& grad_gamma, Tensor& grad_beta);
 
-namespace detail {
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-constexpr float kGeluA = 0.044715f;
-}  // namespace detail
-
-/// Tanh-approximation GELU (the ViT default). Inline so every caller —
-/// the eager kernel and the compiled executor's fused stages — compiles
-/// the exact same body (one out-of-line copy costs a call per element).
-inline float gelu_scalar(float x) {
-  const float inner = detail::kGeluC * (x + detail::kGeluA * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(inner));
-}
-/// d(gelu)/dx.
-inline float gelu_grad_scalar(float x) {
-  const float inner = detail::kGeluC * (x + detail::kGeluA * x * x * x);
-  const float t = std::tanh(inner);
-  const float sech2 = 1.0f - t * t;
-  const float dinner = detail::kGeluC * (1.0f + 3.0f * detail::kGeluA * x * x);
-  return 0.5f * (1.0f + t) + 0.5f * x * sech2 * dinner;
-}
+/// Tanh-approximation GELU (the ViT default) and its backward,
+/// grad_input = grad_output * gelu'(input). Both run simd::Ops gelu_f32 /
+/// gelu_grad_f32, whose tanh is fdlibm's tanhf on every ISA.
 Tensor gelu(const Tensor& input);
 Tensor gelu_backward(const Tensor& input, const Tensor& grad_output);
 

@@ -20,6 +20,7 @@
 #include "core/crc32.hpp"
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "core/simd/scalar_ref.hpp"
 #include "core/simd/simd.hpp"
 #include "data/dataset.hpp"
 #include "model/reslim.hpp"
@@ -352,6 +353,263 @@ TEST(SimdMatrix, CmulF64) {
       [](const simd::Ops& o, double* d, const double* y, std::int64_t n) {
         o.cmul_f64(d, y, n);
       });
+}
+
+// ---- GELU: fdlibm tanh on every ISA ----------------------------------------
+
+/// The bit thresholds of tanh_ref on |x|, and expm1_ref's thresholds on |a|
+/// halved to the tanh input |x| = |a|/2 that reaches them.
+std::vector<std::uint32_t> tanh_threshold_bits() {
+  using namespace simd::detail;
+  std::vector<std::uint32_t> bits = {kTanhSatBits, kTanhOneBits, kTanhTinyBits,
+                                     0x7f800000u};
+  for (const std::uint32_t t : {kHalfLn2Bits, kThreeHalfLn2Bits,
+                                kExpm1TinyBits, kExpm1SatBits}) {
+    bits.push_back(t - 0x00800000u);
+  }
+  return bits;
+}
+
+/// Which branch of tanh_ref (and of the expm1_ref it calls) `x` takes.
+enum class TanhBranch {
+  kNaN, kSaturated, kTiny, kExpm1Tiny, kK0, kKm1, kKFar, kKLower, kKUpper,
+  kCount
+};
+
+TanhBranch tanh_branch(float x) {
+  using namespace simd::detail;
+  const std::uint32_t ix = f32_bits(x) & 0x7fffffffu;
+  if (ix > 0x7f800000u) return TanhBranch::kNaN;
+  if (ix >= kTanhSatBits) return TanhBranch::kSaturated;
+  if (ix < kTanhTinyBits) return TanhBranch::kTiny;
+  const bool big = ix >= kTanhOneBits;
+  const float a = (big ? 2.0f : -2.0f) * f32_from_bits(ix);
+  const std::uint32_t ha = f32_bits(a) & 0x7fffffffu;
+  if (ha < kExpm1TinyBits) return TanhBranch::kExpm1Tiny;
+  if (ha <= kHalfLn2Bits) return TanhBranch::kK0;
+  if (ha < kThreeHalfLn2Bits) return TanhBranch::kKm1;
+  const int k = static_cast<int>(f32_from_bits(kInvLn2Bits) * a +
+                                 (big ? 0.5f : -0.5f));
+  if (k <= -2 || k > 56) return TanhBranch::kKFar;
+  return k < 23 ? TanhBranch::kKLower : TanhBranch::kKUpper;
+}
+
+/// gelu's inner argument C*(x + A*x^3), as gelu_ref computes it.
+float gelu_inner(float x) {
+  using simd::detail::kGeluA;
+  using simd::detail::kGeluC;
+  return kGeluC * (x + kGeluA * x * x * x);
+}
+
+/// Smallest float x >= 0 with gelu_inner(x) >= target (target in [0, 30]):
+/// a bisection over the ordered bit patterns of non-negative floats.
+float gelu_inner_preimage(float target) {
+  std::uint32_t lo = 0;
+  std::uint32_t hi = std::bit_cast<std::uint32_t>(64.0f);
+  while (lo < hi) {
+    const std::uint32_t mid = lo + (hi - lo) / 2;
+    if (gelu_inner(std::bit_cast<float>(mid)) < target) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return std::bit_cast<float>(lo);
+}
+
+/// GELU inputs covering every tanh and expm1 branch, both directly (x at
+/// each threshold and its neighbours) and through gelu's inner argument
+/// (x whose inner lands on each threshold, each k boundary and inside each
+/// k range), plus the special classes.
+std::vector<float> gelu_pool() {
+  std::vector<std::uint32_t> bits = {
+      0x00000000u, 0x80000000u,  // +/- zero
+      0x00000001u, 0x807fffffu,  // subnormals
+      0x7f800000u, 0xff800000u,  // +/- inf
+      0x7f7fffffu, 0xff7fffffu,  // +/- max finite: x^3 overflows
+      0x7fc00000u, 0xffc12345u,  // quiet NaNs
+      0x7f800001u, 0xffb12345u,  // signalling NaNs
+  };
+  std::vector<float> tanh_targets;
+  for (const std::uint32_t t : tanh_threshold_bits()) {
+    for (const std::uint32_t b : {t - 1, t, t + 1}) {
+      tanh_targets.push_back(std::bit_cast<float>(b));
+    }
+  }
+  // expm1's k steps where 2|x| * invln2 + 0.5 crosses an integer.
+  for (const int k : {2, 3, 22, 23, 24, 56, 57, 58}) {
+    const float at = static_cast<float>((k - 0.5) * std::log(2.0) / 2.0);
+    tanh_targets.push_back(std::nextafter(at, 0.0f));
+    tanh_targets.push_back(at);
+    tanh_targets.push_back(std::nextafter(at, 100.0f));
+  }
+  // Inside each range: expm1-tiny, k = 0, -1, -2, 2..22, 23..56, > 56.
+  for (const float mid : {1.0e-9f, 0.05f, 0.3f, 0.8f, 3.0f, 12.0f, 20.5f,
+                          25.0f}) {
+    tanh_targets.push_back(mid);
+  }
+  for (const float t : tanh_targets) {
+    if (t <= 30.0f) {
+      const std::uint32_t x = std::bit_cast<std::uint32_t>(
+          gelu_inner_preimage(t));
+      for (const std::uint32_t b : {x - 1, x, x + 1}) {
+        bits.push_back(b);
+        bits.push_back(b | 0x80000000u);
+      }
+    }
+    bits.push_back(std::bit_cast<std::uint32_t>(t));
+    bits.push_back(std::bit_cast<std::uint32_t>(t) | 0x80000000u);
+  }
+  std::vector<float> pool;
+  for (const std::uint32_t b : bits) pool.push_back(std::bit_cast<float>(b));
+  return pool;
+}
+
+/// `total` floats, alternately drawn from gelu_pool() in a seed-dependent
+/// order (so each pool value lands in vector bodies and in scalar tails
+/// across the sizes) and uniform over [-9, 9], where tanh(inner) is neither
+/// tiny nor saturated.
+std::vector<float> gelu_inputs(std::size_t total, std::uint64_t seed) {
+  static const std::vector<float> pool = gelu_pool();
+  Rng rng(seed);
+  std::vector<float> v(total);
+  for (std::size_t i = 0; i < total; ++i) {
+    v[i] = i % 2 == 0 ? pool[rng.uniform_index(pool.size())]
+                      : static_cast<float>(rng.uniform(-9.0, 9.0));
+  }
+  return v;
+}
+
+TEST(SimdMatrix, GeluPoolReachesEveryTanhBranch) {
+  // The pool must drive gelu's inner argument into every branch of
+  // tanh_ref and expm1_ref, or the GELU matrices below prove less than they
+  // claim.
+  std::vector<int> hits(static_cast<std::size_t>(TanhBranch::kCount), 0);
+  for (const float x : gelu_pool()) {
+    ++hits[static_cast<std::size_t>(tanh_branch(gelu_inner(x)))];
+  }
+  for (std::size_t b = 0; b < hits.size(); ++b) {
+    EXPECT_GT(hits[b], 0) << "no pool input reaches tanh branch " << b;
+  }
+}
+
+/// Runs `run(ops, dst, src, aux, n)` under scalar then under every
+/// supported backend over sizes 0..67 and 1023 at offsets 0/1/3, comparing
+/// the whole destination (guards included) bytewise, a NaN matching any NaN.
+void expect_gelu_matrix(
+    const char* what,
+    const std::function<void(const simd::Ops&, float*, const float*,
+                             const float*, std::int64_t)>& run) {
+  const IsaRestore restore;
+  const std::vector<simd::Isa> isas = simd::supported_isas();
+  std::vector<std::int64_t> sizes;
+  for (std::int64_t n = 0; n <= 67; ++n) sizes.push_back(n);
+  sizes.push_back(1023);
+  std::uint64_t seed = 6000;
+  for (const std::int64_t n : sizes) {
+    for (const std::int64_t off : kOffsets) {
+      const std::size_t used = static_cast<std::size_t>(off + n);
+      const std::size_t total = used + kGuard;
+      const std::vector<float> src = gelu_inputs(total, seed++);
+      std::vector<float> aux = interesting_floats(total, seed++);
+      aux[total / 2] = std::numeric_limits<float>::infinity();
+      aux[total / 3] = std::numeric_limits<float>::quiet_NaN();
+      std::vector<float> dst_init = interesting_floats(total, seed++);
+      for (std::size_t i = used; i < total; ++i) dst_init[i] = 12345.0f;
+
+      simd::set_isa(simd::Isa::kScalar);
+      std::vector<float> expected = dst_init;
+      run(simd::ops(), expected.data() + off, src.data() + off,
+          aux.data() + off, n);
+      for (const simd::Isa isa : isas) {
+        simd::set_isa(isa);
+        std::vector<float> got = dst_init;
+        run(simd::ops(), got.data() + off, src.data() + off,
+            aux.data() + off, n);
+        EXPECT_TRUE(same_bits_any_nan(got, expected))
+            << what << " diverged from scalar: isa=" << simd::isa_name(isa)
+            << " n=" << n << " off=" << off;
+      }
+    }
+  }
+}
+
+TEST(SimdMatrix, GeluF32) {
+  expect_gelu_matrix("gelu_f32", [](const simd::Ops& o, float* d,
+                                    const float* s, const float*,
+                                    std::int64_t n) { o.gelu_f32(d, s, n); });
+  // In place (y == x), as the executor's fused chains call it.
+  expect_gelu_matrix("gelu_f32 in place",
+                     [](const simd::Ops& o, float* d, const float* s,
+                        const float*, std::int64_t n) {
+                       std::memcpy(d, s, static_cast<std::size_t>(n) *
+                                             sizeof(float));
+                       o.gelu_f32(d, d, n);
+                     });
+}
+
+TEST(SimdMatrix, GeluGradF32) {
+  // aux is gy: finite values over many binades plus an Inf and a NaN.
+  expect_gelu_matrix("gelu_grad_f32",
+                     [](const simd::Ops& o, float* d, const float* s,
+                        const float* gy, std::int64_t n) {
+                       o.gelu_grad_f32(d, gy, s, n);
+                     });
+}
+
+TEST(SimdMatrix, GeluStridedBitPatterns) {
+  // Every 4099th bit pattern (about a million inputs, a quarter of them in
+  // the range where tanh is neither tiny nor saturated) through every
+  // backend at once: a slip that only shows on a few inputs per binade (a
+  // dropped rounding-error term, a reordered product) shows here even when
+  // the pool above misses it.
+  const IsaRestore restore;
+  std::vector<float> x;
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += 4099) {
+    x.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(u)));
+  }
+  const std::vector<float> gy = interesting_floats(x.size(), 7000);
+  const std::int64_t n = static_cast<std::int64_t>(x.size());
+  simd::set_isa(simd::Isa::kScalar);
+  std::vector<float> want_y(x.size());
+  std::vector<float> want_gx(x.size());
+  simd::ops().gelu_f32(want_y.data(), x.data(), n);
+  simd::ops().gelu_grad_f32(want_gx.data(), gy.data(), x.data(), n);
+  for (const simd::Isa isa : simd::supported_isas()) {
+    simd::set_isa(isa);
+    std::vector<float> y(x.size());
+    std::vector<float> gx(x.size());
+    simd::ops().gelu_f32(y.data(), x.data(), n);
+    simd::ops().gelu_grad_f32(gx.data(), gy.data(), x.data(), n);
+    EXPECT_TRUE(same_bits_any_nan(y, want_y))
+        << "gelu_f32 diverged from scalar: isa=" << simd::isa_name(isa);
+    EXPECT_TRUE(same_bits_any_nan(gx, want_gx))
+        << "gelu_grad_f32 diverged from scalar: isa=" << simd::isa_name(isa);
+  }
+}
+
+TEST(SimdTanh, RefPinnedOverStridedBitPatterns) {
+  // A host-independent pin of tanh_ref: the CRC32 of its output over every
+  // 4099th bit pattern plus each threshold and its neighbours. The constant
+  // is glibc 2.36's std::tanh over the same inputs, so it also pins that
+  // the port is libm's tanhf: on every build, whatever the host's libm.
+  std::vector<std::uint32_t> inputs;
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += 4099) {
+    inputs.push_back(static_cast<std::uint32_t>(u));
+  }
+  for (const std::uint32_t t : tanh_threshold_bits()) {
+    for (const std::uint32_t b : {t - 1, t, t + 1}) {
+      inputs.push_back(b);
+      inputs.push_back(b | 0x80000000u);
+    }
+  }
+  std::vector<std::uint32_t> out(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    out[i] = simd::detail::f32_bits(
+        simd::detail::tanh_ref(simd::detail::f32_from_bits(inputs[i])));
+  }
+  EXPECT_EQ(crc32(out.data(), out.size() * sizeof(std::uint32_t)),
+            0xc9dc4154u);
 }
 
 // ---- dispatch surface ------------------------------------------------------

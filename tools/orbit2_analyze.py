@@ -20,6 +20,9 @@ Enforces the repo's bit-exactness contract as named, machine-checked rules
                          RNG, pointer-to-integer casts (address-as-key).
   intrinsics-outside-simd vector intrinsics or intrinsic headers outside
                          src/core/simd.
+  pinned-libm            a libm function the simd tier ports (tanh) called
+                         outside src/core/simd: its bits would depend on the
+                         host's libm instead of the pinned port.
 
 Repo-hygiene rules (textual in both frontends), each with its own scope:
 
@@ -81,12 +84,13 @@ RULE_THREADING = "threading-outside-core"
 RULE_UNORDERED = "unordered-iteration"
 RULE_NONDET = "nondeterminism-source"
 RULE_INTRINSICS = "intrinsics-outside-simd"
+RULE_PINNED_LIBM = "pinned-libm"
 RULE_PRAGMA_ONCE = "pragma-once"
 RULE_RAW_NEW = "no-raw-new"
 RULE_REQUIRE_PURE = "require-pure"
 RULE_CORE_IWYU = "core-iwyu"
 ALL_RULES = (RULE_FLOAT_ACC, RULE_THREADING, RULE_UNORDERED, RULE_NONDET,
-             RULE_INTRINSICS, RULE_PRAGMA_ONCE, RULE_RAW_NEW,
+             RULE_INTRINSICS, RULE_PINNED_LIBM, RULE_PRAGMA_ONCE, RULE_RAW_NEW,
              RULE_REQUIRE_PURE, RULE_CORE_IWYU)
 
 # Trees walked by default (repo-relative). The determinism rules look at
@@ -511,6 +515,33 @@ def textual_intrinsics(path: str, code: str, findings: list[Finding]):
             "route through the dispatched simd::Ops table"))
 
 
+# libm functions with a bit-exact port in src/core/simd/scalar_ref.hpp. A
+# call anywhere else would tie results (and every golden) to the host's libm.
+PINNED_LIBM_FUNCS = ("tanh",)
+# `std::tanh` in any use, or an unqualified / `::`-qualified call `tanh(`,
+# each with the C float/long double suffixes. `x.tanh(` and `p->tanh(` are
+# member calls, not libm.
+_PINNED_LIBM_NAME = "(?:" + "|".join(PINNED_LIBM_FUNCS) + ")[fl]?"
+PINNED_LIBM_RE = re.compile(
+    rf"\bstd\s*::\s*({_PINNED_LIBM_NAME})\b|"
+    rf"(?<![\w.>])({_PINNED_LIBM_NAME})\s*\(")
+
+
+def textual_pinned_libm(path: str, code: str, findings: list[Finding]):
+    """The simd tier carries bit-exact ports of these libm functions, so
+    results do not depend on which libm the host links. Textual in both
+    frontends, like intrinsics-outside-simd."""
+    if path_is_simd_home(path):
+        return
+    for m in PINNED_LIBM_RE.finditer(code):
+        name = m.group(1) or m.group(2)
+        findings.append(Finding(
+            RULE_PINNED_LIBM, path, line_of(code, m.start()),
+            f"libm `{name}` outside {SIMD_HOME}; its bits depend on the "
+            "host's libm — call the simd::Ops primitive built on the pinned "
+            "port in scalar_ref.hpp"))
+
+
 # ---- repo-hygiene rules (textual) ------------------------------------------
 
 # Curated std symbol -> required include map for core-iwyu.
@@ -651,6 +682,7 @@ def analyze_file_tokens(path: str, text: str) -> list[Finding]:
     tokens_float_accumulator(path, code, findings)
     textual_threading_includes(path, code, findings)
     textual_intrinsics(path, code, findings)
+    textual_pinned_libm(path, code, findings)
     tokens_threading(path, code, findings)
     tokens_unordered_iteration(path, text, code, findings)
     tokens_nondeterminism(path, code, findings)
@@ -1162,6 +1194,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 textual_threading_includes(rel, code, findings)
                 textual_intrinsics(rel, code, findings)
+                textual_pinned_libm(rel, code, findings)
                 textual_chrono_seed(rel, code, findings)
         token_files = []
 
@@ -1309,6 +1342,16 @@ void twice(float* p) {
 namespace simd { struct Ops { void (*scale_f32)(float*, float, long); }; }
 const simd::Ops& ops();
 void scale(float* y, float a, long n) { ops().scale_f32(y, a, n); }
+""", []),
+    ("pinned_libm_bad", """\
+#include <cmath>
+float a(float x) { return std::tanh(x); }
+float b(float x) { return tanhf(x); }
+float c(double x) { return ::tanh(x); }
+""", [(RULE_PINNED_LIBM, 2), (RULE_PINNED_LIBM, 3), (RULE_PINNED_LIBM, 4)]),
+    ("pinned_libm_good", """\
+float tanh_ref(float x);
+float a(float x) { return tanh_ref(x); }  // not std::tanh(x)
 """, []),
 ]
 
