@@ -39,29 +39,28 @@ void check_flash_params(const FlashParams& params) {
 
 }  // namespace
 
+AttentionContext attention_context(const AttentionBuffers& buffers,
+                                   float scale, bool used_flash) {
+  AttentionContext ctx;
+  ctx.q = buffers.q;
+  ctx.k = buffers.k;
+  ctx.v = buffers.v;
+  ctx.output = buffers.out;
+  (used_flash ? ctx.logsumexp : ctx.probs) = buffers.saved;
+  ctx.scale = scale;
+  ctx.used_flash = used_flash;
+  return ctx;
+}
+
 Tensor attention_naive_forward(const Tensor& q, const Tensor& k,
                                const Tensor& v, float scale,
                                AttentionContext* ctx) {
   check_qkv(q, k, v);
-  const std::int64_t naive_flops =
-      attention_fwd_flops(q.dim(0), k.dim(0), q.dim(1), v.dim(1));
-  ORBIT2_OBS_SPAN_ARG("attention_naive_forward", "attention", "flops",
-                      naive_flops);
-  ORBIT2_OBS_COUNT("attention.flops", naive_flops);
-  Tensor scores = matmul_nt(q, k);          // [Nq, Nk]
-  scores.scale_inplace(scale);
-  const Tensor probs = softmax_rows(scores);  // [Nq, Nk]
-  Tensor output = matmul(probs, v);           // [Nq, d_v]
-  if (ctx) {
-    ctx->q = q;
-    ctx->k = k;
-    ctx->v = v;
-    ctx->output = output;
-    ctx->probs = probs;
-    ctx->scale = scale;
-    ctx->used_flash = false;
-  }
-  return output;
+  AttentionBuffers b{q, k, v, Tensor(Shape{q.dim(0), v.dim(1)}),
+                     Tensor(Shape{q.dim(0), k.dim(0)})};
+  attention_naive_forward_into(q, k, v, scale, b.saved, b.out);
+  if (ctx) *ctx = attention_context(b, scale, /*used_flash=*/false);
+  return b.out;
 }
 
 void attention_naive_forward_into(const Tensor& q, const Tensor& k,
@@ -80,7 +79,6 @@ void attention_naive_forward_into(const Tensor& q, const Tensor& k,
   ORBIT2_OBS_SPAN_ARG("attention_naive_forward", "attention", "flops",
                       naive_flops);
   ORBIT2_OBS_COUNT("attention.flops", naive_flops);
-  // Same kernel sequence as attention_naive_forward, minus the allocations:
   // S = Q K^T (gemm NT), S *= scale, P = softmax(S) in place, O = P V.
   kernels::gemm(kernels::Trans::kN, kernels::Trans::kT, nq, nk, d,
                 q.data().data(), k.data().data(), scores_ws.data().data());
@@ -186,10 +184,8 @@ void dot_lanes(const simd::Ops& sops, const float* x, std::int64_t rows,
   sops.gemm_tile_f64(lanes, bk, x, d, bt, bk, rows, bk, d);
 }
 
-/// Shared body of the flash forward: writes the (pre-zeroed) output and the
-/// per-row log-sum-exp through raw pointers. Both the eager entry point and
-/// the allocation-free _into entry point run exactly this code, which is
-/// what makes their results bitwise identical.
+/// Body of the flash forward: writes the (pre-zeroed) output and the
+/// per-row log-sum-exp through raw pointers.
 void flash_forward_body(const float* pq, const float* pk, const float* pv,
                         float* po, float* plse, std::int64_t nq,
                         std::int64_t nk, std::int64_t d, std::int64_t dv,
@@ -270,30 +266,11 @@ Tensor attention_flash_forward(const Tensor& q, const Tensor& k,
                                AttentionContext* ctx,
                                const FlashParams& params) {
   check_qkv(q, k, v);
-  check_flash_params(params);
-  const std::int64_t nq = q.dim(0), nk = k.dim(0);
-  const std::int64_t d = q.dim(1), dv = v.dim(1);
-  const std::int64_t flash_flops = attention_fwd_flops(nq, nk, d, dv);
-  ORBIT2_OBS_SPAN_ARG("attention_flash_forward", "attention", "flops",
-                      flash_flops);
-  ORBIT2_OBS_COUNT("attention.flops", flash_flops);
-
-  Tensor output = Tensor::zeros(Shape{nq, dv});
-  Tensor logsumexp(Shape{nq});
-  flash_forward_body(q.data().data(), k.data().data(), v.data().data(),
-                     output.data().data(), logsumexp.data().data(), nq, nk, d,
-                     dv, scale, params);
-
-  if (ctx) {
-    ctx->q = q;
-    ctx->k = k;
-    ctx->v = v;
-    ctx->output = output;
-    ctx->logsumexp = logsumexp;
-    ctx->scale = scale;
-    ctx->used_flash = true;
-  }
-  return output;
+  AttentionBuffers b{q, k, v, Tensor(Shape{q.dim(0), v.dim(1)}),
+                     Tensor(Shape{q.dim(0)})};
+  attention_flash_forward_into(q, k, v, scale, b.out, b.saved, params);
+  if (ctx) *ctx = attention_context(b, scale, /*used_flash=*/true);
+  return b.out;
 }
 
 void attention_flash_forward_into(const Tensor& q, const Tensor& k,
@@ -457,6 +434,50 @@ AttentionGrads attention_flash_backward(const AttentionContext& ctx,
   });
 
   return {std::move(dq), std::move(dk), std::move(dvt)};
+}
+
+void multihead_attention_forward_into(
+    const Tensor& x, const MhaProjections& w, std::int64_t heads,
+    bool use_flash, float scale, Tensor& q, Tensor& k, Tensor& v,
+    Tensor& concat, std::span<AttentionBuffers> head_buffers, Tensor& out) {
+  ORBIT2_REQUIRE(x.rank() == 2, "mha expects [L, D] tokens");
+  const std::int64_t rows = x.dim(0), d = x.dim(1);
+  ORBIT2_REQUIRE(heads >= 1 && d % heads == 0,
+                 "head count " << heads << " must divide model dim " << d);
+  ORBIT2_REQUIRE(!head_buffers.empty(), "mha needs head buffers");
+  const Shape full{rows, d};
+  ORBIT2_REQUIRE(q.shape() == full && k.shape() == full &&
+                     v.shape() == full && concat.shape() == full &&
+                     out.shape() == full,
+                 "mha buffers must be " << full.to_string());
+  const std::int64_t dh = d / heads;
+
+  // y = in W + b, the bias broadcast over rows.
+  auto project = [&](const Tensor& in, const Tensor& weight,
+                     const Tensor& bias, Tensor& y) {
+    kernels::gemm(kernels::Trans::kN, kernels::Trans::kN, rows, d, d,
+                  in.data().data(), weight.data().data(), y.data().data());
+    add_table_rows_inplace(y, bias.data().data(), kAllRows);
+  };
+  project(x, w.wq, w.bq, q);
+  project(x, w.wk, w.bk, k);
+  project(x, w.wv, w.bv, v);
+
+  for (std::int64_t hd = 0; hd < heads; ++hd) {
+    AttentionBuffers& h =
+        head_buffers[static_cast<std::size_t>(hd) % head_buffers.size()];
+    copy_cols_into(q, hd * dh, h.q);
+    copy_cols_into(k, hd * dh, h.k);
+    copy_cols_into(v, hd * dh, h.v);
+    if (use_flash) {
+      attention_flash_forward_into(h.q, h.k, h.v, scale, h.out, h.saved);
+    } else {
+      attention_naive_forward_into(h.q, h.k, h.v, scale, h.saved, h.out);
+    }
+    paste_cols(h.out, hd * dh, concat);
+  }
+
+  project(concat, w.wo, w.bo, out);
 }
 
 }  // namespace orbit2

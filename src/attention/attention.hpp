@@ -9,8 +9,13 @@
 //     (paper §III-D "Flash Attention ... cache-blocking technique").
 // Both have exact backward passes; tests assert elementwise parity.
 //
-// Multi-head attention lives in the autograd layer and calls these kernels
-// per head. Q,K,V are [N, d]; output is [N, d].
+// Q,K,V are [N, d]; output is [N, d]. multihead_attention_forward_into is
+// the one multi-head forward body: the autograd op and the compiled
+// executor's replay both call it, so eager and replay agree by
+// construction.
+
+#include <cstdint>
+#include <span>
 
 #include "tensor/tensor.hpp"
 
@@ -30,6 +35,17 @@ struct AttentionContext {
 struct AttentionGrads {
   Tensor dq, dk, dv;
 };
+
+/// The tensors of one attention forward: inputs q, k [Nq|Nk, d] and v
+/// [Nk, d_v], output `out` [Nq, d_v], and the kernel's `saved` state —
+/// the probabilities [Nq, Nk] (naive) or the log-sum-exp [Nq] (flash).
+struct AttentionBuffers {
+  Tensor q, k, v, out, saved;
+};
+
+/// The backward context of a forward that ran on `buffers`.
+AttentionContext attention_context(const AttentionBuffers& buffers,
+                                   float scale, bool used_flash);
 
 /// Naive attention: O = softmax(Q K^T * scale) V.
 Tensor attention_naive_forward(const Tensor& q, const Tensor& k,
@@ -75,5 +91,31 @@ void attention_flash_forward_into(const Tensor& q, const Tensor& k,
 AttentionGrads attention_flash_backward(const AttentionContext& ctx,
                                         const Tensor& grad_output,
                                         const FlashParams& params = {});
+
+/// Projection weights of one multi-head self-attention layer: [D, D]
+/// matrices and [D] biases.
+struct MhaProjections {
+  const Tensor& wq;
+  const Tensor& bq;
+  const Tensor& wk;
+  const Tensor& bk;
+  const Tensor& wv;
+  const Tensor& bv;
+  const Tensor& wo;
+  const Tensor& bo;
+};
+
+/// Multi-head self-attention forward over x [L, D] with `heads` heads of
+/// width dh = D / heads: q, k, v [L, D] = x W + b; each head's column block
+/// of q, k, v is copied into its AttentionBuffers (q, k, v [L, dh]), runs
+/// the flash or naive _into kernel into `out` [L, dh] and `saved` ([L] or
+/// [L, L]), and is pasted into `concat` [L, D]; finally out [L, D] =
+/// concat Wo + bo. `head_buffers` holds one entry per head (the eager op
+/// keeps them as backward contexts) or a single entry every head reuses
+/// (the compiled replay). Allocates nothing.
+void multihead_attention_forward_into(
+    const Tensor& x, const MhaProjections& w, std::int64_t heads,
+    bool use_flash, float scale, Tensor& q, Tensor& k, Tensor& v,
+    Tensor& concat, std::span<AttentionBuffers> head_buffers, Tensor& out);
 
 }  // namespace orbit2

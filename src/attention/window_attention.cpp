@@ -1,33 +1,20 @@
 #include "attention/window_attention.hpp"
 
-#include "attention/attention.hpp"
-#include "core/kernels.hpp"
-#include "core/obs.hpp"
+#include "core/error.hpp"
 
 namespace orbit2 {
 
-Tensor cyclic_shift_tokens(const Tensor& tokens, std::int64_t grid_h,
-                           std::int64_t grid_w, std::int64_t dy,
-                           std::int64_t dx) {
-  ORBIT2_REQUIRE(tokens.rank() == 2, "tokens must be [P, D]");
-  ORBIT2_REQUIRE(tokens.dim(0) == grid_h * grid_w,
-                 "token count vs grid mismatch");
-  const std::int64_t d = tokens.dim(1);
-  Tensor out(tokens.shape());
-  const float* src = tokens.data().data();
-  float* dst = out.data().data();
-  // Normalize shifts into [0, dim).
-  const std::int64_t sy = ((dy % grid_h) + grid_h) % grid_h;
-  const std::int64_t sx = ((dx % grid_w) + grid_w) % grid_w;
-  for (std::int64_t y = 0; y < grid_h; ++y) {
-    const std::int64_t ny = (y + sy) % grid_h;
-    for (std::int64_t x = 0; x < grid_w; ++x) {
-      const std::int64_t nx = (x + sx) % grid_w;
-      std::copy(src + (y * grid_w + x) * d, src + (y * grid_w + x + 1) * d,
-                dst + (ny * grid_w + nx) * d);
-    }
-  }
-  return out;
+void check_window_spec(const WindowAttentionSpec& spec) {
+  const std::int64_t gh = spec.grid_h, gw = spec.grid_w, w = spec.window;
+  ORBIT2_REQUIRE(gh >= 1 && gw >= 1 && w >= 1,
+                 "bad window geometry: grid " << gh << "x" << gw
+                                              << ", window " << w);
+  ORBIT2_REQUIRE(gh % w == 0 && gw % w == 0,
+                 "grid " << gh << "x" << gw << " not divisible by window "
+                         << w);
+  ORBIT2_REQUIRE(spec.shift >= 0 && spec.shift < w,
+                 "shift " << spec.shift << " outside [0, window " << w
+                          << ")");
 }
 
 std::vector<std::int64_t> cyclic_shift_permutation(std::int64_t grid_h,
@@ -51,8 +38,8 @@ std::vector<std::int64_t> cyclic_shift_permutation(std::int64_t grid_h,
 
 std::vector<std::int64_t> window_partition_permutation(
     const WindowAttentionSpec& spec) {
+  check_window_spec(spec);
   const std::int64_t gh = spec.grid_h, gw = spec.grid_w, w = spec.window;
-  ORBIT2_REQUIRE(gh % w == 0 && gw % w == 0, "grid not divisible by window");
   std::vector<std::int64_t> perm;
   perm.reserve(static_cast<std::size_t>(gh * gw));
   for (std::int64_t wy = 0; wy < gh / w; ++wy) {
@@ -74,83 +61,6 @@ std::vector<std::int64_t> invert_permutation(
     inverse[static_cast<std::size_t>(perm[i])] = static_cast<std::int64_t>(i);
   }
   return inverse;
-}
-
-Tensor window_attention_forward(const Tensor& q, const Tensor& k,
-                                const Tensor& v, float scale,
-                                const WindowAttentionSpec& spec) {
-  ORBIT2_REQUIRE(q.rank() == 2 && k.rank() == 2 && v.rank() == 2,
-                 "window attention expects rank-2 Q,K,V");
-  ORBIT2_REQUIRE(q.shape() == k.shape(), "Q/K shape mismatch");
-  ORBIT2_REQUIRE(k.dim(0) == v.dim(0), "K/V length mismatch");
-  const std::int64_t gh = spec.grid_h, gw = spec.grid_w, w = spec.window;
-  ORBIT2_REQUIRE(gh >= 1 && gw >= 1 && w >= 1, "bad window geometry");
-  ORBIT2_REQUIRE(q.dim(0) == gh * gw, "token count vs grid mismatch");
-  ORBIT2_REQUIRE(gh % w == 0 && gw % w == 0,
-                 "grid " << gh << "x" << gw << " not divisible by window "
-                         << w);
-  ORBIT2_REQUIRE(spec.shift >= 0 && spec.shift < w,
-                 "shift must be in [0, window)");
-  ORBIT2_OBS_SPAN_ARG("window_attention_forward", "attention", "tokens",
-                      gh * gw);
-
-  // Swin: shift tokens, window-attend, shift back.
-  const Tensor qs = spec.shift ? cyclic_shift_tokens(q, gh, gw, -spec.shift, -spec.shift) : q;
-  const Tensor ks = spec.shift ? cyclic_shift_tokens(k, gh, gw, -spec.shift, -spec.shift) : k;
-  const Tensor vs = spec.shift ? cyclic_shift_tokens(v, gh, gw, -spec.shift, -spec.shift) : v;
-
-  const std::int64_t d = q.dim(1);
-  const std::int64_t dv = v.dim(1);
-  Tensor out(Shape{gh * gw, dv});
-
-  // Windows are independent and write disjoint rows of `out`, so they
-  // parallelize through the kernel layer; per-window math is unchanged, so
-  // results are bit-identical for any thread count. Kernels invoked inside a
-  // window (matmul, softmax) detect the enclosing parallel region and run
-  // inline-serial.
-  const std::int64_t wy_count = gh / w, wx_count = gw / w;
-  const std::int64_t tokens_per_window = w * w;
-  kernels::parallel_for(
-      wy_count * wx_count, 1, [&](std::int64_t win0, std::int64_t win1) {
-        for (std::int64_t win = win0; win < win1; ++win) {
-          const std::int64_t wy = win / wx_count;
-          const std::int64_t wx = win % wx_count;
-          // Gather the window's tokens into contiguous buffers.
-          Tensor qw(Shape{tokens_per_window, d});
-          Tensor kw(Shape{tokens_per_window, d});
-          Tensor vw(Shape{tokens_per_window, dv});
-          for (std::int64_t iy = 0; iy < w; ++iy) {
-            for (std::int64_t ix = 0; ix < w; ++ix) {
-              const std::int64_t grid_index =
-                  (wy * w + iy) * gw + (wx * w + ix);
-              const std::int64_t local = iy * w + ix;
-              std::copy(qs.data().begin() + grid_index * d,
-                        qs.data().begin() + (grid_index + 1) * d,
-                        qw.data().begin() + local * d);
-              std::copy(ks.data().begin() + grid_index * d,
-                        ks.data().begin() + (grid_index + 1) * d,
-                        kw.data().begin() + local * d);
-              std::copy(vs.data().begin() + grid_index * dv,
-                        vs.data().begin() + (grid_index + 1) * dv,
-                        vw.data().begin() + local * dv);
-            }
-          }
-          const Tensor ow = attention_naive_forward(qw, kw, vw, scale, nullptr);
-          for (std::int64_t iy = 0; iy < w; ++iy) {
-            for (std::int64_t ix = 0; ix < w; ++ix) {
-              const std::int64_t grid_index =
-                  (wy * w + iy) * gw + (wx * w + ix);
-              const std::int64_t local = iy * w + ix;
-              std::copy(ow.data().begin() + local * dv,
-                        ow.data().begin() + (local + 1) * dv,
-                        out.data().begin() + grid_index * dv);
-            }
-          }
-        }
-      });
-
-  return spec.shift ? cyclic_shift_tokens(out, gh, gw, spec.shift, spec.shift)
-                    : out;
 }
 
 }  // namespace orbit2

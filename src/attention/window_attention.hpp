@@ -24,17 +24,9 @@ struct WindowAttentionSpec {
   std::int64_t shift = 0;   // cyclic shift (0 or window/2 in Swin)
 };
 
-/// softmax(q k^T * scale) v computed within each (shifted) window.
-/// q, k, v are [P, d] with P = grid_h * grid_w; returns [P, dv].
-Tensor window_attention_forward(const Tensor& q, const Tensor& k,
-                                const Tensor& v, float scale,
-                                const WindowAttentionSpec& spec);
-
-/// Cyclically shifts a [P, D] token grid by (dy, dx); the inverse of a
-/// shift by (-dy, -dx). Exposed for tests.
-Tensor cyclic_shift_tokens(const Tensor& tokens, std::int64_t grid_h,
-                           std::int64_t grid_w, std::int64_t dy,
-                           std::int64_t dx);
+/// Throws unless the grid and window are positive, the window divides both
+/// grid dims, and the shift lies in [0, window).
+void check_window_spec(const WindowAttentionSpec& spec);
 
 /// Row permutation realizing the cyclic shift: out[i] = in[perm[i]].
 std::vector<std::int64_t> cyclic_shift_permutation(std::int64_t grid_h,
@@ -44,7 +36,7 @@ std::vector<std::int64_t> cyclic_shift_permutation(std::int64_t grid_h,
 
 /// Row permutation grouping tokens window-by-window (row-major windows,
 /// row-major cells within a window): after applying it, window k occupies
-/// rows [k*window^2, (k+1)*window^2).
+/// rows [k*window^2, (k+1)*window^2). Checks the spec (check_window_spec).
 std::vector<std::int64_t> window_partition_permutation(
     const WindowAttentionSpec& spec);
 

@@ -93,6 +93,7 @@ Var MultiHeadSelfAttention::forward(const Var& x, bool use_flash,
 
 Var MultiHeadSelfAttention::forward_windowed(
     const Var& x, bool use_flash, const WindowAttentionSpec& spec) const {
+  check_window_spec(spec);
   ORBIT2_REQUIRE(x.value().dim(0) == spec.grid_h * spec.grid_w,
                  "token count " << x.value().dim(0) << " vs grid "
                                 << spec.grid_h * spec.grid_w);

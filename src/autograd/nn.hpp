@@ -106,7 +106,8 @@ class MultiHeadSelfAttention : public Module {
   /// Swin-style (shifted-)window variant: attention restricted to the
   /// windows of `spec` over a token grid, sharing this module's projection
   /// weights. Differentiable end-to-end (composed from permute / slice /
-  /// concat / attention ops).
+  /// concat / attention ops). Throws on a spec check_window_spec rejects
+  /// or a token count other than grid_h * grid_w.
   Var forward_windowed(const Var& x, bool use_flash,
                        const WindowAttentionSpec& spec) const;
 

@@ -13,86 +13,13 @@
 
 namespace orbit2::autograd {
 
+// Under an active graph::CaptureScope every forward op records itself
+// through the graph/ir.hpp capture helpers after computing its value
+// eagerly.
+using graph::capture_elementwise;
+using graph::capture_op;
+
 namespace {
-
-// ---- Inference-graph capture hooks ------------------------------------
-// When a graph::CaptureScope is active on this thread, every forward op
-// records itself into the sink after computing its value eagerly. The
-// hooks cost one thread-local read when capture is off.
-
-/// Records a single-stage elementwise op (binary stage aux resolved from
-/// `aux` when non-null).
-void capture_elementwise(const Tensor& out, const Tensor& in0,
-                         const Tensor* aux, graph::EwStage stage) {
-  graph::CaptureSink* sink = graph::capture_sink();
-  if (sink == nullptr) return;
-  graph::GraphOp op;
-  op.kind = graph::OpKind::kElementwise;
-  op.inputs.push_back(sink->value_for(in0));
-  if (aux != nullptr) {
-    stage.aux = sink->value_for(*aux);
-    op.inputs.push_back(stage.aux);
-  }
-  op.stages.push_back(stage);
-  op.output = sink->bind_output(out);
-  sink->record(std::move(op));
-}
-
-/// Records a non-elementwise op with plain tensor inputs.
-void capture_op(const Tensor& out, graph::OpKind kind,
-                std::initializer_list<const Tensor*> inputs,
-                std::vector<std::int64_t> iparams = {},
-                std::vector<float> fparams = {},
-                std::vector<std::int64_t> perm = {}) {
-  graph::CaptureSink* sink = graph::capture_sink();
-  if (sink == nullptr) return;
-  graph::GraphOp op;
-  op.kind = kind;
-  for (const Tensor* in : inputs) op.inputs.push_back(sink->value_for(*in));
-  op.iparams = std::move(iparams);
-  op.fparams = std::move(fparams);
-  op.perm = std::move(perm);
-  op.output = sink->bind_output(out);
-  sink->record(std::move(op));
-}
-
-// Data-movement helpers dispatch through kernels::parallel_for. Each output
-// element is written by exactly one chunk (copies parallelize over rows;
-// colsum over disjoint column ranges, walking rows in ascending order inside
-// each chunk), so results are bit-identical for any thread count.
-
-/// Copy of columns [start, start+len) of a rank-2 tensor.
-Tensor slice_cols(const Tensor& x, std::int64_t start, std::int64_t len) {
-  const std::int64_t rows = x.dim(0), cols = x.dim(1);
-  ORBIT2_CHECK(start >= 0 && start + len <= cols, "slice_cols out of range");
-  Tensor out(Shape{rows, len});
-  const float* src = x.data().data();
-  float* dst = out.data().data();
-  kernels::parallel_for(
-      rows, kernels::grain_for(len), [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t r = r0; r < r1; ++r) {
-          std::copy(src + r * cols + start, src + r * cols + start + len,
-                    dst + r * len);
-        }
-      });
-  return out;
-}
-
-/// Writes `block` into columns [start, ...) of `x`.
-void set_cols(Tensor& x, std::int64_t start, const Tensor& block) {
-  const std::int64_t rows = x.dim(0), cols = x.dim(1);
-  const std::int64_t len = block.dim(1);
-  ORBIT2_CHECK(block.dim(0) == rows && start + len <= cols,
-               "set_cols shape mismatch");
-  const float* src = block.data().data();
-  float* dst = x.data().data();
-  kernels::parallel_for(
-      rows, kernels::grain_for(len), [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t r = r0; r < r1; ++r) {
-          std::copy(src + r * len, src + r * len + len, dst + r * cols + start);
-        }
-      });
-}
 
 /// Column-wise sum of a rank-2 tensor -> [D]. Parallel over disjoint column
 /// ranges: every output column is reduced by one chunk over rows in
@@ -110,26 +37,6 @@ Tensor colsum(const Tensor& x) {
         }
       });
   return out;
-}
-
-/// `t` [rows, cols] followed by zero rows up to `n` rows.
-Tensor pad_rows(const Tensor& t, std::int64_t n) {
-  Tensor out(Shape{n, t.dim(1)});
-  std::copy(t.data().begin(), t.data().end(), out.data().begin());
-  return out;
-}
-
-/// In-place row-broadcast bias add on a rank-2 tensor.
-void add_bias_inplace(Tensor& x, const float* bias) {
-  const std::int64_t rows = x.dim(0), cols = x.dim(1);
-  float* dst = x.data().data();
-  kernels::parallel_for(
-      rows, kernels::grain_for(cols), [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t r = r0; r < r1; ++r) {
-          float* row = dst + r * cols;
-          for (std::int64_t c = 0; c < cols; ++c) row[c] += bias[c];
-        }
-      });
 }
 
 }  // namespace
@@ -204,7 +111,7 @@ Var add_bias_rows(const Var& x, const Var& bias) {
   ORBIT2_REQUIRE(x.value().dim(1) == bias.value().dim(0),
                  "add_bias_rows width mismatch");
   Tensor value = x.value().clone();
-  add_bias_inplace(value, bias.value().data().data());
+  add_table_rows_inplace(value, bias.value().data().data(), kAllRows);
   graph::EwStage bias_stage{graph::EwKind::kAddBiasRows};
   bias_stage.a = bias.value().dim(0);
   capture_elementwise(value, x.value(), &bias.value(), bias_stage);
@@ -250,14 +157,10 @@ Var concat_rows(const std::vector<Var>& parts) {
   values.reserve(parts.size());
   for (const Var& p : parts) values.push_back(p.value());
   Tensor value = Tensor::concat(0, values);
-  if (graph::CaptureSink* sink = graph::capture_sink()) {
-    graph::GraphOp op;
-    op.kind = graph::OpKind::kConcatRows;
-    for (const Tensor& part : values) {
-      op.inputs.push_back(sink->value_for(part));
-    }
-    op.output = sink->bind_output(value);
-    sink->record(std::move(op));
+  if (graph::capture_sink() != nullptr) {
+    std::vector<const Tensor*> inputs;
+    for (const Tensor& part : values) inputs.push_back(&part);
+    capture_op(value, graph::OpKind::kConcatRows, inputs);
   }
   std::vector<std::int64_t> lengths;
   lengths.reserve(parts.size());
@@ -277,7 +180,6 @@ Var permute_rows(const Var& x, const std::vector<std::int64_t>& perm) {
   const std::int64_t rows = value.dim(0);
   ORBIT2_REQUIRE(static_cast<std::int64_t>(perm.size()) == rows,
                  "perm size " << perm.size() << " vs rows " << rows);
-  const std::int64_t inner = value.numel() / std::max<std::int64_t>(1, rows);
 
   // Validate bijection and build the inverse for backward.
   std::vector<std::int64_t> inverse(perm.size(),
@@ -292,29 +194,11 @@ Var permute_rows(const Var& x, const std::vector<std::int64_t>& perm) {
   }
 
   Tensor out(value.shape());
-  const float* src = value.data().data();
-  float* dst = out.data().data();
-  kernels::parallel_for(
-      rows, kernels::grain_for(inner), [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const std::int64_t from = perm[static_cast<std::size_t>(i)];
-          std::copy(src + from * inner, src + (from + 1) * inner,
-                    dst + i * inner);
-        }
-      });
-  capture_op(out, graph::OpKind::kPermuteRows, {&value}, {}, {}, perm);
-  return make_op(std::move(out), {x}, [x, inverse, inner, rows](const Tensor& g) {
+  gather_rows_into(value, perm, out);
+  capture_op(out, graph::OpKind::kPermuteRows, {&value}, {}, {}, {}, perm);
+  return make_op(std::move(out), {x}, [x, inverse](const Tensor& g) {
     Tensor grad(g.shape());
-    const float* gs = g.data().data();
-    float* gd = grad.data().data();
-    kernels::parallel_for(
-        rows, kernels::grain_for(inner),
-        [&](std::int64_t i0, std::int64_t i1) {
-          for (std::int64_t i = i0; i < i1; ++i) {
-            const std::int64_t to = inverse[static_cast<std::size_t>(i)];
-            std::copy(gs + to * inner, gs + (to + 1) * inner, gd + i * inner);
-          }
-        });
+    gather_rows_into(g, inverse, grad);
     accumulate_into(x, grad);
   });
 }
@@ -440,69 +324,48 @@ Var multihead_self_attention(const Var& x, const MhaWeights& weights,
   ORBIT2_REQUIRE(rows >= 0 && rows <= n,
                  "live rows " << rows << " outside [0, " << n << "]");
 
-  // Everything below runs on the live rows; padding is re-added at the end.
-  const Tensor xv = rows == n ? x.value() : x.value().slice(0, 0, rows);
-
-  // Projections.
-  auto project = [&](const Var& w, const Var& b) {
-    Tensor out = orbit2::matmul(xv, w.value());
-    add_bias_inplace(out, b.value().data().data());
-    return out;
-  };
-  Tensor q = project(weights.wq, weights.bq);
-  Tensor k = project(weights.wk, weights.bk);
-  Tensor v = project(weights.wv, weights.bv);
-
-  // Per-head attention; contexts saved for backward.
-  auto contexts = std::make_shared<std::vector<AttentionContext>>(
-      static_cast<std::size_t>(heads));
-  Tensor concat(Shape{rows, d});
+  // The forward runs on the live rows [0, L); output rows from L on stay
+  // zero. Fresh per-head buffers become the heads' backward contexts.
+  const Tensor xv = x.value().prefix(Shape{rows, d});
+  const Shape head_shape{rows, dh};
+  const Shape saved_shape = use_flash ? Shape{rows} : Shape{rows, rows};
+  std::vector<AttentionBuffers> head_buffers;
+  head_buffers.reserve(static_cast<std::size_t>(heads));
   for (std::int64_t hd = 0; hd < heads; ++hd) {
-    const Tensor qh = slice_cols(q, hd * dh, dh);
-    const Tensor kh = slice_cols(k, hd * dh, dh);
-    const Tensor vh = slice_cols(v, hd * dh, dh);
-    AttentionContext& ctx = (*contexts)[static_cast<std::size_t>(hd)];
-    Tensor oh = use_flash
-                    ? attention_flash_forward(qh, kh, vh, attn_scale, &ctx)
-                    : attention_naive_forward(qh, kh, vh, attn_scale, &ctx);
-    set_cols(concat, hd * dh, oh);
+    head_buffers.push_back({Tensor(head_shape), Tensor(head_shape),
+                            Tensor(head_shape), Tensor(head_shape),
+                            Tensor(saved_shape)});
+  }
+  Tensor q(Shape{rows, d}), k(Shape{rows, d}), v(Shape{rows, d});
+  Tensor concat(Shape{rows, d});
+  Tensor out(Shape{n, d});
+  Tensor live_out = out.prefix(Shape{rows, d});
+  multihead_attention_forward_into(
+      xv,
+      {weights.wq.value(), weights.bq.value(), weights.wk.value(),
+       weights.bk.value(), weights.wv.value(), weights.bv.value(),
+       weights.wo.value(), weights.bo.value()},
+      heads, use_flash, attn_scale, q, k, v, concat, head_buffers, live_out);
+  auto contexts = std::make_shared<std::vector<AttentionContext>>();
+  contexts->reserve(head_buffers.size());
+  for (const AttentionBuffers& b : head_buffers) {
+    contexts->push_back(attention_context(b, attn_scale, use_flash));
   }
 
-  // Output projection.
-  Tensor out = orbit2::matmul(concat, weights.wo.value());
-  add_bias_inplace(out, weights.bo.value().data().data());
-  if (rows < n) out = pad_rows(out, n);
-
-  if (graph::CaptureSink* sink = graph::capture_sink()) {
-    // One composite op per MHA call; the executor replays the identical
-    // project / per-head attention / reassemble / project sequence out of
-    // planned workspaces (q, k, v, concat full-width; per-head tiles; one
-    // score matrix or log-sum-exp vector depending on the kernel), sized for
-    // all N rows.
-    graph::GraphOp op;
-    op.kind = graph::OpKind::kMhsa;
-    op.inputs = {sink->value_for(x.value()),
-                 sink->value_for(weights.wq.value()),
-                 sink->value_for(weights.bq.value()),
-                 sink->value_for(weights.wk.value()),
-                 sink->value_for(weights.bk.value()),
-                 sink->value_for(weights.wv.value()),
-                 sink->value_for(weights.bv.value()),
-                 sink->value_for(weights.wo.value()),
-                 sink->value_for(weights.bo.value())};
-    if (partition != nullptr) op.inputs.push_back(sink->value_for(*partition));
-    op.iparams = {heads, use_flash ? std::int64_t{1} : std::int64_t{0}};
-    op.fparams = {attn_scale};
-    for (int i = 0; i < 4; ++i) {
-      op.workspaces.push_back(sink->add_workspace(Shape{n, d}));
-    }
-    for (int i = 0; i < 4; ++i) {
-      op.workspaces.push_back(sink->add_workspace(Shape{n, dh}));
-    }
-    op.workspaces.push_back(
-        sink->add_workspace(use_flash ? Shape{n} : Shape{n, n}));
-    op.output = sink->bind_output(out);
-    sink->record(std::move(op));
+  // One composite op per MHA call, replayed out of planned workspaces sized
+  // for all N rows: q, k, v, concat; per-head q, k, v, out; one score matrix
+  // or log-sum-exp vector depending on the kernel.
+  if (graph::capture_sink() != nullptr) {
+    std::vector<const Tensor*> inputs = {
+        &x.value(),          &weights.wq.value(), &weights.bq.value(),
+        &weights.wk.value(), &weights.bk.value(), &weights.wv.value(),
+        &weights.bv.value(), &weights.wo.value(), &weights.bo.value()};
+    if (partition != nullptr) inputs.push_back(partition);
+    const Shape full{n, d}, head{n, dh};
+    capture_op(out, graph::OpKind::kMhsa, inputs,
+               {heads, use_flash ? std::int64_t{1} : std::int64_t{0}},
+               {attn_scale}, {full, full, full, full, head, head, head, head,
+                              use_flash ? Shape{n} : Shape{n, n}});
   }
 
   std::vector<Var> parents = {x,          weights.wq, weights.wk, weights.wv,
@@ -518,7 +381,7 @@ Var multihead_self_attention(const Var& x, const MhaWeights& weights,
       [x, weights, contexts, concat, xv, wo_value, wq_value, wk_value,
        wv_value, heads, dh, n, rows, d, use_flash](const Tensor& g_all) {
         // Padded rows took no part in the forward: they get no gradient.
-        const Tensor g = rows == n ? g_all : g_all.slice(0, 0, rows);
+        const Tensor g = g_all.prefix(Shape{rows, d});
 
         // Output projection backward.
         if (weights.wo.needs_grad()) {
@@ -529,19 +392,21 @@ Var multihead_self_attention(const Var& x, const MhaWeights& weights,
 
         // Per-head attention backward, reassembled into [rows, D] grads.
         Tensor dq(Shape{rows, d}), dk(Shape{rows, d}), dv(Shape{rows, d});
+        Tensor d_oh(Shape{rows, dh});
         for (std::int64_t hd = 0; hd < heads; ++hd) {
-          const Tensor d_oh = slice_cols(d_concat, hd * dh, dh);
+          copy_cols_into(d_concat, hd * dh, d_oh);
           const AttentionContext& ctx = (*contexts)[static_cast<std::size_t>(hd)];
           AttentionGrads grads = use_flash
                                      ? attention_flash_backward(ctx, d_oh)
                                      : attention_naive_backward(ctx, d_oh);
-          set_cols(dq, hd * dh, grads.dq);
-          set_cols(dk, hd * dh, grads.dk);
-          set_cols(dv, hd * dh, grads.dv);
+          paste_cols(grads.dq, hd * dh, dq);
+          paste_cols(grads.dk, hd * dh, dk);
+          paste_cols(grads.dv, hd * dh, dv);
         }
 
         // Projection backward: accumulate into weights and into x.
-        Tensor dx = Tensor::zeros(Shape{rows, d});
+        Tensor dx_all = Tensor::zeros(Shape{n, d});
+        Tensor dx = dx_all.prefix(Shape{rows, d});
         auto unproject = [&](const Tensor& dproj, const Var& w, const Var& b,
                              const Tensor& w_value) {
           if (w.needs_grad()) accumulate_into(w, matmul_tn(xv, dproj));
@@ -551,7 +416,7 @@ Var multihead_self_attention(const Var& x, const MhaWeights& weights,
         unproject(dq, weights.wq, weights.bq, wq_value);
         unproject(dk, weights.wk, weights.bk, wk_value);
         unproject(dv, weights.wv, weights.bv, wv_value);
-        accumulate_into(x, rows == n ? dx : pad_rows(dx, n));
+        accumulate_into(x, dx_all);
       });
 }
 

@@ -1,5 +1,7 @@
 #include "graph/ir.hpp"
 
+#include <utility>
+
 #include "core/error.hpp"
 
 namespace orbit2::graph {
@@ -90,6 +92,68 @@ CapturedGraph CaptureSink::take(const Tensor& output) {
                  "capture output does not resolve to a recorded value");
   graph_.output = out_vid;
   return std::move(graph_);
+}
+
+namespace {
+
+void record_op(CaptureSink& sink, GraphOp op,
+               const std::vector<const Tensor*>& inputs,
+               const std::vector<Shape>& workspaces, const Tensor& out) {
+  for (const Tensor* in : inputs) op.inputs.push_back(sink.value_for(*in));
+  for (const Shape& shape : workspaces) {
+    op.workspaces.push_back(sink.add_workspace(shape));
+  }
+  op.output = sink.bind_output(out);
+  sink.record(std::move(op));
+}
+
+}  // namespace
+
+void capture_op(const Tensor& out, OpKind kind,
+                const std::vector<const Tensor*>& inputs,
+                const std::vector<std::int64_t>& iparams,
+                const std::vector<float>& fparams,
+                const std::vector<Shape>& workspaces,
+                const std::vector<std::int64_t>& perm) {
+  CaptureSink* sink = capture_sink();
+  if (sink == nullptr) return;
+  GraphOp op;
+  op.kind = kind;
+  op.iparams = iparams;
+  op.fparams = fparams;
+  op.perm = perm;
+  record_op(*sink, std::move(op), inputs, workspaces, out);
+}
+
+void capture_custom(const Tensor& out, CustomReplayFn fn,
+                    const std::vector<const Tensor*>& inputs,
+                    const std::vector<std::int64_t>& iparams,
+                    const std::vector<float>& fparams,
+                    const std::vector<Shape>& workspaces) {
+  CaptureSink* sink = capture_sink();
+  if (sink == nullptr) return;
+  GraphOp op;
+  op.kind = OpKind::kCustom;
+  op.iparams = iparams;
+  op.fparams = fparams;
+  op.custom = fn;
+  record_op(*sink, std::move(op), inputs, workspaces, out);
+}
+
+void capture_elementwise(const Tensor& out, const Tensor& in0,
+                         const Tensor* aux, EwStage stage) {
+  CaptureSink* sink = capture_sink();
+  if (sink == nullptr) return;
+  GraphOp op;
+  op.kind = OpKind::kElementwise;
+  op.inputs.push_back(sink->value_for(in0));
+  if (aux != nullptr) {
+    stage.aux = sink->value_for(*aux);
+    op.inputs.push_back(stage.aux);
+  }
+  op.stages.push_back(stage);
+  op.output = sink->bind_output(out);
+  sink->record(std::move(op));
 }
 
 }  // namespace orbit2::graph

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "attention/attention.hpp"
 #include "core/error.hpp"
@@ -14,56 +15,6 @@
 #include "tensor/resize.hpp"
 
 namespace orbit2::graph {
-
-namespace {
-
-// Data-movement helpers mirroring the autograd MHA's slice_cols / set_cols /
-// add_bias_inplace loops exactly (pure copies and per-element adds are
-// bit-identical for any partitioning).
-
-void copy_cols(const Tensor& x, std::int64_t start, std::int64_t len,
-               Tensor& out) {
-  const std::int64_t rows = x.dim(0), cols = x.dim(1);
-  const float* src = x.data().data();
-  float* dst = out.data().data();
-  kernels::parallel_for(
-      rows, kernels::grain_for(len), [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t r = r0; r < r1; ++r) {
-          std::copy(src + r * cols + start, src + r * cols + start + len,
-                    dst + r * len);
-        }
-      });
-}
-
-void paste_cols(Tensor& x, std::int64_t start, const Tensor& block) {
-  const std::int64_t rows = x.dim(0), cols = x.dim(1);
-  const std::int64_t len = block.dim(1);
-  const float* src = block.data().data();
-  float* dst = x.data().data();
-  kernels::parallel_for(
-      rows, kernels::grain_for(len), [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t r = r0; r < r1; ++r) {
-          std::copy(src + r * len, src + r * len + len, dst + r * cols + start);
-        }
-      });
-}
-
-void add_bias_rows_inplace(Tensor& x, const float* bias) {
-  const std::int64_t rows = x.dim(0), cols = x.dim(1);
-  float* dst = x.data().data();
-  const simd::Ops& sops = simd::ops();
-  kernels::parallel_for(
-      rows, kernels::grain_for(cols), [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t r = r0; r < r1; ++r) {
-          sops.add_f32(dst + r * cols, bias, cols);
-        }
-      });
-}
-
-// Matches the eager elementwise grain (tensor/ops.cpp kElementwiseGrain).
-constexpr std::int64_t kEwGrain = std::int64_t{1} << 14;
-
-}  // namespace
 
 Executor::Executor(std::shared_ptr<const Plan> plan) : plan_(std::move(plan)) {
   ORBIT2_REQUIRE(plan_ != nullptr, "Executor on null plan");
@@ -151,25 +102,9 @@ void Executor::dispatch(const GraphOp& op) {
       }
       return;
     }
-    case OpKind::kPermuteRows: {
-      const Tensor& x = value(op.inputs[0]);
-      Tensor& out = mutable_value(op.output);
-      const std::int64_t rows = x.dim(0);
-      const std::int64_t inner = x.numel() / std::max<std::int64_t>(1, rows);
-      const float* src = x.data().data();
-      float* dst = out.data().data();
-      const std::vector<std::int64_t>& perm = op.perm;
-      kernels::parallel_for(
-          rows, kernels::grain_for(inner),
-          [&](std::int64_t i0, std::int64_t i1) {
-            for (std::int64_t i = i0; i < i1; ++i) {
-              const std::int64_t from = perm[static_cast<std::size_t>(i)];
-              std::copy(src + from * inner, src + (from + 1) * inner,
-                        dst + i * inner);
-            }
-          });
+    case OpKind::kPermuteRows:
+      gather_rows_into(value(op.inputs[0]), op.perm, mutable_value(op.output));
       return;
-    }
     case OpKind::kConv2d: {
       Conv2dSpec spec;
       spec.kernel_h = op.iparams[0];
@@ -234,7 +169,7 @@ void Executor::run_elementwise(const GraphOp& op) {
   // already compiler-chosen in the scalar loops this replaces.
   const simd::Ops& sops = simd::ops();
   kernels::parallel_for(
-      out.numel(), kEwGrain, [&](std::int64_t i0, std::int64_t i1) {
+      out.numel(), kElementwiseGrain, [&](std::int64_t i0, std::int64_t i1) {
         if (dst != src) {
           std::memcpy(dst + i0, src + i0,
                       static_cast<std::size_t>(i1 - i0) * sizeof(float));
@@ -263,36 +198,16 @@ void Executor::run_elementwise(const GraphOp& op) {
             case EwKind::kGelu:
               sops.gelu_f32(dst + i0, dst + i0, i1 - i0);
               break;
-            // Row-indexed adds run as contiguous per-row segments so each
-            // segment is one primitive call, like the eager row loops they
-            // replay.
+            // Row-broadcast adds: the eager ops' add_table_rows body.
             case EwKind::kAddBiasRows:
-              for (std::int64_t i = i0; i < i1;) {
-                const std::int64_t col = i % st.a;
-                const std::int64_t run = std::min(i1 - i, st.a - col);
-                sops.add_f32(dst + i, aux + col, run);
-                i += run;
-              }
+              add_table_rows_f32(dst, i0, i1, aux, st.a, kAllRows);
               break;
-            case EwKind::kAddTableRow: {
-              const float* row = aux + st.b * st.a;
-              for (std::int64_t i = i0; i < i1;) {
-                const std::int64_t col = i % st.a;
-                const std::int64_t run = std::min(i1 - i, st.a - col);
-                sops.add_f32(dst + i, row + col, run);
-                i += run;
-              }
+            case EwKind::kAddTableRow:
+              add_table_rows_f32(dst, i0, i1, aux + st.b * st.a, st.a,
+                                 kAllRows);
               break;
-            }
             case EwKind::kAddVarEmb:
-              // index = (i / (a*b)) * a + i % a.
-              for (std::int64_t i = i0; i < i1;) {
-                const std::int64_t col = i % st.a;
-                const std::int64_t run = std::min(i1 - i, st.a - col);
-                sops.add_f32(dst + i, aux + (i / (st.a * st.b)) * st.a + col,
-                             run);
-                i += run;
-              }
+              add_table_rows_f32(dst, i0, i1, aux, st.a, st.b);
               break;
           }
         }
@@ -305,10 +220,9 @@ void Executor::run_mhsa(const GraphOp& op) {
   const std::int64_t heads = op.iparams[0];
   const bool use_flash = op.iparams[1] != 0;
   const std::int64_t dh = d / heads;
-  const float attn_scale = op.fparams[0];
   // A tenth input is a partition value: only its first L rows are live, and
   // the op runs on prefix views of its planned [N, ...] buffers, exactly as
-  // the eager op runs on the sliced [L, D] tokens.
+  // the eager op runs on the live [L, D] tokens.
   const std::int64_t rows =
       op.inputs.size() > 9
           ? static_cast<std::int64_t>(value(op.inputs[9]).data()[0])
@@ -317,45 +231,24 @@ void Executor::run_mhsa(const GraphOp& op) {
     return mutable_value(v).prefix(shape);
   };
 
-  const Tensor x = x_all.prefix(Shape{rows, d});
   Tensor q = live(op.workspaces[0], Shape{rows, d});
   Tensor k = live(op.workspaces[1], Shape{rows, d});
   Tensor v = live(op.workspaces[2], Shape{rows, d});
   Tensor concat = live(op.workspaces[3], Shape{rows, d});
-  Tensor qh = live(op.workspaces[4], Shape{rows, dh});
-  Tensor kh = live(op.workspaces[5], Shape{rows, dh});
-  Tensor vh = live(op.workspaces[6], Shape{rows, dh});
-  Tensor oh = live(op.workspaces[7], Shape{rows, dh});
-  Tensor attn_ws = live(op.workspaces[8],
-                        use_flash ? Shape{rows} : Shape{rows, rows});
-
-  // Projections: same gemm + bias-add sequence as the eager MHA.
-  auto project = [&](ValueId w, ValueId b, Tensor& out) {
-    kernels::gemm(kernels::Trans::kN, kernels::Trans::kN, rows, d, d,
-                  x.data().data(), value(w).data().data(), out.data().data());
-    add_bias_rows_inplace(out, value(b).data().data());
-  };
-  project(op.inputs[1], op.inputs[2], q);
-  project(op.inputs[3], op.inputs[4], k);
-  project(op.inputs[5], op.inputs[6], v);
-
-  for (std::int64_t hd = 0; hd < heads; ++hd) {
-    copy_cols(q, hd * dh, dh, qh);
-    copy_cols(k, hd * dh, dh, kh);
-    copy_cols(v, hd * dh, dh, vh);
-    if (use_flash) {
-      attention_flash_forward_into(qh, kh, vh, attn_scale, oh, attn_ws);
-    } else {
-      attention_naive_forward_into(qh, kh, vh, attn_scale, attn_ws, oh);
-    }
-    paste_cols(concat, hd * dh, oh);
-  }
-
+  AttentionBuffers head{
+      live(op.workspaces[4], Shape{rows, dh}),
+      live(op.workspaces[5], Shape{rows, dh}),
+      live(op.workspaces[6], Shape{rows, dh}),
+      live(op.workspaces[7], Shape{rows, dh}),
+      live(op.workspaces[8], use_flash ? Shape{rows} : Shape{rows, rows})};
   Tensor out = live(op.output, Shape{rows, d});
-  kernels::gemm(kernels::Trans::kN, kernels::Trans::kN, rows, d, d,
-                concat.data().data(), value(op.inputs[7]).data().data(),
-                out.data().data());
-  add_bias_rows_inplace(out, value(op.inputs[8]).data().data());
+  multihead_attention_forward_into(
+      x_all.prefix(Shape{rows, d}),
+      {value(op.inputs[1]), value(op.inputs[2]), value(op.inputs[3]),
+       value(op.inputs[4]), value(op.inputs[5]), value(op.inputs[6]),
+       value(op.inputs[7]), value(op.inputs[8])},
+      heads, use_flash, op.fparams[0], q, k, v, concat,
+      std::span<AttentionBuffers>(&head, 1), out);
   float* pad = mutable_value(op.output).data().data();
   std::fill(pad + rows * d, pad + n * d, 0.0f);
 }

@@ -149,6 +149,32 @@ class CaptureSink {
 /// The active sink for this thread, or nullptr when not capturing.
 CaptureSink* capture_sink();
 
+// ---- Capture helpers ----------------------------------------------------
+// Every captured op records itself through these after computing its value
+// eagerly; each costs one thread-local read when capture is off. Value IDs
+// are assigned inputs first, then workspaces, then the output.
+
+/// Records one op of `kind` reading `inputs` and writing `out`, with one
+/// per-op scratch value declared per shape in `workspaces`.
+void capture_op(const Tensor& out, OpKind kind,
+                const std::vector<const Tensor*>& inputs,
+                const std::vector<std::int64_t>& iparams = {},
+                const std::vector<float>& fparams = {},
+                const std::vector<Shape>& workspaces = {},
+                const std::vector<std::int64_t>& perm = {});
+
+/// Records one kCustom op replayed by `fn`; arguments as for capture_op.
+void capture_custom(const Tensor& out, CustomReplayFn fn,
+                    const std::vector<const Tensor*>& inputs,
+                    const std::vector<std::int64_t>& iparams = {},
+                    const std::vector<float>& fparams = {},
+                    const std::vector<Shape>& workspaces = {});
+
+/// Records a single-stage kElementwise op on `in0`; a binary stage's aux
+/// operand resolves from `aux` when non-null.
+void capture_elementwise(const Tensor& out, const Tensor& in0,
+                         const Tensor* aux, EwStage stage);
+
 /// RAII installer for the thread-local capture sink.
 class CaptureScope {
  public:

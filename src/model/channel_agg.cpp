@@ -113,19 +113,10 @@ Var aggregate_channels(const Var& embeddings, const Var& query, const Var& wk,
   aggregate_channels_core(emb, q, wk.value(), wv.value(), num_variables,
                           num_positions, k, v, alpha, out);
 
-  if (graph::CaptureSink* sink = graph::capture_sink()) {
-    graph::GraphOp op;
-    op.kind = graph::OpKind::kCustom;
-    op.inputs = {sink->value_for(emb), sink->value_for(q),
-                 sink->value_for(wk.value()), sink->value_for(wv.value())};
-    op.iparams = {num_variables, num_positions};
-    op.workspaces = {sink->add_workspace(k.shape()),
-                     sink->add_workspace(v.shape()),
-                     sink->add_workspace(alpha.shape())};
-    op.custom = &replay_aggregate_channels;
-    op.output = sink->bind_output(out);
-    sink->record(std::move(op));
-  }
+  graph::capture_custom(out, &replay_aggregate_channels,
+                        {&emb, &q, &wk.value(), &wv.value()},
+                        {num_variables, num_positions}, {},
+                        {k.shape(), v.shape(), alpha.shape()});
 
   const Tensor wk_value = wk.value();
   const Tensor wv_value = wv.value();

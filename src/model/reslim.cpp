@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <initializer_list>
 
 #include "core/kernels.hpp"
 #include "graph/executor.hpp"
@@ -11,6 +10,7 @@
 #include "model/channel_agg.hpp"
 #include "model/pos_embed.hpp"
 #include "quadtree/quadtree_ops.hpp"
+#include "tensor/ops.hpp"
 
 namespace orbit2::model {
 
@@ -18,13 +18,11 @@ using autograd::Var;
 
 namespace {
 
-/// Replays the per-variable tokenization as one gather: input [V, h, w] ->
-/// out [V*P, p*p], variable-major. Pure copies, so any partitioning is
-/// bitwise identical to the eager slice + image_to_tokens_raw sequence.
-void replay_tokenize(const graph::GraphOp& op, graph::Executor& ex) {
-  const Tensor& input = ex.value(op.inputs[0]);
-  Tensor& out = ex.mutable_value(op.output);
-  const std::int64_t p = op.iparams[0];
+/// Per-variable tokenization as one gather: input [V, h, w] -> out
+/// [V*P, p*p], variable-major (variable v's tokens are image_to_tokens of
+/// channel v). The eager forward and the replay both run it.
+void tokenize_variables_into(const Tensor& input, std::int64_t p,
+                             Tensor& out) {
   const std::int64_t h = input.dim(1), w = input.dim(2);
   const std::int64_t gw = w / p;
   const std::int64_t positions = (h / p) * gw;
@@ -43,6 +41,11 @@ void replay_tokenize(const graph::GraphOp& op, graph::Executor& ex) {
           }
         }
       });
+}
+
+void replay_tokenize(const graph::GraphOp& op, graph::Executor& ex) {
+  tokenize_variables_into(ex.value(op.inputs[0]), op.iparams[0],
+                          ex.mutable_value(op.output));
 }
 
 /// The quad-tree leaves of the aggregated tokens [P, D]: the RMS of each
@@ -85,21 +88,6 @@ void replay_scatter(const graph::GraphOp& op, graph::Executor& ex) {
                       ex.value(op.inputs[1]), ex.mutable_value(op.output));
 }
 
-/// Records one kCustom op reading `inputs` and writing `output`.
-void record_custom(graph::CaptureSink& sink, graph::CustomReplayFn fn,
-                   std::initializer_list<const Tensor*> inputs,
-                   const Tensor& output, std::vector<std::int64_t> iparams,
-                   std::vector<float> fparams = {}) {
-  graph::GraphOp op;
-  op.kind = graph::OpKind::kCustom;
-  for (const Tensor* in : inputs) op.inputs.push_back(sink.value_for(*in));
-  op.iparams = std::move(iparams);
-  op.fparams = std::move(fparams);
-  op.custom = fn;
-  op.output = sink.bind_output(output);
-  sink.record(std::move(op));
-}
-
 }  // namespace
 
 Var add_table_row(const Var& tokens, const Var& table, std::int64_t row) {
@@ -109,29 +97,12 @@ Var add_table_row(const Var& tokens, const Var& table, std::int64_t row) {
   ORBIT2_REQUIRE(row >= 0 && row < tab.dim(0), "table row out of range");
   ORBIT2_REQUIRE(tok.dim(1) == tab.dim(1), "feature dim mismatch");
   Tensor value = tok.clone();
-  {
-    const std::int64_t n = value.dim(0), d = value.dim(1);
-    float* p = value.data().data();
-    const float* r = tab.data().data() + row * d;
-    for (std::int64_t i = 0; i < n; ++i) {
-      float* prow = p + i * d;
-      for (std::int64_t f = 0; f < d; ++f) prow[f] += r[f];
-    }
-  }
-  if (graph::CaptureSink* sink = graph::capture_sink()) {
-    graph::GraphOp op;
-    op.kind = graph::OpKind::kElementwise;
-    graph::EwStage stage;
-    stage.kind = graph::EwKind::kAddTableRow;
-    stage.a = tok.dim(1);
-    stage.b = row;
-    op.inputs.push_back(sink->value_for(tok));
-    stage.aux = sink->value_for(tab);
-    op.inputs.push_back(stage.aux);
-    op.stages.push_back(stage);
-    op.output = sink->bind_output(value);
-    sink->record(std::move(op));
-  }
+  add_table_rows_inplace(value, tab.data().data() + row * tab.dim(1),
+                         kAllRows);
+  graph::EwStage stage{graph::EwKind::kAddTableRow};
+  stage.a = tok.dim(1);
+  stage.b = row;
+  graph::capture_elementwise(value, tok, &tab, stage);
   const Shape tab_shape = tab.shape();
   return autograd::make_op(
       std::move(value), {tokens, table},
@@ -160,32 +131,11 @@ Var add_variable_embedding(const Var& tokens, const Var& table,
   ORBIT2_REQUIRE(tab.shape() == Shape({num_variables, tok.dim(1)}),
                  "variable table must be [V, D]");
   Tensor value = tok.clone();
-  {
-    const std::int64_t d = value.dim(1);
-    float* p = value.data().data();
-    const float* t = tab.data().data();
-    for (std::int64_t v = 0; v < num_variables; ++v) {
-      const float* vrow = t + v * d;
-      for (std::int64_t pos = 0; pos < num_positions; ++pos) {
-        float* prow = p + (v * num_positions + pos) * d;
-        for (std::int64_t f = 0; f < d; ++f) prow[f] += vrow[f];
-      }
-    }
-  }
-  if (graph::CaptureSink* sink = graph::capture_sink()) {
-    graph::GraphOp op;
-    op.kind = graph::OpKind::kElementwise;
-    graph::EwStage stage;
-    stage.kind = graph::EwKind::kAddVarEmb;
-    stage.a = tok.dim(1);
-    stage.b = num_positions;
-    op.inputs.push_back(sink->value_for(tok));
-    stage.aux = sink->value_for(tab);
-    op.inputs.push_back(stage.aux);
-    op.stages.push_back(stage);
-    op.output = sink->bind_output(value);
-    sink->record(std::move(op));
-  }
+  add_table_rows_inplace(value, tab.data().data(), num_positions);
+  graph::EwStage stage{graph::EwKind::kAddVarEmb};
+  stage.a = tok.dim(1);
+  stage.b = num_positions;
+  graph::capture_elementwise(value, tok, &tab, stage);
   const Shape tab_shape = tab.shape();
   return autograd::make_op(
       std::move(value), {tokens, table},
@@ -277,15 +227,8 @@ Var ReslimModel::forward(const Tensor& input, ForwardStats* stats) const {
   // Per-variable tokenization: [V*P, p*p], variable-major. Input is data,
   // so this is a raw (non-differentiable) rearrangement.
   Tensor raw_tokens(Shape{variables * positions, p * p});
-  for (std::int64_t v = 0; v < variables; ++v) {
-    const Tensor channel = input.slice(0, v, 1);
-    const Tensor tokens = autograd::image_to_tokens_raw(channel, p);
-    std::copy(tokens.data().begin(), tokens.data().end(),
-              raw_tokens.data().begin() + v * positions * (p * p));
-  }
-  if (graph::CaptureSink* sink = graph::capture_sink()) {
-    record_custom(*sink, &replay_tokenize, {&input}, raw_tokens, {p});
-  }
+  tokenize_variables_into(input, p, raw_tokens);
+  graph::capture_custom(raw_tokens, &replay_tokenize, {&input}, {p});
 
   // Shared patch embedding + per-variable embedding.
   Var embedded = patch_embed_.forward(Var::constant(raw_tokens));
@@ -320,16 +263,16 @@ Var ReslimModel::forward(const Tensor& input, ForwardStats* stats) const {
   if (config_.compression_ratio > 1.0f) {
     const float ratio = config_.compression_ratio;
     leaves = adaptive_leaves(aggregated.value(), gh, gw, ratio);
-    if (graph::CaptureSink* sink = graph::capture_sink()) {
+    if (graph::capture_sink() != nullptr) {
       const std::int64_t max_leaves = max_leaves_for_ratio(positions, ratio);
       partition = Tensor(Shape{partition_value_size(max_leaves)});
       encode_partition(leaves, partition);
-      record_custom(*sink, &replay_partition, {&aggregated.value()},
-                    partition, {gh, gw}, {ratio});
+      graph::capture_custom(partition, &replay_partition,
+                            {&aggregated.value()}, {gh, gw}, {ratio});
       Tensor pooled(Shape{max_leaves, config_.embed_dim});
       pool_tokens_into(aggregated.value(), gh, gw, partition, pooled);
-      record_custom(*sink, &replay_pool, {&aggregated.value(), &partition},
-                    pooled, {gh, gw});
+      graph::capture_custom(pooled, &replay_pool,
+                            {&aggregated.value(), &partition}, {gh, gw});
       trunk_input = Var::constant(pooled);
       live = &partition;
     } else {
@@ -372,8 +315,8 @@ Var ReslimModel::forward(const Tensor& input, ForwardStats* stats) const {
   if (live != nullptr) {
     Tensor grid(Shape{positions, config_.embed_dim});
     scatter_tokens_into(x.value(), gh, gw, partition, grid);
-    record_custom(*graph::capture_sink(), &replay_scatter,
-                  {&x.value(), &partition}, grid, {gh, gw});
+    graph::capture_custom(grid, &replay_scatter, {&x.value(), &partition},
+                          {gh, gw});
     x = Var::constant(grid);
   } else if (!leaves.empty()) {
     x = decompress_tokens(x, gh, gw, leaves);

@@ -43,13 +43,7 @@ Var ViTBaselineModel::forward(const Tensor& input) const {
   // Fig 1 step 1: upsample every channel to the target grid (input is data,
   // so this is a raw resize — its cost shows up as the long HR sequence).
   const Tensor upsampled = resize_bilinear(input, out_h, out_w);
-  if (graph::CaptureSink* sink = graph::capture_sink()) {
-    graph::GraphOp op;
-    op.kind = graph::OpKind::kResizeBilinear;
-    op.inputs.push_back(sink->value_for(input));
-    op.output = sink->bind_output(upsampled);
-    sink->record(std::move(op));
-  }
+  graph::capture_op(upsampled, graph::OpKind::kResizeBilinear, {&input});
 
   // Step 2: aggregate channels in feature space with a shallow conv.
   Var features = channel_conv_.forward(Var::constant(upsampled));

@@ -1,5 +1,6 @@
 #include "tensor/ops.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -196,10 +197,6 @@ Tensor layernorm_rows_backward(const Tensor& grad_output, const Tensor& input,
   return grad_input;
 }
 
-namespace {
-constexpr std::int64_t kElementwiseGrain = 1 << 14;
-}  // namespace
-
 Tensor gelu(const Tensor& input) {
   Tensor out(input.shape());
   const float* x = input.data().data();
@@ -225,6 +222,91 @@ Tensor gelu_backward(const Tensor& input, const Tensor& grad_output) {
                                              i1 - i0);
                         });
   return out;
+}
+
+void add_table_rows_f32(float* dst, std::int64_t i0, std::int64_t i1,
+                        const float* table, std::int64_t d,
+                        std::int64_t group) {
+  if (i0 >= i1) return;
+  const simd::Ops& sops = simd::ops();
+  // Divide once; later runs start a row, so the table row advances by
+  // counting rows instead of dividing per run.
+  const std::int64_t row = i0 / d;
+  const float* entry = table + (row / group) * d;
+  std::int64_t rows_left = group - row % group;  // rows before entry moves
+  std::int64_t col = i0 % d;
+  for (std::int64_t i = i0; i < i1;) {
+    const std::int64_t run = std::min(i1 - i, d - col);
+    sops.add_f32(dst + i, entry + col, run);
+    i += run;
+    col = 0;
+    if (--rows_left == 0) {
+      entry += d;
+      rows_left = group;
+    }
+  }
+}
+
+void add_table_rows_inplace(Tensor& x, const float* table,
+                            std::int64_t group) {
+  ORBIT2_REQUIRE(x.rank() == 2, "add_table_rows_inplace expects [N, D]");
+  ORBIT2_REQUIRE(group >= 1, "add_table_rows_inplace group " << group);
+  float* dst = x.data().data();
+  const std::int64_t d = x.dim(1);
+  kernels::parallel_for(x.numel(), kElementwiseGrain,
+                        [&](std::int64_t i0, std::int64_t i1) {
+                          add_table_rows_f32(dst, i0, i1, table, d, group);
+                        });
+}
+
+void copy_cols_into(const Tensor& x, std::int64_t start, Tensor& out) {
+  const std::int64_t rows = x.dim(0), cols = x.dim(1);
+  const std::int64_t len = out.dim(1);
+  ORBIT2_CHECK(out.dim(0) == rows && start >= 0 && start + len <= cols,
+               "copy_cols_into out of range");
+  const float* src = x.data().data();
+  float* dst = out.data().data();
+  kernels::parallel_for(
+      rows, kernels::grain_for(len), [&](std::int64_t r0, std::int64_t r1) {
+        for (std::int64_t r = r0; r < r1; ++r) {
+          std::copy(src + r * cols + start, src + r * cols + start + len,
+                    dst + r * len);
+        }
+      });
+}
+
+void paste_cols(const Tensor& block, std::int64_t start, Tensor& x) {
+  const std::int64_t rows = x.dim(0), cols = x.dim(1);
+  const std::int64_t len = block.dim(1);
+  ORBIT2_CHECK(block.dim(0) == rows && start >= 0 && start + len <= cols,
+               "paste_cols shape mismatch");
+  const float* src = block.data().data();
+  float* dst = x.data().data();
+  kernels::parallel_for(
+      rows, kernels::grain_for(len), [&](std::int64_t r0, std::int64_t r1) {
+        for (std::int64_t r = r0; r < r1; ++r) {
+          std::copy(src + r * len, src + r * len + len, dst + r * cols + start);
+        }
+      });
+}
+
+void gather_rows_into(const Tensor& x, const std::vector<std::int64_t>& index,
+                      Tensor& out) {
+  const std::int64_t rows = out.dim(0);
+  const std::int64_t inner = out.numel() / std::max<std::int64_t>(1, rows);
+  ORBIT2_CHECK(static_cast<std::int64_t>(index.size()) == rows &&
+                   x.numel() == x.dim(0) * inner,
+               "gather_rows_into shape mismatch");
+  const float* src = x.data().data();
+  float* dst = out.data().data();
+  kernels::parallel_for(
+      rows, kernels::grain_for(inner), [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t i = i0; i < i1; ++i) {
+          const std::int64_t from = index[static_cast<std::size_t>(i)];
+          std::copy(src + from * inner, src + (from + 1) * inner,
+                    dst + i * inner);
+        }
+      });
 }
 
 }  // namespace orbit2

@@ -21,6 +21,7 @@
 
 #include "attention/attention.hpp"
 #include "attention/window_attention.hpp"
+#include "autograd/nn.hpp"
 #include "core/kernels.hpp"
 #include "core/rng.hpp"
 #include "core/simd/simd.hpp"
@@ -400,16 +401,19 @@ TEST(Kernels, AttentionThreadCountInvariant) {
 
 TEST(Kernels, WindowAttentionThreadCountInvariant) {
   Rng rng(23);
-  const Tensor q = Tensor::randn(Shape{64, 12}, rng);
-  const Tensor k = Tensor::randn(Shape{64, 12}, rng);
-  const Tensor v = Tensor::randn(Shape{64, 12}, rng);
+  const autograd::MultiHeadSelfAttention mha("mha", 12, 3, rng);
+  const Tensor x = Tensor::randn(Shape{64, 12}, rng);
   WindowAttentionSpec spec;
   spec.grid_h = 8;
   spec.grid_w = 8;
   spec.window = 4;
   spec.shift = 2;
-  expect_thread_invariant(
-      [&] { return window_attention_forward(q, k, v, 0.3f, spec); });
+  for (const bool flash : {false, true}) {
+    expect_thread_invariant([&] {
+      return mha.forward_windowed(autograd::Var::constant(x), flash, spec)
+          .value();
+    });
+  }
 }
 
 TEST(Kernels, ResizeThreadCountInvariant) {

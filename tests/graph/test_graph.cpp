@@ -3,8 +3,8 @@
 // included: one plan per shape across differing quad-tree partitions) and
 // the ViT baseline across thread counts and non-power-of-two grids,
 // tape-free predict, plan determinism, throw-on-no-replay-rule capture, obs
-// counters, and a kill->resume check that checkpointing is unaffected by
-// plan caching.
+// counters, a seeded grid of model variants replayed against eager, and a
+// kill->resume check that checkpointing is unaffected by plan caching.
 
 #include <gtest/gtest.h>
 
@@ -398,6 +398,126 @@ TEST(Equivalence, ViTAcrossThreadCounts) {
     expect_bitwise(model.predict_field(input), eager, "vit");
   }
   kernels::set_max_threads(0);
+}
+
+// ---- seeded variant grid ----------------------------------------------------
+
+/// One eager-vs-compiled variant: a model config plus its LR input grid.
+struct Variant {
+  model::ModelConfig config;
+  std::int64_t h = 0, w = 0;
+};
+
+/// `count` variants drawn from a fixed seed over the dimensions that change
+/// a captured graph's ops or shapes: architecture, embed dim and a head
+/// count dividing it, layers, patch, non-power-of-two token grids, flash or
+/// naive attention, window 0 or 2, compression 1, 2 or 4, and the residual
+/// path. Windows and compression are Reslim-only and exclusive (windows need
+/// the uniform grid); a windowed grid has even sides.
+std::vector<Variant> variant_grid(std::uint64_t seed, int count) {
+  Rng rng(seed);
+  auto pick = [&rng](std::initializer_list<std::int64_t> values) {
+    return *(values.begin() + rng.uniform_index(values.size()));
+  };
+  std::vector<Variant> variants;
+  for (int i = 0; i < count; ++i) {
+    Variant v;
+    model::ModelConfig& c = v.config;
+    c = model::preset_tiny();
+    c.name = "variant" + std::to_string(i);
+    c.upscale = 2;
+    c.residual_hidden = 4;
+    c.in_channels = pick({2, 3});
+    c.out_channels = pick({1, 2});
+    c.embed_dim = pick({12, 16, 24});
+    c.heads = pick({1, 2, 3, 4});
+    while (c.embed_dim % c.heads != 0) --c.heads;
+    c.layers = pick({1, 2});
+    c.patch = pick({2, 4});
+    c.use_flash_attention = rng.uniform_index(2) == 1;
+    const bool vit = i % 4 == 3;
+    if (vit) {
+      c.architecture = model::Architecture::kViTBaseline;
+    } else {
+      c.use_residual_path = rng.uniform_index(2) == 1;
+      const std::int64_t mode = pick({0, 1, 2, 3});  // plain, window, c2, c4
+      if (mode == 1) c.attention_window = 2;
+      if (mode >= 2) c.compression_ratio = mode == 2 ? 2.0f : 4.0f;
+    }
+    // Token grid sides, never both powers of two.
+    std::int64_t gh = 0, gw = 0;
+    do {
+      gh = c.attention_window > 0 ? pick({2, 6, 10}) : pick({3, 5, 6, 7, 9});
+      gw = c.attention_window > 0 ? pick({6, 10}) : pick({5, 7, 9, 10});
+    } while ((gh & (gh - 1)) == 0 && (gw & (gw - 1)) == 0);
+    // Reslim tokenizes the LR grid, the ViT the upscaled one.
+    const std::int64_t cell = vit ? c.patch / c.upscale : c.patch;
+    v.h = gh * cell;
+    v.w = gw * cell;
+    variants.push_back(std::move(v));
+  }
+  return variants;
+}
+
+template <typename Model>
+void expect_variant_matches_eager(const Model& model, const Tensor& input) {
+  const auto compiled = model.compiled_for(input);
+  ASSERT_TRUE(compiled != nullptr && compiled->valid());
+  Executor executor(compiled->plan());
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    kernels::set_max_threads(threads);
+    autograd::InferenceModeScope no_tape;
+    const Tensor eager = model.forward(input).value();
+    expect_bitwise(executor.run(input), eager, "executor");
+    expect_bitwise(model.predict_field(input), eager, "predict_field");
+  }
+  kernels::set_max_threads(0);
+}
+
+TEST(Equivalence, SeededVariantGrid) {
+  const std::vector<Variant> variants = variant_grid(2026, 12);
+  // The draw must reach every value of the dimensions it varies.
+  std::map<std::string, int> seen;
+  for (const Variant& v : variants) {
+    const model::ModelConfig& c = v.config;
+    const bool vit = c.architecture == model::Architecture::kViTBaseline;
+    ++seen[vit ? "vit" : "reslim"];
+    ++seen["layers" + std::to_string(c.layers)];
+    ++seen["patch" + std::to_string(c.patch)];
+    ++seen[c.use_flash_attention ? "flash" : "naive"];
+    if (vit) continue;
+    ++seen["window" + std::to_string(c.attention_window)];
+    ++seen["ratio" + std::to_string(static_cast<int>(c.compression_ratio))];
+    ++seen[c.use_residual_path ? "residual" : "no-residual"];
+  }
+  for (const char* value :
+       {"vit", "reslim", "layers1", "layers2", "patch2", "patch4", "flash",
+        "naive", "window0", "window2", "ratio1", "ratio2", "ratio4",
+        "residual", "no-residual"}) {
+    EXPECT_GT(seen[value], 0) << "variant grid never draws " << value;
+  }
+
+  for (const Variant& v : variants) {
+    const model::ModelConfig& c = v.config;
+    SCOPED_TRACE(::testing::Message()
+                 << c.name << ": d" << c.embed_dim << " h" << c.heads << " L"
+                 << c.layers << " p" << c.patch << " " << v.h << "x" << v.w
+                 << (c.use_flash_attention ? " flash" : " naive") << " window "
+                 << c.attention_window << " ratio " << c.compression_ratio
+                 << (c.use_residual_path ? " residual" : " no-residual")
+                 << (c.architecture == model::Architecture::kViTBaseline
+                         ? " vit"
+                         : " reslim"));
+    const Tensor input = make_input(c.in_channels, v.h, v.w, 0.9f);
+    Rng rng(11);
+    if (c.architecture == model::Architecture::kViTBaseline) {
+      model::ViTBaselineModel model(c, rng);
+      expect_variant_matches_eager(model, input);
+    } else {
+      model::ReslimModel model(c, rng);
+      expect_variant_matches_eager(model, input);
+    }
+  }
 }
 
 TEST(Equivalence, RepeatedReplaysAreIdentical) {

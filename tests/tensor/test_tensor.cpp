@@ -10,6 +10,7 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "core/kernels.hpp"
 #include "core/rng.hpp"
@@ -736,6 +737,75 @@ TEST(Gelu, GradMatchesFiniteDifference) {
     const float eps = 1e-3f;
     const float fd = (gelu_at(x + eps) - gelu_at(x - eps)) / (2 * eps);
     EXPECT_NEAR(gelu_grad_at(x), fd, 1e-3f) << x;
+  }
+}
+
+TEST(RowOps, AddTableRowsMatchesReferenceOnEveryRange) {
+  // Every [i0, i1) sub-range, starting and ending mid-row included, adds
+  // table[(i / d / group) * d + i % d] to element i and touches nothing
+  // else: the fused-chain chunks of the compiled executor rely on this.
+  Rng rng(31);
+  const std::int64_t rows = 7;
+  for (const std::int64_t d : {1, 5, 8}) {
+    const std::int64_t n = rows * d;
+    const Tensor base = Tensor::randn(Shape{rows, d}, rng);
+    const Tensor table = Tensor::randn(Shape{rows, d}, rng);
+    for (const std::int64_t group : {std::int64_t{1}, std::int64_t{3},
+                                     std::int64_t{rows}, kAllRows}) {
+      for (std::int64_t i0 = 0; i0 <= n; ++i0) {
+        for (std::int64_t i1 = i0; i1 <= n; ++i1) {
+          Tensor x = base.clone();
+          add_table_rows_f32(x.data().data(), i0, i1, table.data().data(), d,
+                             group);
+          for (std::int64_t i = 0; i < n; ++i) {
+            const float want =
+                i < i0 || i >= i1
+                    ? base[i]
+                    : base[i] + table[(i / d / group) * d + i % d];
+            ASSERT_EQ(x[i], want) << "d " << d << " group " << group
+                                  << " range [" << i0 << ", " << i1
+                                  << ") element " << i;
+          }
+        }
+      }
+    }
+  }
+  // The whole-tensor form, across thread counts.
+  const Tensor base = Tensor::randn(Shape{300, 70}, rng);
+  const Tensor table = Tensor::randn(Shape{4, 70}, rng);
+  Tensor want = base.clone();
+  add_table_rows_f32(want.data().data(), 0, want.numel(),
+                     table.data().data(), 70, 75);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    kernels::set_max_threads(threads);
+    Tensor x = base.clone();
+    add_table_rows_inplace(x, table.data().data(), 75);
+    EXPECT_EQ(0, std::memcmp(x.data().data(), want.data().data(),
+                             sizeof(float) * static_cast<std::size_t>(
+                                                 x.numel())));
+  }
+  kernels::set_max_threads(0);
+}
+
+TEST(RowOps, ColumnBlocksAndRowGatherRoundTrip) {
+  Rng rng(32);
+  const Tensor x = Tensor::randn(Shape{6, 10}, rng);
+  Tensor block(Shape{6, 3});
+  copy_cols_into(x, 4, block);
+  Tensor y = Tensor::zeros(Shape{6, 10});
+  paste_cols(block, 4, y);
+  for (std::int64_t r = 0; r < 6; ++r) {
+    for (std::int64_t c = 0; c < 10; ++c) {
+      EXPECT_EQ(y.at(r, c), c >= 4 && c < 7 ? x.at(r, c) : 0.0f);
+    }
+  }
+  const std::vector<std::int64_t> perm = {3, 0, 5, 1, 4, 2};
+  Tensor gathered(x.shape());
+  gather_rows_into(x, perm, gathered);
+  for (std::int64_t r = 0; r < 6; ++r) {
+    for (std::int64_t c = 0; c < 10; ++c) {
+      EXPECT_EQ(gathered.at(r, c), x.at(perm[static_cast<std::size_t>(r)], c));
+    }
   }
 }
 
