@@ -10,6 +10,10 @@
 // flash forward. They are intentionally NOT the library kernels, so this
 // harness keeps measuring the same baseline even as the library evolves.
 //
+// Conv2d rows also time conv2d_backward_params ("conv2d_bwd_params") at
+// Reslim's residual-conv shapes, next to the forward at the same shapes; both
+// count the forward's multiply-adds, so their GF/s compare directly.
+//
 // Usage: bench_kernels [--reps N] [--threads N] [--quick] [--trace PATH]
 //   --reps N     timing repetitions per case, best-of (default 3)
 //   --threads N  thread count for the parallel "kernels" variant (default 4)
@@ -228,6 +232,29 @@ struct Record {
   double checksum = 0.0;  // sum of output elements; sanity, not bit-exactness
   double ns_per_element = 0.0;  // elementwise rows only; emitted when set
 };
+
+/// One conv shape with its operands: input [cin, h, w], 3x3 weight, bias
+/// and a grad_output for the backward.
+struct ConvCase {
+  std::int64_t cin, cout, h, w;
+  Tensor input, weight, bias, grad_out;
+};
+
+/// Reslim's residual-path convs in one train_tiles tile: 2 -> 2 at the 48x80
+/// output tile, 8 -> 8 and 8 -> 2 at the 12x20 input tile.
+std::vector<ConvCase> reslim_conv_cases(Rng& rng) {
+  std::vector<ConvCase> cases;
+  for (const auto& [cin, cout, h, w] :
+       {std::array<std::int64_t, 4>{2, 2, 48, 80},
+        std::array<std::int64_t, 4>{8, 8, 12, 20},
+        std::array<std::int64_t, 4>{8, 2, 12, 20}}) {
+    cases.push_back({cin, cout, h, w, Tensor::randn(Shape{cin, h, w}, rng),
+                     Tensor::randn(Shape{cout, cin, 3, 3}, rng),
+                     Tensor::randn(Shape{cout}, rng),
+                     Tensor::randn(Shape{cout, h, w}, rng)});
+  }
+  return cases;
+}
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -470,6 +497,41 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- Conv2d forward and backward_params at Reslim's shapes. ---
+  const std::vector<ConvCase> conv_cases = reslim_conv_cases(rng);
+  const auto conv_rows = [&](const std::string& variant, std::size_t t) {
+    const Conv2dSpec spec{3, 3, 1, 1};
+    for (const ConvCase& c : conv_cases) {
+      const double flops = 2.0 * static_cast<double>(c.cout * c.cin * 9) *
+                           static_cast<double>(c.h * c.w);
+      const std::string shape = std::to_string(c.cin) + "x" +
+                                std::to_string(c.h) + "x" +
+                                std::to_string(c.w) + "->" +
+                                std::to_string(c.cout);
+      records.push_back(
+          time_case("conv2d_fwd", shape, variant, t, reps, flops, [&] {
+            const Tensor o =
+                orbit2::conv2d_forward(c.input, c.weight, c.bias, spec);
+            return tensor_checksum(o);
+          }));
+      Tensor grad_weight(c.weight.shape());
+      Tensor grad_bias(c.bias.shape());
+      records.push_back(
+          time_case("conv2d_bwd_params", shape, variant, t, reps, flops, [&] {
+            grad_weight.fill(0.0f);
+            grad_bias.fill(0.0f);
+            orbit2::conv2d_backward_params(c.grad_out, c.input, grad_weight,
+                                           grad_bias, spec);
+            return tensor_checksum(grad_weight);
+          }));
+    }
+  };
+  for (const std::size_t t : {kSerial, threads}) {
+    orbit2::kernels::set_max_threads(t);
+    conv_rows("kernels", t);
+  }
+  orbit2::kernels::set_max_threads(0);
+
   // --- SIMD ISA sweep: the same kernels under every supported backend. ---
   // Serial threads isolate the microkernel effect from pool scaling; the
   // results are bit-identical across backends (the determinism contract),
@@ -550,6 +612,7 @@ int main(int argc, char** argv) {
                                           gelu_x.data().data(), gelu_n);
         return buffer_checksum(gelu_out);
       }));
+      conv_rows(variant, kSerial);
     }
     orbit2::kernels::set_max_threads(0);
     orbit2::simd::set_isa(saved_isa);

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "core/kernels.hpp"
 #include "core/obs.hpp"
+#include "core/scratch.hpp"
 #include "core/simd/simd.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
@@ -147,21 +147,7 @@ FlashScratch& flash_scratch() {
   return scratch;
 }
 
-/// Grows `buffer` to hold `n` elements that start on a 64-byte cache line
-/// and returns that start. The score lanes are stored and reloaded once per
-/// head-dim step, and on an AVX-512 Xeon lanes that straddle cache lines
-/// took twice as long; malloc's 16-byte alignment would leave that to
-/// chance, per thread and per run.
-template <typename T>
-T* grow(std::vector<T>& buffer, std::int64_t n) {
-  constexpr std::size_t kLine = 64;
-  const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(T);
-  const std::size_t want = static_cast<std::size_t>(n) + kLine / sizeof(T);
-  if (buffer.size() < want) buffer.resize(want);
-  void* start = buffer.data();
-  std::size_t space = buffer.size() * sizeof(T);
-  return static_cast<T*>(std::align(kLine, bytes, start, space));
-}
+using core::grow_aligned;
 
 /// Copies rows [r0, r0 + bk) of the row-major [*, d] matrix `src` into
 /// `dst` laid out [d][bk].
@@ -198,11 +184,11 @@ void flash_forward_body(const float* pq, const float* pk, const float* pv,
     // Running row statistics (max m_i, normalizer l_i) cover this chunk's
     // current query block only.
     FlashScratch& s = flash_scratch();
-    float* kt = grow(s.kt, d * max_bk);
-    double* lanes = grow(s.lanes, max_bq * max_bk);
-    float* prow = grow(s.p, max_bk);
-    float* row_max = grow(s.row_max, max_bq);
-    float* row_sum = grow(s.row_sum, max_bq);
+    float* kt = grow_aligned(s.kt, d * max_bk);
+    double* lanes = grow_aligned(s.lanes, max_bq * max_bk);
+    float* prow = grow_aligned(s.p, max_bk);
+    float* row_max = grow_aligned(s.row_max, max_bq);
+    float* row_sum = grow_aligned(s.row_sum, max_bq);
     for (std::int64_t qb = qb0; qb < qb1; ++qb) {
       const std::int64_t q0 = qb * params.block_q;
       const std::int64_t q1 = std::min(nq, q0 + params.block_q);
@@ -361,11 +347,11 @@ AttentionGrads attention_flash_backward(const AttentionContext& ctx,
                         std::int64_t k0, std::int64_t bk,
                         std::int64_t row_step,
                         std::int64_t col_step) -> Tiles {
-    float* kt = grow(s.kt, d * max_bk);
-    float* vt = grow(s.vt, dv * max_bk);
-    double* lanes = grow(s.lanes, max_bq * max_bk);
-    float* p = grow(s.p, max_bq * max_bk);
-    float* ds = grow(s.ds, max_bq * max_bk);
+    float* kt = grow_aligned(s.kt, d * max_bk);
+    float* vt = grow_aligned(s.vt, dv * max_bk);
+    double* lanes = grow_aligned(s.lanes, max_bq * max_bk);
+    float* p = grow_aligned(s.p, max_bq * max_bk);
+    float* ds = grow_aligned(s.ds, max_bq * max_bk);
     transpose_block(pk, d, k0, bk, kt);
     transpose_block(pv, dv, k0, bk, vt);
     const std::int64_t bq = q1 - q0;

@@ -18,6 +18,10 @@ namespace orbit2::autograd {
 // eagerly.
 using graph::capture_elementwise;
 using graph::capture_op;
+using graph::ew_kind_name;
+using graph::EwKind;
+using graph::op_kind_name;
+using graph::OpKind;
 
 namespace {
 
@@ -45,20 +49,22 @@ Var add(const Var& a, const Var& b) {
   Tensor value = a.value().add(b.value());
   capture_elementwise(value, a.value(), &b.value(),
                       {graph::EwKind::kAddCA});
-  return make_op(std::move(value), {a, b}, [a, b](const Tensor& g) {
-    accumulate_into(a, g);
-    accumulate_into(b, g);
-  });
+  return make_op(ew_kind_name(EwKind::kAddCA), std::move(value), {a, b},
+                 [a, b](const Tensor& g) {
+                   accumulate_into(a, g);
+                   accumulate_into(b, g);
+                 });
 }
 
 Var sub(const Var& a, const Var& b) {
   Tensor value = a.value().sub(b.value());
   capture_elementwise(value, a.value(), &b.value(),
                       {graph::EwKind::kSubCA});
-  return make_op(std::move(value), {a, b}, [a, b](const Tensor& g) {
-    accumulate_into(a, g);
-    accumulate_into(b, g.mul_scalar(-1.0f));
-  });
+  return make_op(ew_kind_name(EwKind::kSubCA), std::move(value), {a, b},
+                 [a, b](const Tensor& g) {
+                   accumulate_into(a, g);
+                   accumulate_into(b, g.mul_scalar(-1.0f));
+                 });
 }
 
 Var mul(const Var& a, const Var& b) {
@@ -67,7 +73,7 @@ Var mul(const Var& a, const Var& b) {
                       {graph::EwKind::kMulCA});
   Tensor av = a.value();
   Tensor bv = b.value();
-  return make_op(std::move(value), {a, b},
+  return make_op(ew_kind_name(EwKind::kMulCA), std::move(value), {a, b},
                  [a, b, av, bv](const Tensor& g) {
                    accumulate_into(a, g.mul(bv));
                    accumulate_into(b, g.mul(av));
@@ -79,18 +85,20 @@ Var scale(const Var& a, float factor) {
   graph::EwStage stage{graph::EwKind::kScale};
   stage.scalar = factor;
   capture_elementwise(value, a.value(), nullptr, stage);
-  return make_op(std::move(value), {a}, [a, factor](const Tensor& g) {
-    accumulate_into(a, g.mul_scalar(factor));
-  });
+  return make_op(ew_kind_name(EwKind::kScale), std::move(value), {a},
+                 [a, factor](const Tensor& g) {
+                   accumulate_into(a, g.mul_scalar(factor));
+                 });
 }
 
 Var gelu(const Var& a) {
   Tensor value = orbit2::gelu(a.value());
   capture_elementwise(value, a.value(), nullptr, {graph::EwKind::kGelu});
   Tensor input = a.value();
-  return make_op(std::move(value), {a}, [a, input](const Tensor& g) {
-    accumulate_into(a, gelu_backward(input, g));
-  });
+  return make_op(ew_kind_name(EwKind::kGelu), std::move(value), {a},
+                 [a, input](const Tensor& g) {
+                   accumulate_into(a, gelu_backward(input, g));
+                 });
 }
 
 Var matmul(const Var& a, const Var& b) {
@@ -98,11 +106,16 @@ Var matmul(const Var& a, const Var& b) {
   capture_op(value, graph::OpKind::kMatmul, {&a.value(), &b.value()});
   Tensor av = a.value();
   Tensor bv = b.value();
-  return make_op(std::move(value), {a, b},
-                 [a, b, av, bv](const Tensor& g) {
-                   if (a.needs_grad()) accumulate_into(a, matmul_nt(g, bv));
-                   if (b.needs_grad()) accumulate_into(b, matmul_tn(av, g));
-                 });
+  // Backward runs one gemm of the forward's size per input needing a grad.
+  const std::int64_t flops = 2 * av.dim(0) * av.dim(1) * bv.dim(1) *
+                             (int{a.needs_grad()} + int{b.needs_grad()});
+  return make_op(
+      op_kind_name(OpKind::kMatmul), std::move(value), {a, b},
+      [a, b, av, bv](const Tensor& g) {
+        if (a.needs_grad()) accumulate_into(a, matmul_nt(g, bv));
+        if (b.needs_grad()) accumulate_into(b, matmul_tn(av, g));
+      },
+      flops);
 }
 
 Var add_bias_rows(const Var& x, const Var& bias) {
@@ -115,10 +128,11 @@ Var add_bias_rows(const Var& x, const Var& bias) {
   graph::EwStage bias_stage{graph::EwKind::kAddBiasRows};
   bias_stage.a = bias.value().dim(0);
   capture_elementwise(value, x.value(), &bias.value(), bias_stage);
-  return make_op(std::move(value), {x, bias}, [x, bias](const Tensor& g) {
-    accumulate_into(x, g);
-    if (bias.needs_grad()) accumulate_into(bias, colsum(g));
-  });
+  return make_op(ew_kind_name(EwKind::kAddBiasRows), std::move(value),
+                 {x, bias}, [x, bias](const Tensor& g) {
+                   accumulate_into(x, g);
+                   if (bias.needs_grad()) accumulate_into(bias, colsum(g));
+                 });
 }
 
 Var linear(const Var& x, const Var& weight, const Var& bias) {
@@ -131,24 +145,26 @@ Var reshape(const Var& x, Shape new_shape) {
   if (graph::CaptureSink* sink = graph::capture_sink()) {
     sink->record_view(value, x.value());
   }
-  return make_op(std::move(value), {x}, [x, old_shape](const Tensor& g) {
-    accumulate_into(x, g.reshape(old_shape));
-  });
+  return make_op(op_kind_name(OpKind::kView), std::move(value), {x},
+                 [x, old_shape](const Tensor& g) {
+                   accumulate_into(x, g.reshape(old_shape));
+                 });
 }
 
 Var slice_rows(const Var& x, std::int64_t start, std::int64_t len) {
   Tensor value = x.value().slice(0, start, len);
   capture_op(value, graph::OpKind::kSliceRows, {&x.value()}, {start, len});
   const Shape full = x.shape();
-  return make_op(std::move(value), {x}, [x, full, start](const Tensor& g) {
-    Tensor padded = Tensor::zeros(full);
-    // Rows [start, start+len) of the padded gradient get g.
-    std::int64_t inner = 1;
-    for (int i = 1; i < full.rank(); ++i) inner *= full[i];
-    std::copy(g.data().begin(), g.data().end(),
-              padded.data().begin() + start * inner);
-    accumulate_into(x, padded);
-  });
+  return make_op(op_kind_name(OpKind::kSliceRows), std::move(value), {x},
+                 [x, full, start](const Tensor& g) {
+                   Tensor padded = Tensor::zeros(full);
+                   // Rows [start, start+len) of the padded gradient get g.
+                   std::int64_t inner = 1;
+                   for (int i = 1; i < full.rank(); ++i) inner *= full[i];
+                   std::copy(g.data().begin(), g.data().end(),
+                             padded.data().begin() + start * inner);
+                   accumulate_into(x, padded);
+                 });
 }
 
 Var concat_rows(const std::vector<Var>& parts) {
@@ -165,13 +181,14 @@ Var concat_rows(const std::vector<Var>& parts) {
   std::vector<std::int64_t> lengths;
   lengths.reserve(parts.size());
   for (const Var& p : parts) lengths.push_back(p.value().dim(0));
-  return make_op(std::move(value), parts, [parts, lengths](const Tensor& g) {
-    std::int64_t offset = 0;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      accumulate_into(parts[i], g.slice(0, offset, lengths[i]));
-      offset += lengths[i];
-    }
-  });
+  return make_op(op_kind_name(OpKind::kConcatRows), std::move(value), parts,
+                 [parts, lengths](const Tensor& g) {
+                   std::int64_t offset = 0;
+                   for (std::size_t i = 0; i < parts.size(); ++i) {
+                     accumulate_into(parts[i], g.slice(0, offset, lengths[i]));
+                     offset += lengths[i];
+                   }
+                 });
 }
 
 Var permute_rows(const Var& x, const std::vector<std::int64_t>& perm) {
@@ -196,11 +213,12 @@ Var permute_rows(const Var& x, const std::vector<std::int64_t>& perm) {
   Tensor out(value.shape());
   gather_rows_into(value, perm, out);
   capture_op(out, graph::OpKind::kPermuteRows, {&value}, {}, {}, {}, perm);
-  return make_op(std::move(out), {x}, [x, inverse](const Tensor& g) {
-    Tensor grad(g.shape());
-    gather_rows_into(g, inverse, grad);
-    accumulate_into(x, grad);
-  });
+  return make_op(op_kind_name(OpKind::kPermuteRows), std::move(out), {x},
+                 [x, inverse](const Tensor& g) {
+                   Tensor grad(g.shape());
+                   gather_rows_into(g, inverse, grad);
+                   accumulate_into(x, grad);
+                 });
 }
 
 Var layernorm(const Var& x, const Var& gamma, const Var& beta, float epsilon) {
@@ -212,7 +230,7 @@ Var layernorm(const Var& x, const Var& gamma, const Var& beta, float epsilon) {
   Tensor input = x.value();
   Tensor gamma_value = gamma.value();
   return make_op(
-      std::move(value), {x, gamma, beta},
+      op_kind_name(OpKind::kLayerNorm), std::move(value), {x, gamma, beta},
       [x, gamma, beta, input, gamma_value, saved_mean,
        saved_inv_std](const Tensor& g) {
         Tensor grad_gamma = Tensor::zeros(gamma_value.shape());
@@ -232,7 +250,7 @@ Var sum(const Var& x) {
   }
   Tensor value = Tensor::scalar(x.value().sum());
   const Shape in_shape = x.shape();
-  return make_op(std::move(value), {x}, [x, in_shape](const Tensor& g) {
+  return make_op("sum", std::move(value), {x}, [x, in_shape](const Tensor& g) {
     accumulate_into(x, Tensor::full(in_shape, g.item()));
   });
 }
@@ -244,9 +262,10 @@ Var mean(const Var& x) {
   const float inv_n = 1.0f / static_cast<float>(x.value().numel());
   Tensor value = Tensor::scalar(x.value().mean());
   const Shape in_shape = x.shape();
-  return make_op(std::move(value), {x}, [x, in_shape, inv_n](const Tensor& g) {
-    accumulate_into(x, Tensor::full(in_shape, g.item() * inv_n));
-  });
+  return make_op("mean", std::move(value), {x},
+                 [x, in_shape, inv_n](const Tensor& g) {
+                   accumulate_into(x, Tensor::full(in_shape, g.item() * inv_n));
+                 });
 }
 
 Var conv2d(const Var& x, const Var& weight, const Var& bias,
@@ -258,8 +277,14 @@ Var conv2d(const Var& x, const Var& weight, const Var& bias,
   Tensor input = x.value();
   Tensor weight_value = weight.value();
   const std::int64_t in_h = input.dim(1), in_w = input.dim(2);
+  // conv2d_backward_input and conv2d_backward_params each do the forward's
+  // multiply-adds.
+  const bool params_grad = weight.needs_grad() || bias.needs_grad();
+  const std::int64_t flops = 2 * value.numel() * weight_value.numel() /
+                             weight_value.dim(0) *
+                             (int{x.needs_grad()} + int{params_grad});
   return make_op(
-      std::move(value), {x, weight, bias},
+      op_kind_name(OpKind::kConv2d), std::move(value), {x, weight, bias},
       [x, weight, bias, input, weight_value, in_h, in_w,
        spec](const Tensor& g) {
         if (x.needs_grad()) {
@@ -273,16 +298,18 @@ Var conv2d(const Var& x, const Var& weight, const Var& bias,
           if (weight.needs_grad()) accumulate_into(weight, grad_weight);
           if (bias.needs_grad()) accumulate_into(bias, grad_bias);
         }
-      });
+      },
+      flops);
 }
 
 Var upsample_bilinear(const Var& x, std::int64_t out_h, std::int64_t out_w) {
   Tensor value = resize_bilinear(x.value(), out_h, out_w);
   capture_op(value, graph::OpKind::kResizeBilinear, {&x.value()});
   const std::int64_t in_h = x.value().dim(1), in_w = x.value().dim(2);
-  return make_op(std::move(value), {x}, [x, in_h, in_w](const Tensor& g) {
-    accumulate_into(x, resize_bilinear_backward(g, in_h, in_w));
-  });
+  return make_op(op_kind_name(OpKind::kResizeBilinear), std::move(value), {x},
+                 [x, in_h, in_w](const Tensor& g) {
+                   accumulate_into(x, resize_bilinear_backward(g, in_h, in_w));
+                 });
 }
 
 Var image_to_tokens(const Var& image, std::int64_t patch) {
@@ -291,10 +318,11 @@ Var image_to_tokens(const Var& image, std::int64_t patch) {
   const std::int64_t c = image.value().dim(0);
   const std::int64_t h = image.value().dim(1);
   const std::int64_t w = image.value().dim(2);
-  return make_op(std::move(value), {image},
-                 [image, c, h, w, patch](const Tensor& g) {
-                   accumulate_into(image, tokens_to_image_raw(g, c, h, w, patch));
-                 });
+  return make_op(
+      op_kind_name(OpKind::kImageToTokens), std::move(value), {image},
+      [image, c, h, w, patch](const Tensor& g) {
+        accumulate_into(image, tokens_to_image_raw(g, c, h, w, patch));
+      });
 }
 
 Var tokens_to_image(const Var& tokens, std::int64_t channels, std::int64_t h,
@@ -302,8 +330,8 @@ Var tokens_to_image(const Var& tokens, std::int64_t channels, std::int64_t h,
   Tensor value = tokens_to_image_raw(tokens.value(), channels, h, w, patch);
   capture_op(value, graph::OpKind::kTokensToImage, {&tokens.value()},
              {channels, h, w, patch});
-  return make_op(std::move(value), {tokens},
-                 [tokens, patch](const Tensor& g) {
+  return make_op(op_kind_name(OpKind::kTokensToImage), std::move(value),
+                 {tokens}, [tokens, patch](const Tensor& g) {
                    accumulate_into(tokens, image_to_tokens_raw(g, patch));
                  });
 }
@@ -376,8 +404,13 @@ Var multihead_self_attention(const Var& x, const MhaWeights& weights,
   const Tensor wk_value = weights.wk.value();
   const Tensor wv_value = weights.wv.value();
 
+  // Backward: two gemms per projection (eight [rows, d] x [d, d] in all),
+  // and per head the dP, dV, dQ and dK products, plus the score recompute
+  // in the flash kernel.
+  const std::int64_t flops =
+      16 * rows * d * d + (use_flash ? 10 : 8) * rows * rows * d;
   return make_op(
-      std::move(out), parents,
+      op_kind_name(OpKind::kMhsa), std::move(out), parents,
       [x, weights, contexts, concat, xv, wo_value, wq_value, wk_value,
        wv_value, heads, dh, n, rows, d, use_flash](const Tensor& g_all) {
         // Padded rows took no part in the forward: they get no gradient.
@@ -417,7 +450,8 @@ Var multihead_self_attention(const Var& x, const MhaWeights& weights,
         unproject(dk, weights.wk, weights.bk, wk_value);
         unproject(dv, weights.wv, weights.bv, wv_value);
         accumulate_into(x, dx_all);
-      });
+      },
+      flops);
 }
 
 }  // namespace orbit2::autograd

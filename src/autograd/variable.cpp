@@ -59,10 +59,14 @@ Tensor Var::grad() const {
   return n->grad;
 }
 
-Var make_op(Tensor value, std::vector<Var> parents,
-            std::function<void(const Tensor&)> backprop) {
+Var make_op(const char* name, Tensor value, std::vector<Var> parents,
+            std::function<void(const Tensor&)> backprop, std::int64_t flops) {
+  ORBIT2_REQUIRE(name != nullptr && name[0] != '\0',
+                 "make_op needs an op name");
   auto node = std::make_shared<Node>();
   node->value = std::move(value);
+  node->name = name;
+  node->flops = flops;
   if (inference_mode_enabled()) {
     // No-tape forward: no parent links (intermediates free as soon as the
     // last Var handle drops) and no backprop closure.
@@ -130,6 +134,7 @@ void backward(const Var& root, const Tensor* seed) {
       node.param->grad.add_inplace(node.grad);
     }
     if (node.backprop) {
+      ORBIT2_OBS_SPAN_ARG(node.name, "autograd", "flops", node.flops);
       node.backprop(node.grad);
       node.backprop = nullptr;  // free captured activations eagerly
     }

@@ -8,7 +8,12 @@
 //
 // Leaf nodes either wrap a `Parameter` (gradients flush into the parameter's
 // grad buffer so the optimizer can see them) or are constants.
+//
+// Every interior node carries the name graph capture records its op under
+// (graph/ir.hpp op_kind_name, ew_kind_name, or a custom op's name) and the
+// FLOPs of its backward, so a traced backward() shows one span per node.
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -51,6 +56,11 @@ class Node {
   /// Propagates `grad` to parents (via Var::accumulate_grad). Empty for
   /// leaves.
   std::function<void(const Tensor& upstream)> backprop;
+  /// Op name (a string literal; null for leaves) and the FLOPs of
+  /// `backprop`'s gemm-like kernels (0 where it only moves or scales data),
+  /// carried by the node's backward span.
+  const char* name = nullptr;
+  std::int64_t flops = 0;
   /// Non-null when the node is a parameter leaf.
   ParamPtr param;
 
@@ -85,11 +95,14 @@ class Var {
   NodePtr node_;
 };
 
-/// Creates an interior node computing `value` from `parents`.
-/// `backprop` receives the node's accumulated gradient and must push
-/// contributions into the parents (helper: accumulate_into).
-Var make_op(Tensor value, std::vector<Var> parents,
-            std::function<void(const Tensor&)> backprop);
+/// Creates an interior node named `name` computing `value` from `parents`.
+/// `name` must be a non-empty string literal: the name graph capture records
+/// the same op under. `backprop` receives the node's accumulated gradient
+/// and must push contributions into the parents (helper: accumulate_into);
+/// `flops` counts its gemm-like arithmetic for the backward ledger.
+Var make_op(const char* name, Tensor value, std::vector<Var> parents,
+            std::function<void(const Tensor&)> backprop,
+            std::int64_t flops = 0);
 
 // ---- Inference mode ----------------------------------------------------
 
@@ -117,7 +130,8 @@ void accumulate_into(const Var& target, const Tensor& contribution);
 
 /// Runs reverse-mode accumulation from `root`, seeding with `seed` (defaults
 /// to ones — appropriate for scalar losses). Clears intermediate closures as
-/// it goes so captured tensors free eagerly.
+/// it goes so captured tensors free eagerly. Each backprop runs inside one
+/// obs span named after its node, category "autograd", argument "flops".
 void backward(const Var& root, const Tensor* seed = nullptr);
 
 }  // namespace orbit2::autograd

@@ -31,9 +31,12 @@ struct Event {
   bool simulated;
 };
 
-// Buffer cap per thread: bounds trace memory on runaway runs. Overflow is
-// counted, not silently ignored.
-constexpr std::size_t kMaxEventsPerThread = 1 << 20;
+// Buffer cap per thread: bounds trace memory on runaway runs (56 bytes an
+// event, so at most 112 MiB a thread). Overflow is counted, not silently
+// ignored. A traced train step records about 2,600 spans, one per tape node
+// among them, so 20 s of two-thread training at 45 steps/s needs over 2^20
+// on a thread.
+constexpr std::size_t kMaxEventsPerThread = 1 << 21;
 
 struct ThreadLog {
   std::mutex mutex;  // recorder vs snapshot/reset; uncontended in steady state

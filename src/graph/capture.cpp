@@ -6,6 +6,63 @@
 
 namespace orbit2::graph {
 
+const char* op_kind_name(OpKind kind) {
+  switch (kind) {
+    case OpKind::kElementwise:
+      return "elementwise";
+    case OpKind::kMatmul:
+      return "matmul";
+    case OpKind::kLayerNorm:
+      return "layernorm";
+    case OpKind::kSliceRows:
+      return "slice_rows";
+    case OpKind::kConcatRows:
+      return "concat_rows";
+    case OpKind::kPermuteRows:
+      return "permute_rows";
+    case OpKind::kConv2d:
+      return "conv2d";
+    case OpKind::kResizeBilinear:
+      return "resize_bilinear";
+    case OpKind::kImageToTokens:
+      return "image_to_tokens";
+    case OpKind::kTokensToImage:
+      return "tokens_to_image";
+    case OpKind::kMhsa:
+      return "mhsa";
+    case OpKind::kView:
+      return "view";
+    case OpKind::kCustom:
+      return "custom";
+  }
+  return "unknown";
+}
+
+const char* ew_kind_name(EwKind kind) {
+  switch (kind) {
+    case EwKind::kAddCA:
+    case EwKind::kAddAC:
+      return "add";
+    case EwKind::kSubCA:
+    case EwKind::kSubAC:
+      return "sub";
+    case EwKind::kMulCA:
+    case EwKind::kMulAC:
+      return "mul";
+    case EwKind::kScale:
+      return "scale";
+    case EwKind::kGelu:
+      return "gelu";
+    case EwKind::kAddBiasRows:
+      return "add_bias_rows";
+    case EwKind::kAddTableRow:
+      return "add_table_row";
+    case EwKind::kAddVarEmb:
+      return "add_var_emb";
+  }
+  return "unknown";
+}
+
 namespace {
 // The active sink for the calling thread. Capture is a per-thread protocol:
 // tile replicas capturing concurrently each install their own sink.
@@ -74,6 +131,7 @@ void CaptureSink::record_view(const Tensor& out, const Tensor& src) {
   graph_.values[static_cast<std::size_t>(out_vid)].view_of = src_vid;
   GraphOp op;
   op.kind = OpKind::kView;
+  op.name = op_kind_name(OpKind::kView);
   op.inputs = {src_vid};
   op.output = out_vid;
   graph_.ops.push_back(std::move(op));
@@ -119,13 +177,14 @@ void capture_op(const Tensor& out, OpKind kind,
   if (sink == nullptr) return;
   GraphOp op;
   op.kind = kind;
+  op.name = op_kind_name(kind);
   op.iparams = iparams;
   op.fparams = fparams;
   op.perm = perm;
   record_op(*sink, std::move(op), inputs, workspaces, out);
 }
 
-void capture_custom(const Tensor& out, CustomReplayFn fn,
+void capture_custom(const Tensor& out, CustomReplayFn fn, const char* name,
                     const std::vector<const Tensor*>& inputs,
                     const std::vector<std::int64_t>& iparams,
                     const std::vector<float>& fparams,
@@ -134,6 +193,7 @@ void capture_custom(const Tensor& out, CustomReplayFn fn,
   if (sink == nullptr) return;
   GraphOp op;
   op.kind = OpKind::kCustom;
+  op.name = name;
   op.iparams = iparams;
   op.fparams = fparams;
   op.custom = fn;
@@ -146,6 +206,7 @@ void capture_elementwise(const Tensor& out, const Tensor& in0,
   if (sink == nullptr) return;
   GraphOp op;
   op.kind = OpKind::kElementwise;
+  op.name = ew_kind_name(stage.kind);
   op.inputs.push_back(sink->value_for(in0));
   if (aux != nullptr) {
     stage.aux = sink->value_for(*aux);

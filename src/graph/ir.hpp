@@ -61,6 +61,15 @@ enum class EwKind : std::uint8_t {
   kAddVarEmb,    // cur + aux[(i / a / b)*a + i % a]   (a = D, b = P)
 };
 
+/// The name capture records an op of `kind` under ("matmul", "conv2d", ...;
+/// kCustom ops carry their own). The autograd tape names its nodes with the
+/// same strings, so a node's backward span names the op capture records.
+const char* op_kind_name(OpKind kind);
+
+/// The name of a single-stage elementwise op ("add", "gelu", ...): the
+/// CA/AC operand orders of one operation share a name.
+const char* ew_kind_name(EwKind kind);
+
 struct EwStage {
   EwKind kind;
   ValueId aux = kNoValue;
@@ -78,6 +87,9 @@ using CustomReplayFn = void (*)(const GraphOp&, Executor&);
 
 struct GraphOp {
   OpKind kind = OpKind::kCustom;
+  /// The op's name as captured (see op_kind_name); a fused elementwise
+  /// chain keeps its first op's.
+  const char* name = nullptr;
   std::vector<ValueId> inputs;
   ValueId output = kNoValue;
   /// Scratch values live only while this op runs (e.g. attention score
@@ -163,8 +175,9 @@ void capture_op(const Tensor& out, OpKind kind,
                 const std::vector<Shape>& workspaces = {},
                 const std::vector<std::int64_t>& perm = {});
 
-/// Records one kCustom op replayed by `fn`; arguments as for capture_op.
-void capture_custom(const Tensor& out, CustomReplayFn fn,
+/// Records one kCustom op named `name` (a string literal) replayed by `fn`;
+/// other arguments as for capture_op.
+void capture_custom(const Tensor& out, CustomReplayFn fn, const char* name,
                     const std::vector<const Tensor*>& inputs,
                     const std::vector<std::int64_t>& iparams = {},
                     const std::vector<float>& fparams = {},

@@ -113,15 +113,20 @@ Var aggregate_channels(const Var& embeddings, const Var& query, const Var& wk,
   aggregate_channels_core(emb, q, wk.value(), wv.value(), num_variables,
                           num_positions, k, v, alpha, out);
 
-  graph::capture_custom(out, &replay_aggregate_channels,
+  constexpr const char* kOpName = "aggregate_channels";
+  graph::capture_custom(out, &replay_aggregate_channels, kOpName,
                         {&emb, &q, &wk.value(), &wv.value()},
                         {num_variables, num_positions}, {},
                         {k.shape(), v.shape(), alpha.shape()});
 
   const Tensor wk_value = wk.value();
   const Tensor wv_value = wv.value();
+  // Backward: four [V*P, D] x [D, D] gemms (the key and value projections'
+  // input and weight gradients) plus the per-row score and mix products.
+  const std::int64_t rows = num_variables * num_positions;
+  const std::int64_t flops = 8 * rows * d * d + 8 * rows * d;
   return autograd::make_op(
-      std::move(out), {embeddings, query, wk, wv},
+      kOpName, std::move(out), {embeddings, query, wk, wv},
       [embeddings, query, wk, wv, emb, k, v, q, alpha, wk_value, wv_value,
        num_variables, num_positions, d, scale](const Tensor& g) {
         const float* pg = g.data().data();
@@ -201,7 +206,8 @@ Var aggregate_channels(const Var& embeddings, const Var& query, const Var& wk,
           demb.add_inplace(matmul_nt(dv, wv_value));
           accumulate_into(embeddings, demb);
         }
-      });
+      },
+      flops);
 }
 
 }  // namespace orbit2::model

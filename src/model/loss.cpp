@@ -49,7 +49,7 @@ Var weighted_mse_loss(const Var& prediction, const Tensor& truth,
 
   const float inv_n_f = static_cast<float>(inv_n);
   return autograd::make_op(
-      std::move(value), {prediction},
+      "weighted_mse_loss", std::move(value), {prediction},
       [prediction, pred, truth, row_weights, inv_n_f](const Tensor& g) {
         const float g0 = g.item();
         const std::int64_t gc = pred.dim(0), gh = pred.dim(1), gw = pred.dim(2);
@@ -119,7 +119,7 @@ Var tv_prior_loss(const Var& prediction, float epsilon) {
 
   const float inv_n_f = static_cast<float>(inv_n);
   return autograd::make_op(
-      std::move(value), {prediction},
+      "tv_prior_loss", std::move(value), {prediction},
       [prediction, pred, epsilon, inv_n_f](const Tensor& g) {
         const float g0 = g.item();
         const std::int64_t gc = pred.dim(0), gh = pred.dim(1), gw = pred.dim(2);

@@ -105,8 +105,8 @@ Var add_table_row(const Var& tokens, const Var& table, std::int64_t row) {
   graph::capture_elementwise(value, tok, &tab, stage);
   const Shape tab_shape = tab.shape();
   return autograd::make_op(
-      std::move(value), {tokens, table},
-      [tokens, table, tab_shape, row](const Tensor& g) {
+      graph::ew_kind_name(graph::EwKind::kAddTableRow), std::move(value),
+      {tokens, table}, [tokens, table, tab_shape, row](const Tensor& g) {
         accumulate_into(tokens, g);
         if (table.needs_grad()) {
           Tensor grad_table = Tensor::zeros(tab_shape);
@@ -138,7 +138,8 @@ Var add_variable_embedding(const Var& tokens, const Var& table,
   graph::capture_elementwise(value, tok, &tab, stage);
   const Shape tab_shape = tab.shape();
   return autograd::make_op(
-      std::move(value), {tokens, table},
+      graph::ew_kind_name(graph::EwKind::kAddVarEmb), std::move(value),
+      {tokens, table},
       [tokens, table, tab_shape, num_variables,
        num_positions](const Tensor& g) {
         accumulate_into(tokens, g);
@@ -228,7 +229,8 @@ Var ReslimModel::forward(const Tensor& input, ForwardStats* stats) const {
   // so this is a raw (non-differentiable) rearrangement.
   Tensor raw_tokens(Shape{variables * positions, p * p});
   tokenize_variables_into(input, p, raw_tokens);
-  graph::capture_custom(raw_tokens, &replay_tokenize, {&input}, {p});
+  graph::capture_custom(raw_tokens, &replay_tokenize, "tokenize_variables",
+                        {&input}, {p});
 
   // Shared patch embedding + per-variable embedding.
   Var embedded = patch_embed_.forward(Var::constant(raw_tokens));
@@ -267,11 +269,11 @@ Var ReslimModel::forward(const Tensor& input, ForwardStats* stats) const {
       const std::int64_t max_leaves = max_leaves_for_ratio(positions, ratio);
       partition = Tensor(Shape{partition_value_size(max_leaves)});
       encode_partition(leaves, partition);
-      graph::capture_custom(partition, &replay_partition,
+      graph::capture_custom(partition, &replay_partition, "partition",
                             {&aggregated.value()}, {gh, gw}, {ratio});
       Tensor pooled(Shape{max_leaves, config_.embed_dim});
       pool_tokens_into(aggregated.value(), gh, gw, partition, pooled);
-      graph::capture_custom(pooled, &replay_pool,
+      graph::capture_custom(pooled, &replay_pool, kPoolTokensOp,
                             {&aggregated.value(), &partition}, {gh, gw});
       trunk_input = Var::constant(pooled);
       live = &partition;
@@ -315,8 +317,8 @@ Var ReslimModel::forward(const Tensor& input, ForwardStats* stats) const {
   if (live != nullptr) {
     Tensor grid(Shape{positions, config_.embed_dim});
     scatter_tokens_into(x.value(), gh, gw, partition, grid);
-    graph::capture_custom(grid, &replay_scatter, {&x.value(), &partition},
-                          {gh, gw});
+    graph::capture_custom(grid, &replay_scatter, kScatterTokensOp,
+                          {&x.value(), &partition}, {gh, gw});
     x = Var::constant(grid);
   } else if (!leaves.empty()) {
     x = decompress_tokens(x, gh, gw, leaves);

@@ -9,7 +9,7 @@ Var compress_tokens(const Var& tokens, std::int64_t grid_h,
                     const std::vector<PatchRect>& leaves) {
   Tensor value = pool_tokens(tokens.value(), grid_h, grid_w, leaves);
   return autograd::make_op(
-      std::move(value), {tokens},
+      kPoolTokensOp, std::move(value), {tokens},
       [tokens, grid_h, grid_w, leaves](const Tensor& g) {
         autograd::accumulate_into(
             tokens, pool_tokens_adjoint(g, grid_h, grid_w, leaves));
@@ -21,7 +21,7 @@ Var decompress_tokens(const Var& leaf_tokens, std::int64_t grid_h,
                       const std::vector<PatchRect>& leaves) {
   Tensor value = scatter_tokens(leaf_tokens.value(), grid_h, grid_w, leaves);
   return autograd::make_op(
-      std::move(value), {leaf_tokens},
+      kScatterTokensOp, std::move(value), {leaf_tokens},
       [leaf_tokens, grid_h, grid_w, leaves](const Tensor& g) {
         autograd::accumulate_into(
             leaf_tokens, scatter_tokens_adjoint(g, grid_h, grid_w, leaves));

@@ -8,6 +8,11 @@
 
 namespace orbit2 {
 
+/// Op names of the pooling pair, shared by the tape ops below and the
+/// custom ops Reslim captures for the same steps (graph/ir.hpp).
+inline constexpr const char* kPoolTokensOp = "pool_tokens";
+inline constexpr const char* kScatterTokensOp = "scatter_tokens";
+
 /// Pools uniform-grid tokens [P, D] into leaf tokens [L, D] (averaging
 /// within each leaf); differentiable.
 autograd::Var compress_tokens(const autograd::Var& tokens, std::int64_t grid_h,

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "core/kernels.hpp"
 #include "core/obs.hpp"
+#include "core/scratch.hpp"
 #include "core/simd/simd.hpp"
 
 namespace orbit2 {
@@ -19,8 +21,8 @@ std::int64_t conv2d_out_dim(std::int64_t in, std::int64_t kernel,
 
 // All three conv kernels dispatch through kernels::parallel_for with each
 // output element produced wholly inside one chunk (direct-blocked form), so
-// results are bit-identical for any thread count: forward and
-// backward_params parallelize over (output channel, row) slabs, and
+// results are bit-identical for any thread count: forward parallelizes over
+// (output channel, row) slabs, backward_params over output channels, and
 // backward_input is written in gather form — each input cell sums its own
 // contributions in fixed (oc, ky, kx) order instead of racing scattered
 // accumulations.
@@ -31,6 +33,20 @@ std::int64_t conv2d_out_dim(std::int64_t in, std::int64_t kernel,
 // element still sees double(x) * double(w) added in (channel, ky, kx) order
 // and padding taps are skipped, never multiplied by zero, so the one-row
 // SIMD gemm tile reproduces the per-element loop bit for bit on every ISA.
+//
+// Backward_params keeps the per-element loop's float sums: each weight adds
+// the rounded product g * x, then rounds the add, once per output pixel in
+// ascending (oy, ox) order. It stages each output channel's weights as
+// [ky][kx][cin] and the input once per call as patch rows: for every output
+// column, each input row's kw x cin taps, input rows adjacent. A pixel's
+// patch, its kernel rows [ky_lo, ky_hi), is then one contiguous run shared
+// by every output channel, and the pixels of a row sit at a fixed stride,
+// so each output row folds into the weights with one axpy_rows_f32 call over
+// its interior pixels, which applies them to each weight in that same
+// order. Border pixels, whose patches cross the image edge, add only their
+// in-image kx taps, one call per kernel row, before and after the interior:
+// a zero-padded patch would add g * 0, which is NaN for an infinite g where
+// the skip adds nothing.
 
 namespace {
 
@@ -67,6 +83,26 @@ void tap_update(const simd::Ops& sops, double* acc, std::int64_t acc_step,
   for (std::int64_t j = 0; j < n; ++j) {
     acc[j * acc_step] += a * static_cast<double>(src[j * src_step]);
   }
+}
+
+/// conv2d_backward_params pads an interior fold that ends at the staged
+/// weight row's end to a multiple of the widest vector (16 floats), so no
+/// ISA runs a scalar tail there; the pad lanes read whatever follows the
+/// patch and land in the staged row's tail, which is discarded. The patch
+/// rows staged for one band of output rows stay under kBandFloats.
+constexpr std::int64_t kPadCols = 16;
+constexpr std::int64_t kBandFloats = std::int64_t{1} << 16;
+
+/// Grow-only per-thread scratch of conv2d_backward_params. Every entry it
+/// reads into a kept result is written earlier in the same call.
+struct ParamsScratch {
+  std::vector<float> patches;  // staged input, [ow][band rows][kw][cin]
+  std::vector<float> staged;   // one output channel's weights, [kh][kw][cin]
+};
+
+ParamsScratch& params_scratch() {
+  thread_local ParamsScratch scratch;
+  return scratch;
 }
 
 }  // namespace
@@ -163,6 +199,10 @@ Tensor conv2d_backward_input(const Tensor& grad_output, const Tensor& weight,
   const std::int64_t cin = weight.dim(1);
   ORBIT2_REQUIRE(weight.dim(0) == cout, "conv2d_backward_input channel mismatch");
 
+  const std::int64_t conv_flops =
+      2 * cout * cin * spec.kernel_h * spec.kernel_w * oh * ow;
+  ORBIT2_OBS_SPAN_ARG("conv2d_backward_input", "tensor", "flops", conv_flops);
+
   Tensor grad_input(Shape{cin, in_h, in_w});
   const float* go = grad_output.data().data();
   const float* wt = weight.data().data();
@@ -226,45 +266,117 @@ void conv2d_backward_params(const Tensor& grad_output, const Tensor& input,
                  "grad_weight shape mismatch");
   ORBIT2_REQUIRE(grad_bias.shape() == Shape({cout}), "grad_bias shape mismatch");
 
+  const std::int64_t kh = spec.kernel_h, kw = spec.kernel_w;
+  const std::int64_t stride = spec.stride, pad = spec.pad;
+  const std::int64_t taps = kh * kw;     // kernel taps per input channel
+  const std::int64_t cols = cin * taps;  // one output channel's weights
+  const std::int64_t conv_flops = 2 * cout * cols * oh * ow;
+  ORBIT2_OBS_SPAN_ARG("conv2d_backward_params", "tensor", "flops", conv_flops);
+
   const float* go = grad_output.data().data();
   const float* in = input.data().data();
   float* gw = grad_weight.data().data();
   float* gb = grad_bias.data().data();
 
-  // Each output channel owns disjoint slices of grad_weight/grad_bias, so
-  // channels parallelize with no races; the inner accumulation keeps the
-  // original serial (oy, ox) order per channel.
-  const std::int64_t work_per_oc = oh * ow * cin * spec.kernel_h * spec.kernel_w;
-  kernels::parallel_for(
-      cout, kernels::grain_for(work_per_oc),
-      [&](std::int64_t oc0, std::int64_t oc1) {
-        for (std::int64_t oc = oc0; oc < oc1; ++oc) {
-          double bias_acc = 0.0;
-          for (std::int64_t oy = 0; oy < oh; ++oy) {
-            for (std::int64_t ox = 0; ox < ow; ++ox) {
-              const float g = go[(oc * oh + oy) * ow + ox];
-              bias_acc += g;
-              const std::int64_t iy0 = oy * spec.stride - spec.pad;
-              const std::int64_t ix0 = ox * spec.stride - spec.pad;
-              for (std::int64_t ic = 0; ic < cin; ++ic) {
-                const float* in_c = in + ic * h * w;
-                float* gw_c =
-                    gw + ((oc * cin + ic) * spec.kernel_h) * spec.kernel_w;
-                for (std::int64_t ky = 0; ky < spec.kernel_h; ++ky) {
-                  const std::int64_t iy = iy0 + ky;
-                  if (iy < 0 || iy >= h) continue;
-                  for (std::int64_t kx = 0; kx < spec.kernel_w; ++kx) {
-                    const std::int64_t ix = ix0 + kx;
-                    if (ix < 0 || ix >= w) continue;
-                    gw_c[ky * spec.kernel_w + kx] += g * in_c[iy * w + ix];
+  for (std::int64_t oc = 0; oc < cout; ++oc) {
+    const float* g = go + oc * oh * ow;
+    double bias_acc = 0.0;
+    for (std::int64_t i = 0; i < oh * ow; ++i) bias_acc += g[i];
+    gb[oc] += static_cast<float>(bias_acc);
+  }
+
+  // Interior columns [x_lo, x_hi): every kx tap of the pixel is in the image.
+  const auto [lo_first, hi_first] = valid_range(0, ow, -pad, stride, w);
+  const auto [lo_last, hi_last] = valid_range(0, ow, kw - 1 - pad, stride, w);
+  const std::int64_t x_lo = std::min(ow, std::max(lo_first, lo_last));
+  const std::int64_t x_hi = std::max(x_lo, std::min(hi_first, hi_last));
+  const std::int64_t row_taps = kw * cin;  // one kernel row, [kx][cin]
+  const std::int64_t band_oh = std::max<std::int64_t>(
+      1, (kBandFloats / (ow * row_taps) - kh) / stride + 1);
+
+  for (std::int64_t oy0 = 0; oy0 < oh; oy0 += band_oh) {
+    const std::int64_t oy1 = std::min(oh, oy0 + band_oh);
+    const std::int64_t iy_lo = std::max<std::int64_t>(0, oy0 * stride - pad);
+    const std::int64_t iy_hi = std::min(h, (oy1 - 1) * stride - pad + kh);
+    if (iy_lo >= iy_hi) continue;  // the band reads only padding rows
+    const std::int64_t band_h = iy_hi - iy_lo;
+    const std::int64_t pixel_taps = band_h * row_taps;
+
+    // Patch rows: tap (iy, kx, c) of output column ox reads input
+    // (c, iy, ox * stride - pad + kx). Out-of-image taps are never written.
+    float* patches = core::grow_aligned(params_scratch().patches,
+                                        ow * pixel_taps + kPadCols);
+    for (std::int64_t ox = 0; ox < ow; ++ox) {
+      const std::int64_t ix0 = ox * stride - pad;
+      const auto [kx_lo, kx_hi] = valid_range(0, kw, ix0, 1, w);
+      for (std::int64_t iy = iy_lo; iy < iy_hi; ++iy) {
+        float* dst = patches + ox * pixel_taps + (iy - iy_lo) * row_taps;
+        for (std::int64_t kx = kx_lo; kx < kx_hi; ++kx) {
+          const float* src = in + iy * w + ix0 + kx;
+          for (std::int64_t c = 0; c < cin; ++c) {
+            dst[kx * cin + c] = src[c * h * w];
+          }
+        }
+      }
+    }
+
+    kernels::parallel_for(
+        cout, kernels::grain_for((oy1 - oy0) * ow * cols),
+        [&](std::int64_t oc0, std::int64_t oc1) {
+          const simd::Ops& sops = simd::ops();
+          float* staged =
+              core::grow_aligned(params_scratch().staged, cols + kPadCols);
+          for (std::int64_t oc = oc0; oc < oc1; ++oc) {
+            float* gw_oc = gw + oc * cols;
+            for (std::int64_t c = 0; c < cin; ++c) {
+              for (std::int64_t t = 0; t < taps; ++t) {
+                staged[t * cin + c] = gw_oc[c * taps + t];
+              }
+            }
+            std::fill(staged + cols, staged + cols + kPadCols, 0.0f);
+            for (std::int64_t oy = oy0; oy < oy1; ++oy) {
+              const std::int64_t iy0 = oy * stride - pad;
+              const auto [ky_lo, ky_hi] = valid_range(0, kh, iy0, 1, h);
+              if (ky_lo >= ky_hi) continue;
+              const float* g_row = go + (oc * oh + oy) * ow;
+              // Output column ox's patch: pixel_rows(ox)[0, live).
+              const std::int64_t live = (ky_hi - ky_lo) * row_taps;
+              const auto pixel_rows = [&](std::int64_t ox) {
+                return patches + ox * pixel_taps +
+                       (iy0 + ky_lo - iy_lo) * row_taps;
+              };
+              float* staged_rows = staged + ky_lo * row_taps;
+              const auto border = [&](std::int64_t ox0, std::int64_t ox1) {
+                for (std::int64_t ox = ox0; ox < ox1; ++ox) {
+                  const auto [kx_lo, kx_hi] =
+                      valid_range(0, kw, ox * stride - pad, 1, w);
+                  for (std::int64_t r = 0; r < live; r += row_taps) {
+                    sops.axpy_rows_f32(staged_rows + r + kx_lo * cin,
+                                       pixel_rows(ox) + r + kx_lo * cin, 0,
+                                       g_row + ox, 1, (kx_hi - kx_lo) * cin);
                   }
                 }
+              };
+              border(0, x_lo);
+              if (x_hi > x_lo) {
+                // The pad lanes stay inside the staged row only when the
+                // live kernel rows reach its end.
+                const std::int64_t n =
+                    ky_hi == kh ? (live + kPadCols - 1) / kPadCols * kPadCols
+                                : live;
+                sops.axpy_rows_f32(staged_rows, pixel_rows(x_lo), pixel_taps,
+                                   g_row + x_lo, x_hi - x_lo, n);
+              }
+              border(x_hi, ow);
+            }
+            for (std::int64_t c = 0; c < cin; ++c) {
+              for (std::int64_t t = 0; t < taps; ++t) {
+                gw_oc[c * taps + t] = staged[t * cin + c];
               }
             }
           }
-          gb[oc] += static_cast<float>(bias_acc);
-        }
-      });
+        });
+  }
 }
 
 }  // namespace orbit2

@@ -5,11 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "autograd/nn.hpp"
 #include "autograd/ops.hpp"
 #include "autograd/optim.hpp"
+#include "core/obs.hpp"
 #include "core/rng.hpp"
+#include "graph/ir.hpp"
+#include "model/reslim.hpp"
 #include "tensor/matmul.hpp"
 
 namespace orbit2::autograd {
@@ -415,6 +421,75 @@ TEST(Training, TinyMlpLearnsLinearMap) {
     last_loss = epoch_loss;
   }
   EXPECT_LT(last_loss, 0.1f * first_loss);
+}
+
+// ---- backward ledger ------------------------------------------------------
+
+/// Names of the ops a capture of `model`'s forward on `input` records.
+std::set<std::string> captured_op_names(const model::ReslimModel& model,
+                                        const Tensor& input) {
+  InferenceModeScope no_tape;
+  graph::CaptureSink sink(input);
+  Tensor out;
+  {
+    graph::CaptureScope scope(sink);
+    out = model.forward(input).value();
+  }
+  std::set<std::string> names;
+  for (const graph::GraphOp& op : sink.take(out).ops) {
+    EXPECT_NE(op.name, nullptr) << "captured op without a name";
+    if (op.name != nullptr) names.insert(op.name);
+  }
+  return names;
+}
+
+TEST(Autograd, BackwardNodeSpansNameEveryBackprop) {
+  obs::set_enabled(false);
+  obs::reset();
+  obs::set_enabled(true);
+  if (!obs::enabled()) GTEST_SKIP() << "built with ORBIT2_OBS=OFF";
+  obs::set_enabled(false);
+  // The plain trunk, and adaptive compression, whose tape pools tokens
+  // where the capture records partition and pool ops.
+  for (const float ratio : {1.0f, 2.0f}) {
+    SCOPED_TRACE(::testing::Message() << "compression ratio " << ratio);
+    model::ModelConfig config = model::preset_tiny();
+    config.in_channels = 3;
+    config.out_channels = 2;
+    config.upscale = 2;
+    config.compression_ratio = ratio;
+    Rng rng(21);
+    const model::ReslimModel model(config, rng);
+    const Tensor input = Tensor::randn(Shape{3, 16, 16}, rng);
+    const std::set<std::string> captured = captured_op_names(model, input);
+
+    const std::int64_t nodes_before = tape_node_count();
+    const Var out = model.forward(input);
+    const std::int64_t nodes = tape_node_count() - nodes_before;
+    ASSERT_GT(nodes, 0);
+    obs::reset();
+    obs::set_enabled(true);
+    const Tensor seed = Tensor::ones(out.shape());
+    backward(out, &seed);
+    obs::set_enabled(false);
+
+    std::int64_t node_spans = 0;
+    for (const obs::SpanRecord& span : obs::snapshot_spans()) {
+      if (span.category != "autograd" || span.name == "autograd_backward") {
+        continue;
+      }
+      ++node_spans;
+      EXPECT_FALSE(span.name.empty());
+      EXPECT_EQ(captured.count(span.name), 1u)
+          << "node span '" << span.name << "' is not a captured op name";
+      EXPECT_EQ(span.arg_name, "flops") << span.name;
+      EXPECT_GE(span.arg_value, 0) << span.name;
+    }
+    // Every node the forward recorded feeds the output, so each one's
+    // backprop ran, once.
+    EXPECT_EQ(node_spans, nodes);
+  }
+  obs::reset();
 }
 
 }  // namespace

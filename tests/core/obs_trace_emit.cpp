@@ -1,16 +1,21 @@
 // Fixture helper for the trace-validation ctest chain: runs a small traced
 // workload exercising every event kind the exporter emits (wall spans with
-// and without args, nested depths, simulated-clock spans, counters, gauges)
-// and writes the Chrome trace JSON to argv[1]. A separate ctest then
-// validates that file with tools/orbit2_trace.py, proving the emitted JSON
-// parses with a real JSON parser — not just the C++-side substring checks.
+// and without args, nested depths, simulated-clock spans, counters, gauges,
+// and a tiny Reslim forward and backward whose tape node spans feed the
+// summarizer's autograd ledger) and writes the Chrome trace JSON to argv[1].
+// A separate ctest then validates that file with tools/orbit2_trace.py,
+// proving the emitted JSON parses with a real JSON parser — not just the
+// C++-side substring checks.
 
 #include <cstdint>
 #include <cstdio>
 #include <vector>
 
+#include "autograd/ops.hpp"
 #include "core/kernels.hpp"
 #include "core/obs.hpp"
+#include "core/rng.hpp"
+#include "model/reslim.hpp"
 
 int main(int argc, char** argv) {
   if (argc != 2) {
@@ -38,6 +43,17 @@ int main(int argc, char** argv) {
     kernels::parallel_for(256, 8, [](std::int64_t b0, std::int64_t b1) {
       ORBIT2_OBS_COUNT("emit.items", b1 - b0);
     });
+  }
+  {
+    orbit2::model::ModelConfig config = orbit2::model::preset_tiny();
+    config.in_channels = 2;
+    config.out_channels = 2;
+    config.upscale = 2;
+    orbit2::Rng rng(5);
+    const orbit2::model::ReslimModel model(config, rng);
+    const orbit2::Tensor input =
+        orbit2::Tensor::randn(orbit2::Shape{2, 8, 8}, rng);
+    orbit2::autograd::backward(orbit2::autograd::mean(model.forward(input)));
   }
   obs::gauge("emit.gauge").set(0.75);
   obs::histogram("emit.hist").observe(1.0);

@@ -468,11 +468,103 @@ void expect_same_bits(const Tensor& got, const Tensor& want,
   EXPECT_EQ(mismatches, 0) << what;
 }
 
-TEST(Conv2d, RowKernelsMatchPerElementLoopsBitwiseOnEveryIsaAndThreadCount) {
-  const simd::Isa saved_isa = simd::active_isa();
+/// Runs every conv kernel on one shape under every ISA at 1 and 4 threads
+/// and compares bits against the per-element loops. Non-finite values and
+/// -0 sit in grad_output and the input at border and interior pixels. An
+/// interior special reaches every weight of its channel, so the specials
+/// keep to the first channels and the last input and output channels stay
+/// finite: a kernel that multiplied a padding tap by zero (g * 0 = NaN for
+/// an infinite g, where the reference skips the tap) or folded taps outside
+/// a pixel's patch shows up there as a value the reference does not have.
+void expect_conv_kernels_match(std::int64_t cin, std::int64_t cout,
+                               std::int64_t h, std::int64_t w,
+                               const Conv2dSpec& spec, std::uint64_t seed) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
-  const std::int64_t cin = 3, cout = 3, h = 6;
+  const std::int64_t k = spec.kernel_h;
+  Rng rng(seed);
+  Tensor x = Tensor::randn(Shape{cin, h, w}, rng);
+  x[0] = -0.0f;
+  // Input channel 0: NaN inside the image. The infinities go on the first
+  // and last rows of channel 1 when a third channel stays clean.
+  const std::int64_t inf_channel = cin >= 3 ? 1 : 0;
+  x.at(0, h / 2, w / 2) = nan;
+  x.at(inf_channel, 0, 0) = inf;
+  x.at(inf_channel, h - 1, w - 1) = -inf;
+  x.at(cin - 1, h / 2, (w - 1) / 2) = -0.0f;
+  Tensor wt = Tensor::randn(Shape{cout, cin, k, k}, rng, 0.5f);
+  // Corner taps are padding taps for border outputs whenever pad > 0: a
+  // kernel that multiplied them by zero would turn those outputs into NaN
+  // where the reference stays finite. The last output and input channels
+  // see only finite taps.
+  const std::int64_t wo = cout >= 3 ? 1 : 0, wi = cin >= 3 ? 1 : 0;
+  wt.at(0, 0, 0, 0) = nan;
+  wt.at(wo, wi, k - 1, k - 1) = inf;
+  wt.at(wo, 0, 0, k - 1) = -inf;
+  wt.at(cout - 1, cin - 1, k / 2, 0) = -0.0f;
+  Tensor b = Tensor::randn(Shape{cout}, rng);
+  b[cout - 1] = -0.0f;
+  const std::int64_t oh = conv2d_out_dim(h, k, spec.stride, spec.pad);
+  const std::int64_t ow = conv2d_out_dim(w, k, spec.stride, spec.pad);
+  Tensor go = Tensor::randn(Shape{cout, oh, ow}, rng);
+  go[0] = -0.0f;
+  // Output channel 0: +Inf at a corner pixel. Channel 1: NaN at the
+  // opposite corner, whose padding taps keep their weights finite in the
+  // reference. -Inf inside the grid goes to channel 2 when a fourth
+  // channel stays clean; -0 on the last channel's top row.
+  go.at(0, 0, 0) = inf;
+  go.at(1 % cout, oh - 1, ow - 1) = nan;
+  go.at(cout >= 4 ? 2 : 0, oh / 2, ow / 2) = -inf;
+  go.at(cout - 1, 0, (ow - 1) / 2) = -0.0f;
+  const Tensor gb_init = Tensor::randn(b.shape(), rng);
+
+  Tensor want_y(Shape{cout, oh, ow});
+  reference_conv2d_forward(x, wt, b, spec, want_y);
+  Tensor want_gi(Shape{cin, h, w});
+  reference_conv2d_backward_input(go, wt, spec, want_gi);
+  // The autograd op accumulates into fresh zeros; callers may also pass
+  // a running gradient.
+  const Tensor gw_inits[] = {Tensor::randn(wt.shape(), rng),
+                             Tensor::zeros(wt.shape())};
+  std::vector<Tensor> want_gw, want_gb;
+  for (const Tensor& gw_init : gw_inits) {
+    want_gw.push_back(gw_init.clone());
+    want_gb.push_back(gb_init.clone());
+    reference_conv2d_backward_params(go, x, spec, want_gw.back(),
+                                     want_gb.back());
+  }
+
+  for (const simd::Isa isa : simd::supported_isas()) {
+    simd::set_isa(isa);
+    for (const std::size_t threads : {1u, 4u}) {
+      kernels::set_max_threads(threads);
+      const std::string what =
+          std::string("isa=") + simd::isa_name(isa) +
+          " threads=" + std::to_string(threads) + " " + std::to_string(cin) +
+          "->" + std::to_string(cout) + " at " + std::to_string(h) + "x" +
+          std::to_string(w) + " k=" + std::to_string(k) +
+          " pad=" + std::to_string(spec.pad) +
+          " stride=" + std::to_string(spec.stride);
+      expect_same_bits(conv2d_forward(x, wt, b, spec), want_y,
+                       "forward " + what);
+      expect_same_bits(conv2d_backward_input(go, wt, h, w, spec), want_gi,
+                       "backward_input " + what);
+      for (std::size_t i = 0; i < want_gw.size(); ++i) {
+        const std::string init = i == 0 ? " gw_init=random" : " gw_init=+0";
+        Tensor gw = gw_inits[i].clone();
+        Tensor gb = gb_init.clone();
+        conv2d_backward_params(go, x, gw, gb, spec);
+        expect_same_bits(gw, want_gw[i],
+                         "backward_params weight " + what + init);
+        expect_same_bits(gb, want_gb[i],
+                         "backward_params bias " + what + init);
+      }
+    }
+  }
+}
+
+TEST(Conv2d, RowKernelsMatchPerElementLoopsBitwiseOnEveryIsaAndThreadCount) {
+  const simd::Isa saved_isa = simd::active_isa();
   std::uint64_t seed = 40;
   for (const std::int64_t k : {1, 3, 5}) {
     for (const std::int64_t pad : {0, 1, 2}) {
@@ -480,62 +572,20 @@ TEST(Conv2d, RowKernelsMatchPerElementLoopsBitwiseOnEveryIsaAndThreadCount) {
         // Widths: one column, odd, and past the 256-column accumulator
         // block at both strides.
         for (const std::int64_t w : {1, 7, 301, 530}) {
+          const std::int64_t h = 6;
           if (w + 2 * pad < k || h + 2 * pad < k) continue;
-          const Conv2dSpec spec{k, k, stride, pad};
-          Rng rng(seed++);
-          Tensor x = Tensor::randn(Shape{cin, h, w}, rng);
-          x[0] = -0.0f;
-          Tensor wt = Tensor::randn(Shape{cout, cin, k, k}, rng, 0.5f);
-          // Corner taps are padding taps for border outputs whenever
-          // pad > 0: a kernel that multiplied them by zero would turn
-          // those outputs into NaN where the reference stays finite.
-          // Output channel 2 and input channel 2 see only finite taps.
-          wt.at(0, 0, 0, 0) = nan;
-          wt.at(1, 1, k - 1, k - 1) = inf;
-          wt.at(1, 0, 0, k - 1) = -inf;
-          wt.at(2, 2, k / 2, 0) = -0.0f;
-          Tensor b = Tensor::randn(Shape{cout}, rng);
-          b[1] = -0.0f;
-          const std::int64_t oh = conv2d_out_dim(h, k, stride, pad);
-          const std::int64_t ow = conv2d_out_dim(w, k, stride, pad);
-          Tensor go = Tensor::randn(Shape{cout, oh, ow}, rng);
-          go[0] = -0.0f;
-          const Tensor gw_init = Tensor::randn(wt.shape(), rng);
-          const Tensor gb_init = Tensor::randn(b.shape(), rng);
-
-          Tensor want_y(Shape{cout, oh, ow});
-          reference_conv2d_forward(x, wt, b, spec, want_y);
-          Tensor want_gi(Shape{cin, h, w});
-          reference_conv2d_backward_input(go, wt, spec, want_gi);
-          Tensor want_gw = gw_init.clone();
-          Tensor want_gb = gb_init.clone();
-          reference_conv2d_backward_params(go, x, spec, want_gw, want_gb);
-
-          for (const simd::Isa isa : simd::supported_isas()) {
-            simd::set_isa(isa);
-            for (const std::size_t threads : {1u, 4u}) {
-              kernels::set_max_threads(threads);
-              const std::string what =
-                  std::string("isa=") + simd::isa_name(isa) +
-                  " threads=" + std::to_string(threads) +
-                  " k=" + std::to_string(k) + " pad=" + std::to_string(pad) +
-                  " stride=" + std::to_string(stride) +
-                  " w=" + std::to_string(w);
-              expect_same_bits(conv2d_forward(x, wt, b, spec), want_y,
-                               "forward " + what);
-              expect_same_bits(conv2d_backward_input(go, wt, h, w, spec),
-                               want_gi, "backward_input " + what);
-              Tensor gw = gw_init.clone();
-              Tensor gb = gb_init.clone();
-              conv2d_backward_params(go, x, gw, gb, spec);
-              expect_same_bits(gw, want_gw, "backward_params weight " + what);
-              expect_same_bits(gb, want_gb, "backward_params bias " + what);
-            }
-          }
+          expect_conv_kernels_match(3, 3, h, w, Conv2dSpec{k, k, stride, pad},
+                                    seed++);
         }
       }
     }
   }
+  // Reslim's residual convs: 2 -> 2 at the 48x80 output tile, 8 -> 8 and
+  // 8 -> 2 at the 12x20 input tile.
+  const Conv2dSpec reslim{3, 3, 1, 1};
+  expect_conv_kernels_match(2, 2, 48, 80, reslim, seed++);
+  expect_conv_kernels_match(8, 8, 12, 20, reslim, seed++);
+  expect_conv_kernels_match(8, 2, 12, 20, reslim, seed++);
   kernels::set_max_threads(0);
   simd::set_isa(saved_isa);
 }

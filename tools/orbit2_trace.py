@@ -10,6 +10,12 @@ The input is the format written by orbit2::obs::write_chrome_trace():
 {"traceEvents": [...], ...} with "X" (complete) span events, "M" metadata
 events, and "C" counter events. Wall-clock spans live on pid 1, simulated
 hwsim time on pid 2. The same file loads in chrome://tracing and Perfetto.
+
+When the trace holds a traced backward pass (category "autograd": one
+"autograd_backward" span per backward() call, and inside it one span per tape
+node's backprop, named after its op and carrying its FLOPs), the summary adds
+an autograd ledger: per node name, the count, total ms, share of
+autograd_backward time and GF/s, plus the backward time no node span covers.
 """
 
 import argparse
@@ -64,6 +70,49 @@ def span_events(trace, simulated):
             yield ev
 
 
+def autograd_ledger(trace):
+    """Per-node-name rows of the traced backward passes (empty if none)."""
+    backward_us = 0.0
+    nodes = defaultdict(lambda: [0, 0.0, 0])  # name -> [count, us, flops]
+    for ev in span_events(trace, simulated=False):
+        if ev.get("cat") != "autograd":
+            continue
+        if ev["name"] == "autograd_backward":
+            backward_us += ev["dur"]
+            continue
+        entry = nodes[ev["name"]]
+        entry[0] += 1
+        entry[1] += ev["dur"]
+        entry[2] += ev.get("args", {}).get("flops", 0)
+    if not nodes or backward_us <= 0.0:
+        return []
+    lines = [
+        "== autograd ledger (backward node spans) ==",
+        f"{'node':<24} {'count':>8} {'total ms':>10} {'share':>7} {'GF/s':>8}",
+    ]
+    spanned_us = 0.0
+    for name, (count, total_us, flops) in sorted(
+            nodes.items(), key=lambda kv: -kv[1][1]):
+        spanned_us += total_us
+        # FLOPs per microsecond / 1000 = GFLOP/s.
+        rate = f"{flops / total_us / 1e3:8.2f}" if flops else f"{'-':>8}"
+        lines.append(
+            f"{name:<24} {count:>8} {total_us / 1000.0:>10.3f} "
+            f"{total_us / backward_us:>7.3f} {rate}"
+        )
+    rest_us = backward_us - spanned_us
+    lines.append(
+        f"{'(unspanned)':<24} {'':>8} {rest_us / 1000.0:>10.3f} "
+        f"{rest_us / backward_us:>7.3f} {'-':>8}"
+    )
+    lines.append(
+        f"{'autograd_backward':<24} {'':>8} {backward_us / 1000.0:>10.3f} "
+        f"{1.0:>7.3f} {'-':>8}"
+    )
+    lines.append("")
+    return lines
+
+
 def summarize(trace, top_n):
     lines = []
     for simulated, label in ((False, "wall clock"), (True, "simulated clock")):
@@ -91,6 +140,8 @@ def summarize(trace, top_n):
         for cat, total_us in sorted(by_cat.items(), key=lambda kv: -kv[1]):
             lines.append(f"{cat:<32} {total_us / 1000.0:>12.3f} ms")
         lines.append("")
+
+    lines.extend(autograd_ledger(trace))
 
     counters = [
         ev for ev in trace["traceEvents"]
