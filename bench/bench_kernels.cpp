@@ -12,7 +12,9 @@
 //
 // Conv2d rows also time conv2d_backward_params ("conv2d_bwd_params") at
 // Reslim's residual-conv shapes, next to the forward at the same shapes; both
-// count the forward's multiply-adds, so their GF/s compare directly.
+// count the forward's multiply-adds, so their GF/s compare directly. FFT rows
+// time fft2d and ifft2d at the data pipeline's 64x128 grid and at a
+// non-power-of-two 30x45, plus one gaussian_random_field at 64x128.
 //
 // Usage: bench_kernels [--reps N] [--threads N] [--quick] [--trace PATH]
 //   --reps N     timing repetitions per case, best-of (default 3)
@@ -37,6 +39,8 @@
 #include "core/obs.hpp"
 #include "core/rng.hpp"
 #include "core/simd/simd.hpp"
+#include "data/generator.hpp"
+#include "fft/fft.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/tensor.hpp"
@@ -532,6 +536,58 @@ int main(int argc, char** argv) {
   }
   orbit2::kernels::set_max_threads(0);
 
+  // --- 2-D FFTs at the data pipeline's 64x128 grid and a Bluestein grid,
+  // and one spectrally shaped random field (an fft2d + ifft2d pair plus the
+  // noise, filter and normalization around it). FFT rows count the nominal
+  // 5 N log2 N flops of an N-point complex transform; the GRF row counts
+  // elements and reports ns_per_element. ---
+  struct FftCase {
+    std::int64_t h, w;
+    Tensor field;
+    std::vector<orbit2::Complex> spectrum;
+  };
+  std::vector<FftCase> fft_cases;
+  for (const auto& [h, w] : {std::array<std::int64_t, 2>{64, 128},
+                             std::array<std::int64_t, 2>{30, 45}}) {
+    Tensor field = Tensor::randn(Shape{h, w}, rng);
+    std::vector<orbit2::Complex> spectrum = orbit2::fft2d(field);
+    fft_cases.push_back({h, w, std::move(field), std::move(spectrum)});
+  }
+  const auto fft_rows = [&](const std::string& variant, std::size_t t) {
+    for (const FftCase& c : fft_cases) {
+      const double n = static_cast<double>(c.h * c.w);
+      const double flops = 5.0 * n * std::log2(n);
+      const std::string shape = std::to_string(c.h) + "x" + std::to_string(c.w);
+      records.push_back(time_case("fft2d", shape, variant, t, reps, flops, [&] {
+        const std::vector<orbit2::Complex> f = orbit2::fft2d(c.field);
+        return f[1].real();
+      }));
+      std::vector<orbit2::Complex> work;
+      records.push_back(
+          time_case("ifft2d", shape, variant, t, reps, flops, [&] {
+            work = c.spectrum;
+            orbit2::ifft2d(work, c.h, c.w);
+            return work[1].real();
+          }));
+    }
+    const std::int64_t gh = 64, gw = 128;
+    Record grf = time_case(
+        "gaussian_random_field", "64x128", variant, t, reps,
+        static_cast<double>(gh * gw), [&] {
+          Rng field_rng(7);
+          const Tensor f =
+              orbit2::data::gaussian_random_field(gh, gw, 2.0f, field_rng);
+          return tensor_checksum(f);
+        });
+    grf.ns_per_element = grf.seconds * 1e9 / static_cast<double>(gh * gw);
+    records.push_back(grf);
+  };
+  for (const std::size_t t : {kSerial, threads}) {
+    orbit2::kernels::set_max_threads(t);
+    fft_rows("kernels", t);
+  }
+  orbit2::kernels::set_max_threads(0);
+
   // --- SIMD ISA sweep: the same kernels under every supported backend. ---
   // Serial threads isolate the microkernel effect from pool scaling; the
   // results are bit-identical across backends (the determinism contract),
@@ -613,6 +669,7 @@ int main(int argc, char** argv) {
         return buffer_checksum(gelu_out);
       }));
       conv_rows(variant, kSerial);
+      fft_rows(variant, kSerial);
     }
     orbit2::kernels::set_max_threads(0);
     orbit2::simd::set_isa(saved_isa);

@@ -115,32 +115,22 @@ static inline void scalar_bf16_round_f32(float* y, std::int64_t n) {
   }
 }
 
-static inline void scalar_fft_butterfly_f64(double* a0, double* a1,
-                                            const double* w, std::int64_t n) {
-  for (std::int64_t k = 0; k < n; ++k) {
-    const double ur = a0[2 * k];
-    const double ui = a0[2 * k + 1];
-    const double xr = a1[2 * k];
-    const double xi = a1[2 * k + 1];
-    const double wr = w[2 * k];
-    const double wi = w[2 * k + 1];
+static inline void scalar_fft_butterfly_lanes_f64(double* a0, double* a1,
+                                                  const double* w,
+                                                  std::int64_t lanes) {
+  const double wr = w[0];
+  const double wi = w[1];
+  for (std::int64_t l = 0; l < lanes; ++l) {
+    const double ur = a0[2 * l];
+    const double ui = a0[2 * l + 1];
+    const double xr = a1[2 * l];
+    const double xi = a1[2 * l + 1];
     const double vr = xr * wr - xi * wi;
     const double vi = xi * wr + xr * wi;
-    a0[2 * k] = ur + vr;
-    a0[2 * k + 1] = ui + vi;
-    a1[2 * k] = ur - vr;
-    a1[2 * k + 1] = ui - vi;
-  }
-}
-
-static inline void scalar_cmul_f64(double* x, const double* y, std::int64_t n) {
-  for (std::int64_t k = 0; k < n; ++k) {
-    const double xr = x[2 * k];
-    const double xi = x[2 * k + 1];
-    const double yr = y[2 * k];
-    const double yi = y[2 * k + 1];
-    x[2 * k] = xr * yr - xi * yi;
-    x[2 * k + 1] = xi * yr + xr * yi;
+    a0[2 * l] = ur + vr;
+    a0[2 * l + 1] = ui + vi;
+    a1[2 * l] = ur - vr;
+    a1[2 * l + 1] = ui - vi;
   }
 }
 

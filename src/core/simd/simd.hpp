@@ -4,10 +4,10 @@
 // The kernel substrate (core/kernels.hpp) made every hot path thread-parallel
 // and bit-stable, but left all inner arithmetic scalar. This layer supplies
 // the vectorized inner loops: a small set of primitive microkernels (a
-// register-tiled GEMM tile, radix-2 FFT butterflies, contiguous elementwise
-// stages, row rescales, bf16 convert-and-round, GELU forward and backward)
-// behind one function-pointer table selected once at startup from the host
-// ISA (AVX-512 > AVX2 > NEON > scalar) and overridable with
+// register-tiled GEMM tile, lane-batched radix-2 FFT butterflies, contiguous
+// elementwise stages, row rescales, bf16 convert-and-round, GELU forward and
+// backward) behind one function-pointer table selected once at startup from
+// the host ISA (AVX-512 > AVX2 > NEON > scalar) and overridable with
 // `ORBIT2_SIMD=scalar|avx2|avx512|neon` for testing.
 //
 // Determinism contract (the reason these kernels are hand-written instead of
@@ -33,8 +33,8 @@
 //     glibc 2.36's tanhf. Vector backends compute every branch on every lane and
 //     blend, so each lane sees the reference's operations, and results do
 //     not depend on the host's libm.
-//   * Complex products (FFT butterflies, Bluestein pointwise multiplies) use
-//     the naive formula with pinned operand order:
+//   * Complex products (FFT butterflies) use the naive formula with pinned
+//     operand order:
 //     re = xr*wr - xi*wi, im = xi*wr + xr*wi (each product rounded once).
 //     For finite inputs this is bit-identical to the pre-SIMD
 //     std::complex<double> arithmetic; NaN/Inf recovery semantics of C99
@@ -105,14 +105,13 @@ struct Ops {
   /// Pure integer bit manipulation, bit-exact for every input including NaN.
   void (*bf16_round_f32)(float* y, std::int64_t n);
 
-  /// n radix-2 butterfly pairs over interleaved re/im doubles:
-  ///   u = a0[k]; v = a1[k] * w[k]; a0[k] = u + v; a1[k] = u - v
-  /// where a0/a1/w point at 2n doubles each (re, im, re, im, ...).
-  void (*fft_butterfly_f64)(double* a0, double* a1, const double* w,
-                            std::int64_t n);
-
-  /// n pointwise complex products x[k] *= y[k], interleaved re/im doubles.
-  void (*cmul_f64)(double* x, const double* y, std::int64_t n);
+  /// One radix-2 butterfly applied to `lanes` independent transforms at
+  /// once, over interleaved re/im doubles:
+  ///   u = a0[l]; v = a1[l] * w; a0[l] = u + v; a1[l] = u - v
+  /// where a0/a1 point at 2*lanes doubles (re, im, re, im, ...) and w at the
+  /// one twiddle (re, im) every lane shares.
+  void (*fft_butterfly_lanes_f64)(double* a0, double* a1, const double* w,
+                                  std::int64_t lanes);
 
   /// Tanh-approximation GELU: y[i] = gelu(x[i]), with tanh computed as
   /// fdlibm's tanhf (scalar_ref.hpp gelu_ref). `y` may equal `x`.

@@ -218,41 +218,28 @@ void avx2_bf16_round_f32(float* y, std::int64_t n) {
   if (i < n) scalar_bf16_round_f32(y + i, n - i);
 }
 
-// v = x * w as complex doubles, two complex per vector: with
-// wr = (w.re, w.re), wi = (w.im, w.im), swapped = (x.im, x.re),
-// vaddsubpd(x*wr, swapped*wi) yields
-// (x.re*w.re - x.im*w.im, x.im*w.re + x.re*w.im).
-inline __m256d cmul256(__m256d x, __m256d w) {
-  const __m256d wr = _mm256_movedup_pd(w);
-  const __m256d wi = _mm256_permute_pd(w, 0xF);
+// v = x * w for two complex doubles per vector: with wr = (w.re, w.re),
+// wi = (w.im, w.im), swapped = (x.im, x.re), vaddsubpd(x*wr, swapped*wi)
+// yields (x.re*w.re - x.im*w.im, x.im*w.re + x.re*w.im).
+inline __m256d cmul256(__m256d x, __m256d wr, __m256d wi) {
   const __m256d swapped = _mm256_permute_pd(x, 0x5);
   return _mm256_addsub_pd(_mm256_mul_pd(x, wr), _mm256_mul_pd(swapped, wi));
 }
 
-void avx2_fft_butterfly_f64(double* a0, double* a1, const double* w,
-                            std::int64_t n) {
-  std::int64_t k = 0;
-  for (; k + 2 <= n; k += 2) {
-    const __m256d x = _mm256_loadu_pd(a1 + 2 * k);
-    const __m256d tw = _mm256_loadu_pd(w + 2 * k);
-    const __m256d v = cmul256(x, tw);
-    const __m256d u = _mm256_loadu_pd(a0 + 2 * k);
-    _mm256_storeu_pd(a0 + 2 * k, _mm256_add_pd(u, v));
-    _mm256_storeu_pd(a1 + 2 * k, _mm256_sub_pd(u, v));
+void avx2_fft_butterfly_lanes_f64(double* a0, double* a1, const double* w,
+                                  std::int64_t lanes) {
+  const __m256d wr = _mm256_set1_pd(w[0]);
+  const __m256d wi = _mm256_set1_pd(w[1]);
+  std::int64_t l = 0;
+  for (; l + 2 <= lanes; l += 2) {
+    const __m256d v = cmul256(_mm256_loadu_pd(a1 + 2 * l), wr, wi);
+    const __m256d u = _mm256_loadu_pd(a0 + 2 * l);
+    _mm256_storeu_pd(a0 + 2 * l, _mm256_add_pd(u, v));
+    _mm256_storeu_pd(a1 + 2 * l, _mm256_sub_pd(u, v));
   }
-  if (k < n) {
-    scalar_fft_butterfly_f64(a0 + 2 * k, a1 + 2 * k, w + 2 * k, n - k);
+  if (l < lanes) {
+    scalar_fft_butterfly_lanes_f64(a0 + 2 * l, a1 + 2 * l, w, lanes - l);
   }
-}
-
-void avx2_cmul_f64(double* x, const double* y, std::int64_t n) {
-  std::int64_t k = 0;
-  for (; k + 2 <= n; k += 2) {
-    const __m256d vx = _mm256_loadu_pd(x + 2 * k);
-    const __m256d vy = _mm256_loadu_pd(y + 2 * k);
-    _mm256_storeu_pd(x + 2 * k, cmul256(vx, vy));
-  }
-  if (k < n) scalar_cmul_f64(x + 2 * k, y + 2 * k, n - k);
 }
 
 // Per-lane select: b where the mask lane is all-ones, else a.
@@ -439,8 +426,7 @@ const Ops* avx2_ops() {
       avx2_rsub_f32,
       avx2_mul_f32,
       avx2_bf16_round_f32,
-      avx2_fft_butterfly_f64,
-      avx2_cmul_f64,
+      avx2_fft_butterfly_lanes_f64,
       avx2_gelu_f32,
       avx2_gelu_grad_f32,
   };

@@ -213,18 +213,17 @@ void avx512_bf16_round_f32(float* y, std::int64_t n) {
   if (i < n) scalar_bf16_round_f32(y + i, n - i);
 }
 
-// v = x * w as complex doubles, four complex per vector. AVX-512 has no
-// vaddsubpd: flip the sign of the even (real) lanes of swapped*wi with an
-// integer XOR, then one add gives
-// (x.re*w.re - x.im*w.im, x.im*w.re + x.re*w.im) per complex.
-inline __m512d cmul512(__m512d x, __m512d w) {
+// v = x * w for four complex doubles per vector, with wr and wi holding the
+// twiddle's real and imaginary part in every lane. AVX-512 has no vaddsubpd:
+// flip the sign of the even (real) lanes of swapped*wi with an integer XOR,
+// then one add gives (x.re*w.re - x.im*w.im, x.im*w.re + x.re*w.im) per
+// complex.
+inline __m512d cmul512(__m512d x, __m512d wr, __m512d wi) {
   const __m512i even_sign = _mm512_set_epi64(
       0, static_cast<long long>(0x8000000000000000ull),
       0, static_cast<long long>(0x8000000000000000ull),
       0, static_cast<long long>(0x8000000000000000ull),
       0, static_cast<long long>(0x8000000000000000ull));
-  const __m512d wr = _mm512_movedup_pd(w);
-  const __m512d wi = _mm512_permute_pd(w, 0xFF);
   const __m512d swapped = _mm512_permute_pd(x, 0x55);
   const __m512d t1 = _mm512_mul_pd(x, wr);
   const __m512d t2 = _mm512_mul_pd(swapped, wi);
@@ -233,30 +232,20 @@ inline __m512d cmul512(__m512d x, __m512d w) {
   return _mm512_add_pd(t1, t2_flipped);
 }
 
-void avx512_fft_butterfly_f64(double* a0, double* a1, const double* w,
-                              std::int64_t n) {
-  std::int64_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m512d x = _mm512_loadu_pd(a1 + 2 * k);
-    const __m512d tw = _mm512_loadu_pd(w + 2 * k);
-    const __m512d v = cmul512(x, tw);
-    const __m512d u = _mm512_loadu_pd(a0 + 2 * k);
-    _mm512_storeu_pd(a0 + 2 * k, _mm512_add_pd(u, v));
-    _mm512_storeu_pd(a1 + 2 * k, _mm512_sub_pd(u, v));
+void avx512_fft_butterfly_lanes_f64(double* a0, double* a1, const double* w,
+                                    std::int64_t lanes) {
+  const __m512d wr = _mm512_set1_pd(w[0]);
+  const __m512d wi = _mm512_set1_pd(w[1]);
+  std::int64_t l = 0;
+  for (; l + 4 <= lanes; l += 4) {
+    const __m512d v = cmul512(_mm512_loadu_pd(a1 + 2 * l), wr, wi);
+    const __m512d u = _mm512_loadu_pd(a0 + 2 * l);
+    _mm512_storeu_pd(a0 + 2 * l, _mm512_add_pd(u, v));
+    _mm512_storeu_pd(a1 + 2 * l, _mm512_sub_pd(u, v));
   }
-  if (k < n) {
-    scalar_fft_butterfly_f64(a0 + 2 * k, a1 + 2 * k, w + 2 * k, n - k);
+  if (l < lanes) {
+    scalar_fft_butterfly_lanes_f64(a0 + 2 * l, a1 + 2 * l, w, lanes - l);
   }
-}
-
-void avx512_cmul_f64(double* x, const double* y, std::int64_t n) {
-  std::int64_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m512d vx = _mm512_loadu_pd(x + 2 * k);
-    const __m512d vy = _mm512_loadu_pd(y + 2 * k);
-    _mm512_storeu_pd(x + 2 * k, cmul512(vx, vy));
-  }
-  if (k < n) scalar_cmul_f64(x + 2 * k, y + 2 * k, n - k);
 }
 
 // fdlibm tanhf (scalar_ref.hpp tanh_ref) on 16 lanes. Every branch of the
@@ -444,8 +433,7 @@ const Ops* avx512_ops() {
       avx512_rsub_f32,
       avx512_mul_f32,
       avx512_bf16_round_f32,
-      avx512_fft_butterfly_f64,
-      avx512_cmul_f64,
+      avx512_fft_butterfly_lanes_f64,
       avx512_gelu_f32,
       avx512_gelu_grad_f32,
   };

@@ -198,13 +198,12 @@ void neon_bf16_round_f32(float* y, std::int64_t n) {
   if (i < n) scalar_bf16_round_f32(y + i, n - i);
 }
 
-// v = x * w for one complex double per vector (lane 0 = real): flip the
+// v = x * w for one complex double per vector (lane 0 = real), with wr and
+// wi holding the twiddle's real and imaginary part in both lanes: flip the
 // sign of the real lane of swapped*wi, then add.
-inline float64x2_t cmul128(float64x2_t x, float64x2_t w) {
+inline float64x2_t cmul128(float64x2_t x, float64x2_t wr, float64x2_t wi) {
   const uint64x2_t even_sign =
       vcombine_u64(vdup_n_u64(0x8000000000000000ull), vdup_n_u64(0));
-  const float64x2_t wr = vdupq_laneq_f64(w, 0);
-  const float64x2_t wi = vdupq_laneq_f64(w, 1);
   const float64x2_t swapped = vextq_f64(x, x, 1);
   const float64x2_t t1 = vmulq_f64(x, wr);
   const float64x2_t t2 = vmulq_f64(swapped, wi);
@@ -213,23 +212,15 @@ inline float64x2_t cmul128(float64x2_t x, float64x2_t w) {
   return vaddq_f64(t1, t2_flipped);
 }
 
-void neon_fft_butterfly_f64(double* a0, double* a1, const double* w,
-                            std::int64_t n) {
-  for (std::int64_t k = 0; k < n; ++k) {
-    const float64x2_t x = vld1q_f64(a1 + 2 * k);
-    const float64x2_t tw = vld1q_f64(w + 2 * k);
-    const float64x2_t v = cmul128(x, tw);
-    const float64x2_t u = vld1q_f64(a0 + 2 * k);
-    vst1q_f64(a0 + 2 * k, vaddq_f64(u, v));
-    vst1q_f64(a1 + 2 * k, vsubq_f64(u, v));
-  }
-}
-
-void neon_cmul_f64(double* x, const double* y, std::int64_t n) {
-  for (std::int64_t k = 0; k < n; ++k) {
-    const float64x2_t vx = vld1q_f64(x + 2 * k);
-    const float64x2_t vy = vld1q_f64(y + 2 * k);
-    vst1q_f64(x + 2 * k, cmul128(vx, vy));
+void neon_fft_butterfly_lanes_f64(double* a0, double* a1, const double* w,
+                                  std::int64_t lanes) {
+  const float64x2_t wr = vdupq_n_f64(w[0]);
+  const float64x2_t wi = vdupq_n_f64(w[1]);
+  for (std::int64_t l = 0; l < lanes; ++l) {
+    const float64x2_t v = cmul128(vld1q_f64(a1 + 2 * l), wr, wi);
+    const float64x2_t u = vld1q_f64(a0 + 2 * l);
+    vst1q_f64(a0 + 2 * l, vaddq_f64(u, v));
+    vst1q_f64(a1 + 2 * l, vsubq_f64(u, v));
   }
 }
 
@@ -388,8 +379,7 @@ const Ops* neon_ops() {
       neon_rsub_f32,
       neon_mul_f32,
       neon_bf16_round_f32,
-      neon_fft_butterfly_f64,
-      neon_cmul_f64,
+      neon_fft_butterfly_lanes_f64,
       neon_gelu_f32,
       neon_gelu_grad_f32,
   };

@@ -19,8 +19,7 @@ const Ops* scalar_ops() {
       scalar_rsub_f32,
       scalar_mul_f32,
       scalar_bf16_round_f32,
-      scalar_fft_butterfly_f64,
-      scalar_cmul_f64,
+      scalar_fft_butterfly_lanes_f64,
       scalar_gelu_f32,
       scalar_gelu_grad_f32,
   };

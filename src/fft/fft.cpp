@@ -8,6 +8,7 @@
 #include "core/cache.hpp"
 #include "core/kernels.hpp"
 #include "core/obs.hpp"
+#include "core/scratch.hpp"
 #include "core/simd/simd.hpp"
 
 namespace orbit2 {
@@ -63,31 +64,40 @@ std::shared_ptr<const Radix2Plan> radix2_plan(std::size_t n, bool inverse) {
   return cache.get_or_create(key, [&] { return build_radix2_plan(n, inverse); });
 }
 
-// Iterative radix-2 Cooley-Tukey; requires power-of-two length.
-void fft_radix2(std::vector<Complex>& a, bool inverse) {
-  const std::size_t n = a.size();
-  const std::shared_ptr<const Radix2Plan> plan = radix2_plan(n, inverse);
-  const std::uint32_t* rev = plan->bitrev.data();
+double* as_doubles(Complex* c) { return reinterpret_cast<double*>(c); }
+const double* as_doubles(const Complex* c) {
+  return reinterpret_cast<const double*>(c);
+}
+
+// Iterative radix-2 Cooley-Tukey over `lanes` independent n-point lines at
+// once (n a power of two, no 1/n scaling): element j of lane l sits at
+// base[j * stride + l]. The bit reversal swaps whole rows of lanes, and each
+// butterfly applies its twiddle to every lane in one simd primitive call.
+// std::complex<double> guarantees the array-of-two-doubles layout, which is
+// the interleaved re/im format the primitive takes. Every lane sees the
+// reversal order, twiddles, stage order and per-element arithmetic of a
+// one-line transform, so the lane count never changes a bit.
+void radix2_lines(const Radix2Plan& plan, Complex* base, std::size_t n,
+                  std::int64_t lanes, std::int64_t stride) {
+  const auto row = [&](std::size_t j) {
+    return base + static_cast<std::int64_t>(j) * stride;
+  };
+  const std::uint32_t* rev = plan.bitrev.data();
   for (std::size_t i = 1; i < n; ++i) {
     const std::size_t j = rev[i];
-    if (i < j) std::swap(a[i], a[j]);
+    if (i < j) std::swap_ranges(row(i), row(i) + lanes, row(j));
   }
-  // Each stage's butterflies touch two contiguous half-spans and the
-  // contiguous twiddle run, so the whole inner pair-loop is one simd
-  // primitive call per span. std::complex<double> guarantees array-of-two-
-  // doubles layout, which is the interleaved re/im format the primitive
-  // takes. Bit-identical to the std::complex arithmetic it replaces for
-  // finite values (see the contract in core/simd/simd.hpp).
   const simd::Ops& sops = simd::ops();
-  const Complex* tw = plan->twiddles.data();
+  const Complex* tw = plan.twiddles.data();
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    const Complex* stage = tw + (len / 2 - 1);
-    const double* w = reinterpret_cast<const double*>(stage);
-    const std::int64_t half = static_cast<std::int64_t>(len / 2);
+    const std::size_t half = len / 2;
+    const Complex* stage = tw + (half - 1);
     for (std::size_t i = 0; i < n; i += len) {
-      sops.fft_butterfly_f64(reinterpret_cast<double*>(a.data() + i),
-                             reinterpret_cast<double*>(a.data() + i + len / 2),
-                             w, half);
+      for (std::size_t k = 0; k < half; ++k) {
+        sops.fft_butterfly_lanes_f64(as_doubles(row(i + k)),
+                                     as_doubles(row(i + k + half)),
+                                     as_doubles(stage + k), lanes);
+      }
     }
   }
 }
@@ -101,11 +111,14 @@ std::size_t next_power_of_two(std::size_t n) {
 // Per-(n, direction) Bluestein state: the chirp and the forward transform
 // of the convolution kernel are pure functions of the length, so they are
 // computed once and the per-call cost drops from three power-of-two FFTs
-// to two (plus the pointwise products).
+// to two (plus the pointwise products). The plan also holds the padded
+// length's radix-2 plans, so running it needs no further cache lookup.
 struct BluesteinPlan {
   std::size_t m = 0;               // padded convolution length
   std::vector<Complex> chirp;      // w_k = exp(sign * i * pi * k^2 / n)
   std::vector<Complex> kernel_fft; // forward FFT of conj(chirp) wrapped to m
+  std::shared_ptr<const Radix2Plan> pad_forward;
+  std::shared_ptr<const Radix2Plan> pad_inverse;
 };
 
 BluesteinPlan build_bluestein_plan(std::size_t n, bool inverse) {
@@ -119,13 +132,15 @@ BluesteinPlan build_bluestein_plan(std::size_t n, bool inverse) {
     plan.chirp[k] = Complex(std::cos(angle), std::sin(angle));
   }
   plan.m = next_power_of_two(2 * n - 1);
+  plan.pad_forward = radix2_plan(plan.m, false);
+  plan.pad_inverse = radix2_plan(plan.m, true);
   plan.kernel_fft.assign(plan.m, Complex(0, 0));
   plan.kernel_fft[0] = std::conj(plan.chirp[0]);
   for (std::size_t k = 1; k < n; ++k) {
     plan.kernel_fft[k] = std::conj(plan.chirp[k]);
     plan.kernel_fft[plan.m - k] = std::conj(plan.chirp[k]);
   }
-  fft_radix2(plan.kernel_fft, false);
+  radix2_lines(*plan.pad_forward, plan.kernel_fft.data(), plan.m, 1, 1);
   return plan;
 }
 
@@ -143,75 +158,153 @@ std::shared_ptr<const BluesteinPlan> bluestein_plan(std::size_t n,
                              [&] { return build_bluestein_plan(n, inverse); });
 }
 
-// Bluestein's chirp-z transform: expresses an arbitrary-length DFT as a
-// convolution, evaluated with power-of-two FFTs.
-void fft_bluestein(std::vector<Complex>& a, bool inverse) {
-  const std::size_t n = a.size();
-  const std::shared_ptr<const BluesteinPlan> plan = bluestein_plan(n, inverse);
-  const std::size_t m = plan->m;
-  const Complex* chirp = plan->chirp.data();
-
-  std::vector<Complex> x(m, Complex(0, 0));
-  for (std::size_t k = 0; k < n; ++k) x[k] = a[k] * chirp[k];
-  fft_radix2(x, false);
-  const Complex* kernel = plan->kernel_fft.data();
-  simd::ops().cmul_f64(reinterpret_cast<double*>(x.data()),
-                       reinterpret_cast<const double*>(kernel),
-                       static_cast<std::int64_t>(m));
-  fft_radix2(x, true);
+// Bluestein's chirp-z transform over lanes (same layout as radix2_lines):
+// it expresses an arbitrary-length DFT as a convolution, evaluated with
+// padded power-of-two line transforms in grow-only per-thread scratch. Each
+// element sees the one-line algorithm's operations: the chirp multiply, the
+// forward and inverse padded transforms, the kernel product (one kernel
+// value per row, applied to every lane) and `* inv_m * chirp`.
+void bluestein_lines(const BluesteinPlan& plan, Complex* base, std::size_t n,
+                     std::int64_t lanes, std::int64_t stride) {
+  thread_local std::vector<Complex> pad_buffer;
+  const std::size_t m = plan.m;
+  Complex* x =
+      core::grow_aligned(pad_buffer, static_cast<std::int64_t>(m) * lanes);
+  const Complex* chirp = plan.chirp.data();
+  for (std::size_t k = 0; k < n; ++k) {
+    const Complex* src = base + static_cast<std::int64_t>(k) * stride;
+    Complex* dst = x + static_cast<std::int64_t>(k) * lanes;
+    for (std::int64_t l = 0; l < lanes; ++l) dst[l] = src[l] * chirp[k];
+  }
+  std::fill(x + static_cast<std::int64_t>(n) * lanes,
+            x + static_cast<std::int64_t>(m) * lanes, Complex(0, 0));
+  radix2_lines(*plan.pad_forward, x, m, lanes, lanes);
+  // Pointwise kernel product with the pinned complex-product formula of
+  // the simd contract (re = xr*yr - xi*yi, im = xi*yr + xr*yi).
+  const Complex* kernel = plan.kernel_fft.data();
+  for (std::size_t j = 0; j < m; ++j) {
+    double* row = as_doubles(x + static_cast<std::int64_t>(j) * lanes);
+    const double yr = kernel[j].real();
+    const double yi = kernel[j].imag();
+    for (std::int64_t l = 0; l < lanes; ++l) {
+      const double xr = row[2 * l];
+      const double xi = row[2 * l + 1];
+      row[2 * l] = xr * yr - xi * yi;
+      row[2 * l + 1] = xi * yr + xr * yi;
+    }
+  }
+  radix2_lines(*plan.pad_inverse, x, m, lanes, lanes);
   const double inv_m = 1.0 / static_cast<double>(m);
-  for (std::size_t k = 0; k < n; ++k) a[k] = x[k] * inv_m * chirp[k];
+  for (std::size_t k = 0; k < n; ++k) {
+    const Complex* src = x + static_cast<std::int64_t>(k) * lanes;
+    Complex* dst = base + static_cast<std::int64_t>(k) * stride;
+    for (std::int64_t l = 0; l < lanes; ++l) dst[l] = src[l] * inv_m * chirp[k];
+  }
 }
 
-// Row then column 1-D transforms over an H x W row-major coefficient grid.
-// One line per work item with chunk-local scratch: every line's arithmetic
-// is identical to the serial loop, and lines write disjoint ranges, so the
-// result is bit-identical for any thread count.
+// The resolved plan of one n-point direction: a lines call looks it up
+// once and runs every lane block from it.
+struct LinesPlan {
+  std::size_t n = 0;
+  bool inverse = false;
+  std::shared_ptr<const Radix2Plan> radix2;        // n a power of two
+  std::shared_ptr<const BluesteinPlan> bluestein;  // any other n > 1
+};
+
+LinesPlan resolve_lines(std::size_t n, bool inverse) {
+  LinesPlan plan;
+  plan.n = n;
+  plan.inverse = inverse;
+  if (n <= 1) return plan;
+  if (is_power_of_two(n)) {
+    plan.radix2 = radix2_plan(n, inverse);
+  } else {
+    plan.bluestein = bluestein_plan(n, inverse);
+  }
+  return plan;
+}
+
+// Lanes per block: a block's rows (padded ones included) fill about 32 KiB,
+// so every butterfly stage finds it in L1, in whole 4-complex vectors. Lane
+// blocks are also the parallel work items; lanes never interact, so the
+// blocking and the thread count cannot change a bit.
+std::int64_t lane_block(const LinesPlan& plan) {
+  constexpr std::size_t kBlockBytes = std::size_t{32} << 10;
+  const std::size_t rows = plan.bluestein ? plan.bluestein->m : plan.n;
+  const std::size_t lanes = kBlockBytes / (std::max<std::size_t>(rows, 1) *
+                                           sizeof(Complex));
+  return std::max<std::int64_t>(8, static_cast<std::int64_t>(lanes / 4 * 4));
+}
+
+// Transforms `lanes` lines laid out as in radix2_lines, then applies the
+// inverse's 1/n normalization.
+void run_lines(const LinesPlan& plan, Complex* base, std::int64_t lanes,
+               std::int64_t stride) {
+  const std::size_t n = plan.n;
+  if (n <= 1) return;
+  if (plan.radix2) {
+    radix2_lines(*plan.radix2, base, n, lanes, stride);
+  } else {
+    bluestein_lines(*plan.bluestein, base, n, lanes, stride);
+  }
+  if (plan.inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      Complex* row = base + static_cast<std::int64_t>(j) * stride;
+      for (std::int64_t l = 0; l < lanes; ++l) row[l] *= inv_n;
+    }
+  }
+}
+
+// Row then column transforms over an H x W row-major coefficient grid, one
+// path for every grid size. Columns are lines with lanes = W in place. Rows
+// are lines too once a block of them is transposed into per-thread scratch
+// (lanes = the block's rows), transformed, and copied back.
 void transform_2d(std::vector<Complex>& coeffs, std::int64_t h, std::int64_t w,
                   bool inverse) {
-  // A line of length n costs ~n log n; target a few lines per chunk on
-  // typical grids without making chunks tiny.
-  const std::int64_t row_grain = kernels::grain_for(w, 1 << 12);
-  kernels::parallel_for(h, row_grain, [&](std::int64_t y0, std::int64_t y1) {
-    std::vector<Complex> row(static_cast<std::size_t>(w));
-    for (std::int64_t y = y0; y < y1; ++y) {
-      std::copy(coeffs.begin() + y * w, coeffs.begin() + (y + 1) * w,
-                row.begin());
-      fft(row, inverse);
-      std::copy(row.begin(), row.end(), coeffs.begin() + y * w);
-    }
-  });
-  const std::int64_t col_grain = kernels::grain_for(h, 1 << 12);
-  kernels::parallel_for(w, col_grain, [&](std::int64_t x0, std::int64_t x1) {
-    std::vector<Complex> col(static_cast<std::size_t>(h));
-    for (std::int64_t x = x0; x < x1; ++x) {
-      for (std::int64_t y = 0; y < h; ++y) {
-        col[static_cast<std::size_t>(y)] =
-            coeffs[static_cast<std::size_t>(y * w + x)];
+  Complex* grid = coeffs.data();
+  const LinesPlan rows = resolve_lines(static_cast<std::size_t>(w), inverse);
+  if (rows.n > 1) {
+    kernels::parallel_for(h, lane_block(rows), [&](std::int64_t y0,
+                                                   std::int64_t y1) {
+      thread_local std::vector<Complex> transposed;
+      const std::int64_t lanes = y1 - y0;
+      Complex* t = core::grow_aligned(transposed, w * lanes);
+      // Column-major walks: the scratch side streams, and the grid side
+      // cycles through only `lanes` cache lines.
+      Complex* block = grid + y0 * w;
+      for (std::int64_t x = 0; x < w; ++x) {
+        for (std::int64_t l = 0; l < lanes; ++l) {
+          t[x * lanes + l] = block[l * w + x];
+        }
       }
-      fft(col, inverse);
-      for (std::int64_t y = 0; y < h; ++y) {
-        coeffs[static_cast<std::size_t>(y * w + x)] =
-            col[static_cast<std::size_t>(y)];
+      run_lines(rows, t, lanes, lanes);
+      for (std::int64_t x = 0; x < w; ++x) {
+        for (std::int64_t l = 0; l < lanes; ++l) {
+          block[l * w + x] = t[x * lanes + l];
+        }
       }
-    }
-  });
+    });
+  }
+  fft_lines(grid, h, w, inverse);
 }
 
 }  // namespace
 
+void fft_lines(Complex* base, std::int64_t n, std::int64_t lanes,
+               bool inverse) {
+  ORBIT2_REQUIRE(n >= 0 && lanes >= 0,
+                 "fft_lines: " << n << " points x " << lanes << " lanes");
+  const LinesPlan plan = resolve_lines(static_cast<std::size_t>(n), inverse);
+  if (plan.n <= 1 || lanes == 0) return;
+  kernels::parallel_for(lanes, lane_block(plan),
+                        [&](std::int64_t l0, std::int64_t l1) {
+                          run_lines(plan, base + l0, l1 - l0, lanes);
+                        });
+}
+
 void fft(std::vector<Complex>& data, bool inverse) {
-  const std::size_t n = data.size();
-  if (n <= 1) return;
-  if (is_power_of_two(n)) {
-    fft_radix2(data, inverse);
-  } else {
-    fft_bluestein(data, inverse);
-  }
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (Complex& c : data) c *= inv_n;
-  }
+  fft_lines(data.data(), static_cast<std::int64_t>(data.size()), 1, inverse);
 }
 
 std::vector<Complex> fft_copy(const std::vector<Complex>& data, bool inverse) {

@@ -2,12 +2,16 @@
 // Fast Fourier transforms.
 //
 // Fig 7(a) compares radially averaged spatial power spectra of downscaled
-// temperature fields, so the metrics layer needs a real 2-D FFT. We provide
-// an iterative radix-2 Cooley-Tukey transform for power-of-two sizes and
-// Bluestein's chirp-z algorithm for arbitrary lengths, composed into a 2-D
-// transform and a radial power-spectral-density helper.
+// temperature fields, and the synthetic data pipeline shapes its random
+// fields in Fourier space, so both need a 2-D FFT. The core is a lines
+// transform: many same-length 1-D transforms run side by side, an iterative
+// radix-2 Cooley-Tukey for power-of-two lengths and Bluestein's chirp-z
+// algorithm for any other length, with every butterfly applied to all lanes
+// by one simd primitive call. The 1-D and 2-D transforms and the radial
+// power-spectral-density helper are built on it.
 
 #include <complex>
+#include <cstdint>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -16,18 +20,28 @@ namespace orbit2 {
 
 using Complex = std::complex<double>;
 
-/// In-place FFT of arbitrary length (radix-2 when n is a power of two,
-/// Bluestein otherwise). `inverse` applies the conjugate transform and the
-/// 1/n normalization.
+/// In-place FFTs of `lanes` independent lines of n points each, where
+/// element j of lane l sits at base[j * lanes + l] (radix-2 when n is a
+/// power of two, Bluestein otherwise). `inverse` applies the conjugate
+/// transform and the 1/n normalization. The plan is resolved with one cache
+/// lookup per call. Blocks of lanes run through the kernel layer; each lane
+/// sees exactly the arithmetic of a one-line transform, so results are
+/// bit-identical for any lane count and thread count.
+void fft_lines(Complex* base, std::int64_t n, std::int64_t lanes,
+               bool inverse);
+
+/// In-place FFT of arbitrary length: fft_lines with one lane.
 void fft(std::vector<Complex>& data, bool inverse);
 
 /// Out-of-place convenience wrapper.
 std::vector<Complex> fft_copy(const std::vector<Complex>& data, bool inverse);
 
 /// 2-D FFT of a [H, W] real field; returns H*W complex coefficients in
-/// row-major layout. Row and column transforms are dispatched through the
-/// kernel layer (one line per work item, line-local arithmetic), so results
-/// are bit-identical for any thread count.
+/// row-major layout. Row transforms, then column transforms, each one
+/// fft_lines pass: columns in place (lanes = W), rows on a transposed copy
+/// of each block of rows in per-thread scratch (lanes = the block's rows).
+/// Lane blocks are the parallel work items, so results are bit-identical
+/// for any thread count. One path serves every grid size.
 std::vector<Complex> fft2d(const Tensor& field);
 
 /// In-place inverse 2-D FFT of H*W row-major coefficients: inverse row

@@ -1,8 +1,11 @@
 #include "model/loss.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/kernels.hpp"
+#include "core/scratch.hpp"
 
 namespace orbit2::model {
 
@@ -131,44 +134,72 @@ Var tv_prior_loss(const Var& prediction, float epsilon) {
         const float kGradWeights[4] = {1.0f, 1.0f, 1.0f / std::sqrt(2.0f),
                                        1.0f / std::sqrt(2.0f)};
         const double geps2 = static_cast<double>(epsilon) * epsilon;
-        // Gather form: each pixel accumulates the +d terms where it is the
-        // pair's center and the -d terms where it is the neighbour, then
-        // writes its own cell exactly once. That removes the scatter into
-        // neighbouring rows, so rows parallelize with disjoint writes and
-        // the gradient is bit-identical for any thread count.
+        // Each pair's term w * diff / sqrt(diff^2 + eps^2) (d/ddiff of the
+        // charbonnier) is computed once per row band into per-thread
+        // scratch, laid out [band row][offset][x] and indexed by the pair's
+        // center. Band row 0 is the row above the band, whose dy = 1 pairs
+        // reach into it. Then each pixel adds the +term of the pairs it
+        // centers and the -term of the pairs it neighbours, offset by
+        // offset, and writes its own cell once: the same doubles in the
+        // same order as evaluating both sides per pixel, at half the square
+        // roots. A pair that does not exist (past an edge, across a channel
+        // boundary, above the first row) reads a zero slot or a zero pad
+        // column. Adding +-0 leaves gsum's bits unchanged because gsum
+        // starts at +0 and so is never -0; the gather needs no branch. Rows
+        // parallelize with disjoint writes, so the gradient is
+        // bit-identical for any thread count.
+        const std::int64_t ld = gw + 2;  // one zero pad column each side
         const std::int64_t grain = kernels::grain_for(gw * 32);
         kernels::parallel_for(
             gc * gh, grain, [&](std::int64_t r0, std::int64_t r1) {
-              for (std::int64_t r = r0; r < r1; ++r) {
+              thread_local std::vector<double> term_buffer;
+              const std::int64_t band_rows = r1 - r0 + 1;
+              double* terms =
+                  core::grow_aligned(term_buffer, band_rows * 4 * ld);
+              std::fill(terms, terms + band_rows * 4 * ld, 0.0);
+              // Terms of flat row r0 - 1 + b, by center column.
+              const auto term_row = [&](std::int64_t b, int o) {
+                return terms + (b * 4 + o) * ld + 1;
+              };
+              for (std::int64_t b = r0 > 0 ? 0 : 1; b < band_rows; ++b) {
+                const std::int64_t r = r0 - 1 + b;
                 const std::int64_t ch = r / gh, y = r % gh;
                 const float* plane = gp + ch * gh * gw;
-                float* gplane = out + ch * gh * gw;
+                for (int o = 0; o < 4; ++o) {
+                  const std::int64_t ny = y + kGradOffsets[o].dy;
+                  if (ny >= gh) continue;
+                  const std::int64_t dx = kGradOffsets[o].dx;
+                  const std::int64_t x_lo = dx < 0 ? -dx : 0;
+                  const std::int64_t x_hi = dx > 0 ? gw - dx : gw;
+                  const float* center = plane + y * gw;
+                  const float* neighbour = plane + ny * gw + dx;
+                  double* out_terms = term_row(b, o);
+                  for (std::int64_t x = x_lo; x < x_hi; ++x) {
+                    const double diff =
+                        static_cast<double>(center[x]) - neighbour[x];
+                    out_terms[x] = kGradWeights[o] * diff /
+                                   std::sqrt(diff * diff + geps2);
+                  }
+                }
+              }
+              for (std::int64_t r = r0; r < r1; ++r) {
+                const std::int64_t b = r - r0 + 1;
+                const double* as_center[4];
+                const double* as_neighbour[4];
+                for (int o = 0; o < 4; ++o) {
+                  as_center[o] = term_row(b, o);
+                  // (y, x) neighbours the center at (y - dy, x - dx).
+                  as_neighbour[o] = term_row(b - kGradOffsets[o].dy, o) -
+                                    kGradOffsets[o].dx;
+                }
+                float* grow = out + r * gw;
                 for (std::int64_t x = 0; x < gw; ++x) {
                   double gsum = 0.0;
                   for (int o = 0; o < 4; ++o) {
-                    // (y, x) as the pair's center.
-                    const std::int64_t ny = y + kGradOffsets[o].dy;
-                    const std::int64_t nx = x + kGradOffsets[o].dx;
-                    if (ny >= 0 && ny < gh && nx >= 0 && nx < gw) {
-                      const double diff =
-                          static_cast<double>(plane[y * gw + x]) -
-                          plane[ny * gw + nx];
-                      // d/ddiff of charbonnier = diff / sqrt(diff^2+eps^2).
-                      gsum += kGradWeights[o] * diff /
-                              std::sqrt(diff * diff + geps2);
-                    }
-                    // (y, x) as the neighbour of the center at (y-dy, x-dx).
-                    const std::int64_t cy = y - kGradOffsets[o].dy;
-                    const std::int64_t cx = x - kGradOffsets[o].dx;
-                    if (cy >= 0 && cy < gh && cx >= 0 && cx < gw) {
-                      const double diff =
-                          static_cast<double>(plane[cy * gw + cx]) -
-                          plane[y * gw + x];
-                      gsum -= kGradWeights[o] * diff /
-                              std::sqrt(diff * diff + geps2);
-                    }
+                    gsum += as_center[o][x];
+                    gsum -= as_neighbour[o][x];
                   }
-                  gplane[y * gw + x] = static_cast<float>(gsum) * inv_n_f * g0;
+                  grow[x] = static_cast<float>(gsum) * inv_n_f * g0;
                 }
               }
             });

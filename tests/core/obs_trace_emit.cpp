@@ -1,8 +1,10 @@
 // Fixture helper for the trace-validation ctest chain: runs a small traced
 // workload exercising every event kind the exporter emits (wall spans with
 // and without args, nested depths, simulated-clock spans, counters, gauges,
-// and a tiny Reslim forward and backward whose tape node spans feed the
-// summarizer's autograd ledger) and writes the Chrome trace JSON to argv[1].
+// a tiny Reslim forward and backward whose tape node spans feed the
+// summarizer's autograd ledger, and one synthetic data sample whose nested
+// spans feed its sample-build ledger) and writes the Chrome trace JSON to
+// argv[1].
 // A separate ctest then validates that file with tools/orbit2_trace.py,
 // proving the emitted JSON parses with a real JSON parser — not just the
 // C++-side substring checks.
@@ -15,6 +17,7 @@
 #include "core/kernels.hpp"
 #include "core/obs.hpp"
 #include "core/rng.hpp"
+#include "data/dataset.hpp"
 #include "model/reslim.hpp"
 
 int main(int argc, char** argv) {
@@ -54,6 +57,13 @@ int main(int argc, char** argv) {
     const orbit2::Tensor input =
         orbit2::Tensor::randn(orbit2::Shape{2, 8, 8}, rng);
     orbit2::autograd::backward(orbit2::autograd::mean(model.forward(input)));
+  }
+  {
+    orbit2::data::DatasetConfig config;
+    config.hr_h = 32;
+    config.hr_w = 64;
+    const orbit2::data::SyntheticDataset dataset(config);
+    static_cast<void>(dataset.sample(0));
   }
   obs::gauge("emit.gauge").set(0.75);
   obs::histogram("emit.hist").observe(1.0);

@@ -336,22 +336,15 @@ TEST(SimdMatrix, AxpyRowsF32) {
   }
 }
 
-// ---- FFT butterfly and complex pointwise multiply --------------------------
+// ---- Lane-batched FFT butterfly ---------------------------------------------
 
-TEST(SimdMatrix, FftButterflyF64) {
-  // Buffer layout: [a0 (2n doubles) | a1 (2n doubles)], twiddles separate.
+TEST(SimdMatrix, FftButterflyLanesF64) {
+  // Buffer layout: [a0 (2n doubles) | a1 (2n doubles)]; the one shared
+  // twiddle is the first complex of the source buffer.
   expect_matrix_bitwise<double>(
-      "fft_butterfly_f64", 4, interesting_doubles,
+      "fft_butterfly_lanes_f64", 4, interesting_doubles,
       [](const simd::Ops& o, double* d, const double* w, std::int64_t n) {
-        o.fft_butterfly_f64(d, d + 2 * n, w, n);
-      });
-}
-
-TEST(SimdMatrix, CmulF64) {
-  expect_matrix_bitwise<double>(
-      "cmul_f64", 2, interesting_doubles,
-      [](const simd::Ops& o, double* d, const double* y, std::int64_t n) {
-        o.cmul_f64(d, y, n);
+        o.fft_butterfly_lanes_f64(d, d + 2 * n, w, n);
       });
 }
 

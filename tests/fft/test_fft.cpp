@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <utility>
 
 #include "core/kernels.hpp"
+#include "core/obs.hpp"
 #include "core/rng.hpp"
+#include "core/simd/simd.hpp"
 #include "fft/fft.hpp"
 
 namespace orbit2 {
@@ -211,6 +215,183 @@ TEST(Fft, PlanCachedTransformsAreBitStable) {
       }
     }
   }
+}
+
+// A copy of the per-line 2-D transform the lines transform replaced: each
+// row, then each column, gathered into its own vector and run through a
+// one-line radix-2 or Bluestein FFT, with twiddles from the same `w *= root`
+// recurrence and butterflies and kernel products in the simd contract's
+// pinned complex-product formula. The lines transform must match it bit for
+// bit.
+namespace per_line {
+
+void butterfly(Complex& a0, Complex& a1, const Complex& w) {
+  const double vr = a1.real() * w.real() - a1.imag() * w.imag();
+  const double vi = a1.imag() * w.real() + a1.real() * w.imag();
+  const double ur = a0.real(), ui = a0.imag();
+  a0 = Complex(ur + vr, ui + vi);
+  a1 = Complex(ur - vr, ui - vi);
+}
+
+void radix2(std::vector<Complex>& a, bool inverse) {
+  const std::size_t n = a.size();
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(a[i], a[j]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double angle =
+        (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
+    const Complex root(std::cos(angle), std::sin(angle));
+    std::vector<Complex> twiddles;
+    Complex w(1.0, 0.0);
+    for (std::size_t k = 0; k < len / 2; ++k) {
+      twiddles.push_back(w);
+      w *= root;
+    }
+    for (std::size_t i = 0; i < n; i += len) {
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        butterfly(a[i + k], a[i + k + len / 2], twiddles[k]);
+      }
+    }
+  }
+}
+
+void bluestein(std::vector<Complex>& a, bool inverse) {
+  const std::size_t n = a.size();
+  const double sign = inverse ? 1.0 : -1.0;
+  std::vector<Complex> chirp(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t k2 = (k * k) % (2 * n);
+    const double angle =
+        sign * M_PI * static_cast<double>(k2) / static_cast<double>(n);
+    chirp[k] = Complex(std::cos(angle), std::sin(angle));
+  }
+  std::size_t m = 1;
+  while (m < 2 * n - 1) m <<= 1;
+  std::vector<Complex> kernel(m, Complex(0, 0));
+  kernel[0] = std::conj(chirp[0]);
+  for (std::size_t k = 1; k < n; ++k) {
+    kernel[k] = std::conj(chirp[k]);
+    kernel[m - k] = std::conj(chirp[k]);
+  }
+  radix2(kernel, false);
+
+  std::vector<Complex> x(m, Complex(0, 0));
+  for (std::size_t k = 0; k < n; ++k) x[k] = a[k] * chirp[k];
+  radix2(x, false);
+  for (std::size_t k = 0; k < m; ++k) {
+    const double xr = x[k].real(), xi = x[k].imag();
+    const double yr = kernel[k].real(), yi = kernel[k].imag();
+    x[k] = Complex(xr * yr - xi * yi, xi * yr + xr * yi);
+  }
+  radix2(x, true);
+  const double inv_m = 1.0 / static_cast<double>(m);
+  for (std::size_t k = 0; k < n; ++k) a[k] = x[k] * inv_m * chirp[k];
+}
+
+void fft_1d(std::vector<Complex>& data, bool inverse) {
+  const std::size_t n = data.size();
+  if (n <= 1) return;
+  if ((n & (n - 1)) == 0) {
+    radix2(data, inverse);
+  } else {
+    bluestein(data, inverse);
+  }
+  if (inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (Complex& c : data) c *= inv_n;
+  }
+}
+
+void transform_2d(std::vector<Complex>& coeffs, std::int64_t h, std::int64_t w,
+                  bool inverse) {
+  std::vector<Complex> row(static_cast<std::size_t>(w));
+  for (std::int64_t y = 0; y < h; ++y) {
+    std::copy(coeffs.begin() + y * w, coeffs.begin() + (y + 1) * w,
+              row.begin());
+    fft_1d(row, inverse);
+    std::copy(row.begin(), row.end(), coeffs.begin() + y * w);
+  }
+  std::vector<Complex> col(static_cast<std::size_t>(h));
+  for (std::int64_t x = 0; x < w; ++x) {
+    for (std::int64_t y = 0; y < h; ++y) {
+      col[static_cast<std::size_t>(y)] =
+          coeffs[static_cast<std::size_t>(y * w + x)];
+    }
+    fft_1d(col, inverse);
+    for (std::int64_t y = 0; y < h; ++y) {
+      coeffs[static_cast<std::size_t>(y * w + x)] =
+          col[static_cast<std::size_t>(y)];
+    }
+  }
+}
+
+}  // namespace per_line
+
+bool same_bytes(const std::vector<Complex>& a, const std::vector<Complex>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+TEST(Fft2d, LinesMatchPerLineReferenceBitwise) {
+  const std::pair<std::int64_t, std::int64_t> grids[] = {
+      {64, 128}, {16, 32}, {30, 45}, {1, 64}, {64, 1}, {2, 2}, {3, 5}};
+  const simd::Isa saved_isa = simd::active_isa();
+  for (const auto& [h, w] : grids) {
+    Rng rng(static_cast<std::uint64_t>(h * 1000 + w));
+    const Tensor field = Tensor::randn(Shape{h, w}, rng);
+    std::vector<Complex> forward_ref(static_cast<std::size_t>(h * w));
+    for (std::int64_t i = 0; i < h * w; ++i) {
+      forward_ref[static_cast<std::size_t>(i)] = Complex(field[i], 0.0);
+    }
+    per_line::transform_2d(forward_ref, h, w, /*inverse=*/false);
+    // The inverse runs on a full complex spectrum (not a real field's), so
+    // both parts of every input element carry bits.
+    std::vector<Complex> spectrum(static_cast<std::size_t>(h * w));
+    for (auto& c : spectrum) c = Complex(rng.normal(), rng.normal());
+    std::vector<Complex> inverse_ref = spectrum;
+    per_line::transform_2d(inverse_ref, h, w, /*inverse=*/true);
+
+    for (const simd::Isa isa : simd::supported_isas()) {
+      simd::set_isa(isa);
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        kernels::set_max_threads(threads);
+        EXPECT_TRUE(same_bytes(fft2d(field), forward_ref))
+            << "fft2d " << h << "x" << w << " isa=" << simd::isa_name(isa)
+            << " threads=" << threads;
+        std::vector<Complex> inverse = spectrum;
+        ifft2d(inverse, h, w);
+        EXPECT_TRUE(same_bytes(inverse, inverse_ref))
+            << "ifft2d " << h << "x" << w << " isa=" << simd::isa_name(isa)
+            << " threads=" << threads;
+      }
+    }
+  }
+  kernels::set_max_threads(0);
+  simd::set_isa(saved_isa);
+}
+
+// Each lines pass resolves its plan once: a row pass and a column pass per
+// 2-D transform, whatever the grid's line count.
+TEST(Fft2d, ResolvesEachPlanOncePerTransform) {
+  obs::set_enabled(true);
+  if (!obs::enabled()) GTEST_SKIP() << "built with ORBIT2_OBS=OFF";
+  const std::int64_t h = 64, w = 128;
+  Rng rng(11);
+  const Tensor field = Tensor::randn(Shape{h, w}, rng);
+  const auto lookups = [] {
+    return obs::counter("fft.plan_cache_hits").value() +
+           obs::counter("fft.plan_cache_misses").value();
+  };
+  const std::int64_t before = lookups();
+  auto coeffs = fft2d(field);
+  ifft2d(coeffs, h, w);
+  const std::int64_t after = lookups();
+  obs::set_enabled(false);
+  EXPECT_EQ(after - before, 4);
 }
 
 TEST(RadialSpectrum, NonSquareFieldUsesShorterAxisForBins) {

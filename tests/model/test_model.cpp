@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <tuple>
 
@@ -315,6 +316,87 @@ TEST(Loss, TvPriorScalesInDoubleBeforeNarrowing) {
   const float stale = static_cast<float>(acc) * static_cast<float>(inv_n);
   EXPECT_EQ(loss, correct);
   EXPECT_NE(correct, stale);
+}
+
+// A copy of the two-sided gather form the TV backward used before it
+// computed each pair's term once: every pixel evaluates the term of each
+// pair it centers (+) and of each pair it neighbours (-), per offset.
+Tensor tv_gradient_two_sided(const Tensor& pred, float epsilon) {
+  const std::int64_t c = pred.dim(0), h = pred.dim(1), w = pred.dim(2);
+  static constexpr struct { std::int64_t dy, dx; } kOff[4] = {
+      {0, 1}, {1, 0}, {1, 1}, {1, -1}};
+  const float kWt[4] = {1.0f, 1.0f, 1.0f / std::sqrt(2.0f),
+                        1.0f / std::sqrt(2.0f)};
+  const double eps2 = static_cast<double>(epsilon) * epsilon;
+  const float inv_n =
+      static_cast<float>(1.0 / static_cast<double>(pred.numel()));
+  Tensor grad(pred.shape());
+  for (std::int64_t ch = 0; ch < c; ++ch) {
+    const float* plane = pred.data().data() + ch * h * w;
+    float* gplane = grad.data().data() + ch * h * w;
+    for (std::int64_t y = 0; y < h; ++y) {
+      for (std::int64_t x = 0; x < w; ++x) {
+        double gsum = 0.0;
+        for (int o = 0; o < 4; ++o) {
+          const std::int64_t ny = y + kOff[o].dy, nx = x + kOff[o].dx;
+          if (ny >= 0 && ny < h && nx >= 0 && nx < w) {
+            const double diff =
+                static_cast<double>(plane[y * w + x]) - plane[ny * w + nx];
+            gsum += kWt[o] * diff / std::sqrt(diff * diff + eps2);
+          }
+          const std::int64_t cy = y - kOff[o].dy, cx = x - kOff[o].dx;
+          if (cy >= 0 && cy < h && cx >= 0 && cx < w) {
+            const double diff =
+                static_cast<double>(plane[cy * w + cx]) - plane[y * w + x];
+            gsum -= kWt[o] * diff / std::sqrt(diff * diff + eps2);
+          }
+        }
+        gplane[y * w + x] = static_cast<float>(gsum) * inv_n * 1.0f;
+      }
+    }
+  }
+  return grad;
+}
+
+// The one-term-per-pair TV backward is bit-neutral: it matches the
+// two-sided gather form byte for byte on Reslim's training tile shapes
+// (interior and corner tiles of a 2x2 TILES split) and on degenerate
+// planes, where row bands cross channel boundaries, at 1 and 4 threads.
+TEST(Loss, TvGradientMatchesTwoSidedGatherBitwise) {
+  const Shape shapes[] = {{2, 48, 80}, {2, 40, 72}, {8, 12, 20}, {3, 1, 70},
+                          {3, 70, 1},  {1, 2, 2},   {4, 2, 2},   {1, 1, 1}};
+  std::uint64_t seed = 40;
+  for (const Shape& shape : shapes) {
+    Rng rng(seed++);
+    Tensor base = Tensor::randn(shape, rng);
+    // Repeated values give zero differences, which must take the same path.
+    for (std::int64_t i = 0; i + 3 < base.numel(); i += 7) {
+      base[i + 1] = base[i];
+    }
+    // Channel 0 is a steep ramp: every pixel's terms are near +-1 and cancel
+    // to within float rounding of the ramp, so a change in the order of a
+    // pixel's double sum shows after the narrowing to float.
+    for (std::int64_t y = 0; y < shape[1]; ++y) {
+      for (std::int64_t x = 0; x < shape[2]; ++x) {
+        base[y * shape[2] + x] = 1.7f * static_cast<float>(x) +
+                                 0.9f * static_cast<float>(y);
+      }
+    }
+    const Tensor expected = tv_gradient_two_sided(base, 1e-2f);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      kernels::set_max_threads(threads);
+      auto pred = std::make_shared<autograd::Parameter>("pred", base.clone());
+      const Var pv = Var::parameter(pred);
+      autograd::backward(tv_prior_loss(pv, 1e-2f));
+      const Tensor& got = pv.node()->grad;
+      ASSERT_EQ(got.shape(), expected.shape());
+      EXPECT_EQ(0, std::memcmp(got.data().data(), expected.data().data(),
+                               static_cast<std::size_t>(got.numel()) *
+                                   sizeof(float)))
+          << shape.to_string() << " threads=" << threads;
+    }
+  }
+  kernels::set_max_threads(0);
 }
 
 // The kernel-routed loss loops (reduce forward, row-parallel backward, and

@@ -16,9 +16,17 @@ When the trace holds a traced backward pass (category "autograd": one
 node's backprop, named after its op and carrying its FLOPs), the summary adds
 an autograd ledger: per node name, the count, total ms, share of
 autograd_backward time and GF/s, plus the backward time no node span covers.
+
+When the trace holds data sample builds ("data/sample_build" spans), the
+summary adds a sample-build ledger: for each span nested inside a sample
+build on the same thread ("data/grf", and within it "fft2d" and "ifft2d";
+"gaussian_blur"), the count, total ms and share of sample-build time, plus
+the sample-build time outside the fft2d, ifft2d and gaussian_blur spans
+(the noise draw, the spectral filter, normalization and coarsening).
 """
 
 import argparse
+import bisect
 import json
 import sys
 from collections import defaultdict
@@ -113,6 +121,65 @@ def autograd_ledger(trace):
     return lines
 
 
+SAMPLE_BUILD = "data/sample_build"
+# Spans reported inside a sample build. data/grf contains the fft2d and
+# ifft2d rows; the three leaves are what the unspanned line subtracts.
+SAMPLE_CHILDREN = ("data/grf", "fft2d", "ifft2d", "gaussian_blur")
+SAMPLE_LEAVES = ("fft2d", "ifft2d", "gaussian_blur")
+
+
+def sample_build_ledger(trace):
+    """Rows of the spans nested in data/sample_build spans (empty if none)."""
+    builds = defaultdict(list)  # (pid, tid) -> [(ts, end)]
+    for ev in span_events(trace, simulated=False):
+        if ev["name"] == SAMPLE_BUILD:
+            builds[(ev["pid"], ev["tid"])].append(
+                (ev["ts"], ev["ts"] + ev["dur"]))
+    if not builds:
+        return []
+    starts = {}
+    for key, spans in builds.items():
+        spans.sort()
+        starts[key] = [ts for ts, _ in spans]
+    build_us = sum(end - ts for spans in builds.values() for ts, end in spans)
+    children = {name: [0, 0.0] for name in SAMPLE_CHILDREN}
+    for ev in span_events(trace, simulated=False):
+        entry = children.get(ev["name"])
+        key = (ev["pid"], ev["tid"])
+        if entry is None or key not in builds:
+            continue
+        # The latest build starting at or before this span must contain it.
+        i = bisect.bisect_right(starts[key], ev["ts"]) - 1
+        if i < 0 or ev["ts"] + ev["dur"] > builds[key][i][1]:
+            continue
+        entry[0] += 1
+        entry[1] += ev["dur"]
+    if build_us <= 0.0:
+        return []
+    lines = [
+        "== sample-build ledger (spans inside data/sample_build) ==",
+        f"{'span':<24} {'count':>8} {'total ms':>10} {'share':>7}",
+    ]
+    for name in SAMPLE_CHILDREN:
+        count, total_us = children[name]
+        lines.append(
+            f"{name:<24} {count:>8} {total_us / 1000.0:>10.3f} "
+            f"{total_us / build_us:>7.3f}"
+        )
+    rest_us = build_us - sum(children[name][1] for name in SAMPLE_LEAVES)
+    lines.append(
+        f"{'(unspanned)':<24} {'':>8} {rest_us / 1000.0:>10.3f} "
+        f"{rest_us / build_us:>7.3f}"
+    )
+    total_builds = sum(len(spans) for spans in builds.values())
+    lines.append(
+        f"{SAMPLE_BUILD:<24} {total_builds:>8} {build_us / 1000.0:>10.3f} "
+        f"{1.0:>7.3f}"
+    )
+    lines.append("")
+    return lines
+
+
 def summarize(trace, top_n):
     lines = []
     for simulated, label in ((False, "wall clock"), (True, "simulated clock")):
@@ -142,6 +209,7 @@ def summarize(trace, top_n):
         lines.append("")
 
     lines.extend(autograd_ledger(trace))
+    lines.extend(sample_build_ledger(trace))
 
     counters = [
         ev for ev in trace["traceEvents"]
