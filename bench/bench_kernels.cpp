@@ -14,7 +14,9 @@
 // Reslim's residual-conv shapes, next to the forward at the same shapes; both
 // count the forward's multiply-adds, so their GF/s compare directly. FFT rows
 // time fft2d and ifft2d at the data pipeline's 64x128 grid and at a
-// non-power-of-two 30x45, plus one gaussian_random_field at 64x128.
+// non-power-of-two 30x45, plus one gaussian_random_field at 64x128, at one
+// thread and at --threads. The ISA sweep adds per-element rows for the GELU
+// primitives, the Tensor gelu op, and exp_f32 next to libm's std::exp.
 //
 // Usage: bench_kernels [--reps N] [--threads N] [--quick] [--trace PATH]
 //   --reps N     timing repetitions per case, best-of (default 3)
@@ -43,6 +45,7 @@
 #include "fft/fft.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/matmul.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 
 namespace {
@@ -431,7 +434,8 @@ int main(int argc, char** argv) {
     orbit2::kernels::set_max_threads(0);
   }
 
-  // --- Attention: sequence-length sweep, flash + naive forward. ---
+  // --- Attention: sequence-length sweep, flash + naive forward, flash
+  // backward (counting twice the forward's flops). ---
   {
     const std::int64_t d = 32;
     const float scale = 1.0f / std::sqrt(static_cast<float>(d));
@@ -446,6 +450,10 @@ int main(int argc, char** argv) {
                            static_cast<double>(seq) * static_cast<double>(d);
       const std::string shape = std::to_string(seq) + "x" + std::to_string(d);
       const FlashParams params;
+      Rng grad_rng(static_cast<std::uint64_t>(seq));  // keeps rng's stream
+      const Tensor grad = Tensor::randn(Shape{seq, d}, grad_rng);
+      orbit2::AttentionContext ctx;
+      orbit2::attention_flash_forward(q, k, v, scale, &ctx, params);
       records.push_back(time_case(
           "attention_flash_fwd", shape, "legacy_serial", kSerial, reps, flops,
           [&] {
@@ -465,6 +473,13 @@ int main(int argc, char** argv) {
               const Tensor o =
                   orbit2::attention_naive_forward(q, k, v, scale, nullptr);
               return tensor_checksum(o);
+            }));
+        records.push_back(time_case(
+            "attention_flash_bwd", shape, "kernels", t, reps, 2.0 * flops,
+            [&] {
+              const orbit2::AttentionGrads g =
+                  orbit2::attention_flash_backward(ctx, grad, params);
+              return tensor_checksum(g.dq) + tensor_checksum(g.dk);
             }));
       }
       orbit2::kernels::set_max_threads(0);
@@ -614,11 +629,15 @@ int main(int argc, char** argv) {
     const double stream_flops = 2.0 * static_cast<double>(stream_n);
     // The GELU primitives over one 20x36 tile's MLP hidden activation (720
     // tokens x 128), into a reused buffer; "gflops" counts elements, and
-    // ns_per_element is the cost of one.
+    // ns_per_element is the cost of one. The Tensor gelu row also allocates
+    // its output, as the eager op does. exp_f32 runs over as many attention
+    // logits (scores minus their row max, so in [-16, 0]) next to a loop of
+    // libm's std::exp(float) on the same inputs.
     const std::int64_t gelu_n = 720 * 128;
     const Tensor gelu_x = Tensor::randn(Shape{gelu_n}, rng, 2.0f);
     const Tensor gelu_gy = Tensor::randn(Shape{gelu_n}, rng);
     std::vector<float> gelu_out(static_cast<std::size_t>(gelu_n));
+    const Tensor exp_x = Tensor::uniform(Shape{gelu_n}, rng, -16.0f, 0.0f);
     const auto elementwise_case = [&](const char* bench, const std::string&
                                           variant, auto&& fn) {
       Record rec = time_case(bench, "n=" + std::to_string(gelu_n), variant,
@@ -668,9 +687,24 @@ int main(int argc, char** argv) {
                                           gelu_x.data().data(), gelu_n);
         return buffer_checksum(gelu_out);
       }));
+      records.push_back(elementwise_case("gelu", variant, [&] {
+        return tensor_checksum(orbit2::gelu(gelu_x));
+      }));
+      records.push_back(elementwise_case("exp_f32", variant, [&] {
+        orbit2::simd::ops().exp_f32(gelu_out.data(), exp_x.data().data(),
+                                    gelu_n);
+        return buffer_checksum(gelu_out);
+      }));
       conv_rows(variant, kSerial);
       fft_rows(variant, kSerial);
     }
+    records.push_back(elementwise_case("exp_f32", "libm_std_exp", [&] {
+      const float* x = exp_x.data().data();
+      for (std::int64_t i = 0; i < gelu_n; ++i) {
+        gelu_out[static_cast<std::size_t>(i)] = std::exp(x[i]);
+      }
+      return buffer_checksum(gelu_out);
+    }));
     orbit2::kernels::set_max_threads(0);
     orbit2::simd::set_isa(saved_isa);
   }

@@ -120,8 +120,9 @@ AttentionGrads attention_naive_backward(const AttentionContext& ctx,
 //
 // Inside a (query block, KV block) tile the score and dP dots of the whole
 // query block come from one simd::Ops::gemm_tile_f64 call over a transposed
-// K (or V) block: lane (i, j) accumulates double(q_i[t]) * double(k_j[t]) in
-// ascending t from 0.0. The products are exact, so every lane equals the
+// block (the Q block in the forward, the K or V block in the backward):
+// lane (i, j) accumulates double(q_i[t]) * double(k_j[t]) in ascending t
+// from 0.0. The products are exact, so every lane equals the
 // sequential double dot of the two rows bit for bit on every ISA. The P·V,
 // dQ, dK and dV accumulates are simd::Ops::axpy_rows_f32 calls, which apply
 // their rows to each output element in the same order as one axpy_f32 per
@@ -133,13 +134,16 @@ namespace {
 /// written earlier in the same tile, so reuse across calls cannot leak
 /// values, and steady-state calls at a fixed shape allocate nothing.
 struct FlashScratch {
-  std::vector<float> kt;      // K block transposed, [d][bk]
+  std::vector<float> kt;      // K block transposed, [d][bk] (backward)
   std::vector<float> vt;      // V block transposed, [dv][bk] (backward)
-  std::vector<double> lanes;  // score or dP lanes of a query block, [bq][bk]
-  std::vector<float> p;       // forward: one probability row; backward: P
+  std::vector<float> qt;      // Q block transposed, [d][bq] (forward)
+  std::vector<double> lanes;  // score or dP lanes of a tile
+  std::vector<float> tile;    // forward: scores, one query row per lane
+  std::vector<float> p;       // P, [bq][bk] (backward: or [bk][bq])
   std::vector<float> ds;      // backward: dS tile
   std::vector<float> row_max;
   std::vector<float> row_sum;
+  std::vector<float> new_max;
 };
 
 FlashScratch& flash_scratch() {
@@ -172,6 +176,15 @@ void dot_lanes(const simd::Ops& sops, const float* x, std::int64_t rows,
 
 /// Body of the flash forward: writes the (pre-zeroed) output and the
 /// per-row log-sum-exp through raw pointers.
+///
+/// Each (query block, key block) tile holds one query row per lane: the
+/// scores come out of dot_lanes key-major, [bk][bq], as the dots of the K
+/// rows with the transposed Q block (each product is exact in double, so
+/// k·q and q·k are the same sum). Every row's block max and sum then run in
+/// ascending key order across the lanes, and one exp_f32 call covers the
+/// whole tile plus the rows' correction exponents. Each row still sees the
+/// per-element online-softmax arithmetic in ascending key order: max as
+/// std::max, row_sum *= correction before the block's terms are added.
 void flash_forward_body(const float* pq, const float* pk, const float* pv,
                         float* po, float* plse, std::int64_t nq,
                         std::int64_t nk, std::int64_t d, std::int64_t dv,
@@ -184,62 +197,72 @@ void flash_forward_body(const float* pq, const float* pk, const float* pv,
     // Running row statistics (max m_i, normalizer l_i) cover this chunk's
     // current query block only.
     FlashScratch& s = flash_scratch();
-    float* kt = grow_aligned(s.kt, d * max_bk);
-    double* lanes = grow_aligned(s.lanes, max_bq * max_bk);
-    float* prow = grow_aligned(s.p, max_bk);
+    float* qt = grow_aligned(s.qt, d * max_bq);
+    double* lanes = grow_aligned(s.lanes, max_bk * max_bq);
+    // [bk][bq] scores, then one row of correction exponents.
+    float* tile = grow_aligned(s.tile, (max_bk + 1) * max_bq);
+    float* p = grow_aligned(s.p, max_bq * max_bk);
     float* row_max = grow_aligned(s.row_max, max_bq);
     float* row_sum = grow_aligned(s.row_sum, max_bq);
+    float* new_max = grow_aligned(s.new_max, max_bq);
     for (std::int64_t qb = qb0; qb < qb1; ++qb) {
       const std::int64_t q0 = qb * params.block_q;
-      const std::int64_t q1 = std::min(nq, q0 + params.block_q);
-      std::fill(row_max, row_max + (q1 - q0),
+      const std::int64_t bq = std::min(nq, q0 + params.block_q) - q0;
+      std::fill(row_max, row_max + bq,
                 -std::numeric_limits<float>::infinity());
-      std::fill(row_sum, row_sum + (q1 - q0), 0.0f);
+      std::fill(row_sum, row_sum + bq, 0.0f);
+      transpose_block(pq, d, q0, bq, qt);
 
       for (std::int64_t k0 = 0; k0 < nk; k0 += params.block_kv) {
         const std::int64_t bk = std::min(nk, k0 + params.block_kv) - k0;
-        transpose_block(pk, d, k0, bk, kt);
-        dot_lanes(sops, pq + q0 * d, q1 - q0, kt, d, bk, lanes);
+        dot_lanes(sops, pk + k0 * d, bk, qt, d, bq, lanes);
+        for (std::int64_t e = 0; e < bk * bq; ++e) {
+          tile[e] = static_cast<float>(lanes[e]) * scale;
+        }
 
-        for (std::int64_t i = q0; i < q1; ++i) {
-          // Score row S_i = q_i Kb^T * scale.
-          const double* srow = lanes + (i - q0) * bk;
-          for (std::int64_t j = 0; j < bk; ++j) {
-            prow[j] = static_cast<float>(srow[j]) * scale;
+        // Online softmax update: rescale the previous accumulators when a
+        // new maximum appears, then fold in this block's contributions.
+        std::copy(tile, tile + bq, new_max);
+        for (std::int64_t j = 1; j < bk; ++j) {
+          sops.max_f32(new_max, tile + j * bq, bq);
+        }
+        float* correction = tile + bk * bq;
+        for (std::int64_t r = 0; r < bq; ++r) {
+          new_max[r] = std::max(row_max[r], new_max[r]);
+          correction[r] = row_max[r] - new_max[r];
+        }
+        for (std::int64_t j = 0; j < bk; ++j) {
+          sops.sub_f32(tile + j * bq, new_max, bq);
+        }
+        sops.exp_f32(tile, tile, (bk + 1) * bq);
+        for (std::int64_t r = 0; r < bq; ++r) {
+          if (row_max[r] == -std::numeric_limits<float>::infinity()) {
+            correction[r] = 0.0f;
           }
-
-          // Online softmax update: rescale the previous accumulators when a
-          // new maximum appears, then fold in this block's contributions.
-          float block_max = prow[0];
-          for (std::int64_t j = 1; j < bk; ++j) {
-            block_max = std::max(block_max, prow[j]);
+          row_sum[r] *= correction[r];
+          row_max[r] = new_max[r];
+        }
+        for (std::int64_t j = 0; j < bk; ++j) {
+          sops.add_f32(row_sum, tile + j * bq, bq);
+          for (std::int64_t r = 0; r < bq; ++r) {
+            p[r * bk + j] = tile[j * bq + r];
           }
-          const float old_max = row_max[i - q0];
-          const float new_max = std::max(old_max, block_max);
-          const float correction =
-              (old_max == -std::numeric_limits<float>::infinity())
-                  ? 0.0f
-                  : std::exp(old_max - new_max);
-
-          float* orow = po + i * dv;
-          sops.scale_f32(orow, correction, dv);
-          row_sum[i - q0] *= correction;
-          for (std::int64_t j = 0; j < bk; ++j) {
-            prow[j] = std::exp(prow[j] - new_max);
-            row_sum[i - q0] += prow[j];
-          }
-          sops.axpy_rows_f32(orow, pv + k0 * dv, dv, prow, bk, dv);
-          row_max[i - q0] = new_max;
+        }
+        for (std::int64_t r = 0; r < bq; ++r) {
+          float* orow = po + (q0 + r) * dv;
+          sops.scale_f32(orow, correction[r], dv);
+          sops.axpy_rows_f32(orow, pv + k0 * dv, dv, p + r * bk, bk, dv);
         }
       }
 
       // Final normalization and log-sum-exp bookkeeping for this block.
-      for (std::int64_t i = q0; i < q1; ++i) {
-        const float l = row_sum[i - q0];
-        ORBIT2_CHECK(l > 0.0f, "flash attention: zero normalizer at row " << i);
+      for (std::int64_t r = 0; r < bq; ++r) {
+        const float l = row_sum[r];
+        ORBIT2_CHECK(l > 0.0f,
+                     "flash attention: zero normalizer at row " << q0 + r);
         const float inv = 1.0f / l;
-        sops.scale_f32(po + i * dv, inv, dv);
-        plse[i] = row_max[i - q0] + std::log(l);
+        sops.scale_f32(po + (q0 + r) * dv, inv, dv);
+        plse[q0 + r] = row_max[r] + std::log(l);
       }
     }
   });
@@ -361,10 +384,10 @@ AttentionGrads attention_flash_backward(const AttentionContext& ctx,
       const std::int64_t base = (i - q0) * row_step;
       const double* srow = lanes + (i - q0) * bk;
       for (std::int64_t j = 0; j < bk; ++j) {
-        p[base + j * col_step] =
-            std::exp(static_cast<float>(srow[j]) * ctx.scale - lse);
+        p[base + j * col_step] = static_cast<float>(srow[j]) * ctx.scale - lse;
       }
     }
+    sops.exp_f32(p, p, bq * bk);  // either layout fills [0, bq * bk)
     dot_lanes(sops, pgo + q0 * dv, bq, vt, dv, bk, lanes);
     for (std::int64_t i = q0; i < q1; ++i) {
       const float delta_i = delta[static_cast<std::size_t>(i)];

@@ -5,11 +5,10 @@
 
 namespace orbit2::core {
 
-std::shared_ptr<std::vector<float>> BufferArena::add_buffer(
-    std::int64_t numel) {
+std::shared_ptr<FloatStorage> BufferArena::add_buffer(std::int64_t numel) {
   ORBIT2_REQUIRE(numel >= 0, "arena buffer numel must be >= 0, have " << numel);
   auto buffer =
-      std::make_shared<std::vector<float>>(static_cast<std::size_t>(numel));
+      std::make_shared<FloatStorage>(static_cast<std::size_t>(numel), 0.0f);
   const auto bytes =
       static_cast<std::int64_t>(numel) *
       static_cast<std::int64_t>(sizeof(float));

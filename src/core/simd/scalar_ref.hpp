@@ -16,6 +16,7 @@
 // those ISAs. Internal linkage keeps each TU's copy confined to code paths
 // already gated on that TU's ISA.
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 
@@ -87,6 +88,12 @@ static inline void scalar_rsub_f32(float* dst, const float* a, std::int64_t n) {
 static inline void scalar_mul_f32(float* dst, const float* a, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) {
     dst[i] = dst[i] * a[i];
+  }
+}
+
+static inline void scalar_max_f32(float* dst, const float* a, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    dst[i] = (dst[i] < a[i]) ? a[i] : dst[i];
   }
 }
 
@@ -324,6 +331,92 @@ static inline float gelu_grad_ref(float x) {
   const float sech2 = 1.0f - t * t;
   const float dinner = kGeluC * (1.0f + 3.0f * kGeluA * x * x);
   return 0.5f * (1.0f + t) + 0.5f * x * sech2 * dinner;
+}
+
+// ---- exp ------------------------------------------------------------------
+//
+// exp_ref is expf from Arm's optimized-routines (math/expf.c), the code glibc
+// 2.36 ships as e_expf.c. glibc's x86-64 libm builds it twice and picks the
+// FMA build at run time on hosts with FMA; exp_ref is that build: its five
+// std::fma calls are exactly where the FMA build's compiler fuses a multiply
+// and an add, and every other operation is rounded on its own. std::fma is
+// correctly rounded with or without a hardware FMA, so exp_ref returns the
+// same bits on every host: those of glibc's expf on an FMA host (all 2^32
+// inputs, NaN matching NaN), and the defining bits elsewhere. The routine's
+// notice:
+//
+//   Copyright (c) 2017-2018, Arm Limited.
+//   SPDX-License-Identifier: MIT
+
+// 2^(i/32) for i in [0, 32), each minus i << 47 so that adding k << 47
+// (k = i mod 32) rebuilds 2^(k/32) with k's high bits in the exponent.
+constexpr std::uint64_t kExp2Table[32] = {
+    0x3ff0000000000000u, 0x3fefd9b0d3158574u, 0x3fefb5586cf9890fu,
+    0x3fef9301d0125b51u, 0x3fef72b83c7d517bu, 0x3fef54873168b9aau,
+    0x3fef387a6e756238u, 0x3fef1e9df51fdee1u, 0x3fef06fe0a31b715u,
+    0x3feef1a7373aa9cbu, 0x3feedea64c123422u, 0x3feece086061892du,
+    0x3feebfdad5362a27u, 0x3feeb42b569d4f82u, 0x3feeab07dd485429u,
+    0x3feea47eb03a5585u, 0x3feea09e667f3bcdu, 0x3fee9f75e8ec5f74u,
+    0x3feea11473eb0187u, 0x3feea589994cce13u, 0x3feeace5422aa0dbu,
+    0x3feeb737b0cdc5e5u, 0x3feec49182a3f090u, 0x3feed503b23e255du,
+    0x3feee89f995ad3adu, 0x3feeff76f2fb5e47u, 0x3fef199bdd85529cu,
+    0x3fef3720dcef9069u, 0x3fef5818dcfba487u, 0x3fef7c97337b9b5fu,
+    0x3fefa4afa2a490dau, 0x3fefd0765b6e4540u,
+};
+// 32/ln2, the round-to-integer shift 1.5 * 2^52, and the cubic's
+// coefficients, pre-scaled for an r in units of 1/32.
+constexpr double kExpInvLn2N = 0x1.71547652b82fep+5;
+constexpr double kExpShift = 0x1.8p+52;
+constexpr double kExpC0 = 0x1.c6af84b912394p-20;
+constexpr double kExpC1 = 0x1.ebfce50fac4f3p-13;
+constexpr double kExpC2 = 0x1.62e42ff0c52d6p-6;
+// The top 12 bits of |88.0f|: at and above them the special cases are
+// checked. Above kExpOverflow exp overflows to +Inf; below kExpUnderflow it
+// rounds to +0.
+constexpr std::uint32_t kExpBigTop = 0x42bu;
+constexpr float kExpOverflow = 0x1.62e42ep6f;
+constexpr float kExpUnderflow = -0x1.9fe368p6f;
+
+static inline std::uint64_t f64_bits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+static inline double f64_from_bits(std::uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+static inline float exp_ref(float x) {
+  const std::uint32_t abstop = (f32_bits(x) >> 20) & 0x7ffu;
+  if (abstop >= kExpBigTop) {  // |x| >= 88, or x is Inf or NaN
+    if (f32_bits(x) == 0xff800000u) return 0.0f;  // -Inf
+    if (abstop >= 0x7f8u) return x + x;           // +Inf, NaN
+    if (x > kExpOverflow) return f32_from_bits(0x7f800000u);
+    if (x < kExpUnderflow) return 0.0f;
+  }
+  // x * 32/ln2 = k + r with r in [-1/2, 1/2]: adding the shift rounds to
+  // the integer k in the low bits of kd's mantissa.
+  const double xd = static_cast<double>(x);
+  double kd = std::fma(kExpInvLn2N, xd, kExpShift);
+  const std::uint64_t ki = f64_bits(kd);
+  kd -= kExpShift;
+  const double r = std::fma(kExpInvLn2N, xd, -kd);
+  // exp(x) = 2^(k/32) * 2^(r/32) ~= s * (C0*r^3 + C1*r^2 + C2*r + 1).
+  const double s = f64_from_bits(kExp2Table[ki % 32] + (ki << 47));
+  const double z = std::fma(kExpC0, r, kExpC1);
+  const double r2 = r * r;
+  double y = std::fma(kExpC2, r, 1.0);
+  y = std::fma(z, r2, y);
+  return static_cast<float>(y * s);
+}
+
+static inline void scalar_exp_f32(float* y, const float* x, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    y[i] = exp_ref(x[i]);
+  }
 }
 
 static inline void scalar_gelu_f32(float* y, const float* x, std::int64_t n) {

@@ -145,7 +145,9 @@ bool isa_supported(Isa isa) {
       return true;
     case Isa::kAvx2:
 #if defined(ORBIT2_SIMD_HAVE_AVX2)
-      return __builtin_cpu_supports("avx2") != 0;
+      // The AVX2 TU's exp uses FMA instructions.
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("fma") != 0;
 #else
       return false;
 #endif

@@ -6,7 +6,7 @@
 // the vectorized inner loops: a small set of primitive microkernels (a
 // register-tiled GEMM tile, lane-batched radix-2 FFT butterflies, contiguous
 // elementwise stages, row rescales, bf16 convert-and-round, GELU forward and
-// backward) behind one function-pointer table selected once at startup from
+// backward, exp) behind one function-pointer table selected once at startup from
 // the host ISA (AVX-512 > AVX2 > NEON > scalar) and overridable with
 // `ORBIT2_SIMD=scalar|avx2|avx512|neon` for testing.
 //
@@ -18,9 +18,12 @@
 //     single-rounding steps of the scalar reference, so scalar and every
 //     vector ISA produce identical bytes. Vector remainders run the scalar
 //     reference per element.
-//   * No fused multiply-add: `y += a * x` is one rounded multiply then one
-//     rounded add, matching the baseline scalar build (the simd TUs compile
-//     with -ffp-contract=off so the compiler cannot contract them either).
+//   * No implicit fused multiply-add: `y += a * x` is one rounded multiply
+//     then one rounded add, matching the baseline scalar build (the simd TUs
+//     compile with -ffp-contract=off so the compiler cannot contract them
+//     either). The only FMAs are explicit: exp's five, std::fma in the
+//     reference and an FMA intrinsic in each vector body, both correctly
+//     rounded on every host.
 //   * Accumulating primitives keep each output element's sum in its own
 //     register lane in the reference's operand order (gemm_tile_f64 walks k
 //     ascending per element), so no horizontal reduction is ever needed.
@@ -30,9 +33,11 @@
 //     that order in the scalar reference, so every ISA matches bit for bit.
 //   * Transcendentals are ported, not called: GELU's tanh is fdlibm's tanhf
 //     (scalar_ref.hpp tanh_ref), float operations only, bit-identical to
-//     glibc 2.36's tanhf. Vector backends compute every branch on every lane and
-//     blend, so each lane sees the reference's operations, and results do
-//     not depend on the host's libm.
+//     glibc 2.36's tanhf; exp is glibc 2.36's expf as its FMA build runs it
+//     (scalar_ref.hpp exp_ref), bit-identical to libm on FMA hosts. Vector
+//     backends compute every branch on every lane and blend, so each lane
+//     sees the reference's operations, and results do not depend on the
+//     host's libm.
 //   * Complex products (FFT butterflies) use the naive formula with pinned
 //     operand order:
 //     re = xr*wr - xi*wi, im = xi*wr + xr*wi (each product rounded once).
@@ -101,6 +106,10 @@ struct Ops {
   /// dst[i] = dst[i] * a[i].
   void (*mul_f32)(float* dst, const float* a, std::int64_t n);
 
+  /// dst[i] = std::max(dst[i], a[i]), that is (dst[i] < a[i]) ? a[i] : dst[i]:
+  /// a NaN in a[i] leaves dst[i], and of two zeros dst[i] stays.
+  void (*max_f32)(float* dst, const float* a, std::int64_t n);
+
   /// In-place bf16 storage rounding: y[i] = bf16_round(y[i]).
   /// Pure integer bit manipulation, bit-exact for every input including NaN.
   void (*bf16_round_f32)(float* y, std::int64_t n);
@@ -121,6 +130,10 @@ struct Ops {
   /// gelu_grad_ref).
   void (*gelu_grad_f32)(float* gx, const float* gy, const float* x,
                         std::int64_t n);
+
+  /// y[i] = exp(x[i]), computed as glibc's expf (scalar_ref.hpp exp_ref).
+  /// `y` may equal `x`.
+  void (*exp_f32)(float* y, const float* x, std::int64_t n);
 };
 
 /// The active table. First call resolves the ISA (ORBIT2_SIMD env override,

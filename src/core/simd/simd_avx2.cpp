@@ -1,9 +1,12 @@
 // AVX2 microkernels (256-bit). Compiled with -mavx2 -ffp-contract=off;
-// runtime-gated by __builtin_cpu_supports("avx2") in simd.cpp.
+// runtime-gated by __builtin_cpu_supports("avx2") and ("fma") in simd.cpp.
 //
 // Bit-exactness notes:
 //   * Float->double promotion uses vcvtps2pd (exact); multiply and add stay
-//     separate instructions (no vfmadd — the TU disables contraction).
+//     separate instructions (no vfmadd — the TU disables contraction). Only
+//     exp's two functions are built for FMA, by target attribute: with FMA
+//     enabled TU-wide, GCC 12 fuses cmul256's vmulpd + vaddsubpd into
+//     vfmaddsub even under -ffp-contract=off.
 //   * Complex products use vmovddup/vpermilpd to form (wr,wr)/(wi,wi) and
 //     the swapped (xi,xr), then vaddsubpd combines: even lane
 //     t1-t2 = xr*wr - xi*wi, odd lane t1+t2 = xi*wr + xr*wi — exactly the
@@ -189,6 +192,18 @@ void avx2_mul_f32(float* dst, const float* a, std::int64_t n) {
                                _mm256_loadu_ps(a + i)));
   }
   if (i < n) scalar_mul_f32(dst + i, a + i, n - i);
+}
+
+// vmaxps returns its second operand unless the first is greater: NaNs and
+// equal zeros keep dst, as (dst < a) ? a : dst does.
+void avx2_max_f32(float* dst, const float* a, std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(
+        dst + i, _mm256_max_ps(_mm256_loadu_ps(a + i),
+                               _mm256_loadu_ps(dst + i)));
+  }
+  if (i < n) scalar_max_f32(dst + i, a + i, n - i);
 }
 
 void avx2_bf16_round_f32(float* y, std::int64_t n) {
@@ -412,6 +427,58 @@ void avx2_gelu_grad_f32(float* gx, const float* gy, const float* x,
   if (i < n) scalar_gelu_grad_f32(gx + i, gy + i, x + i, n - i);
 }
 
+// exp_ref on 4 lanes, in double: the five FMAs are explicit (the table is
+// only dispatched where the host has FMA), every other step is one rounded
+// operation, as in the reference.
+[[gnu::target("fma")]] inline __m128 avx2_exp4(__m128 x) {
+  const __m256d xd = _mm256_cvtps_pd(x);
+  const __m256d shift = _mm256_set1_pd(kExpShift);
+  const __m256d inv_ln2n = _mm256_set1_pd(kExpInvLn2N);
+  __m256d kd = _mm256_fmadd_pd(inv_ln2n, xd, shift);
+  const __m256i ki = _mm256_castpd_si256(kd);
+  kd = _mm256_sub_pd(kd, shift);
+  const __m256d r = _mm256_fmsub_pd(inv_ln2n, xd, kd);
+  const __m256i entry = _mm256_i64gather_epi64(
+      reinterpret_cast<const long long*>(kExp2Table),
+      _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8);
+  const __m256d s =
+      _mm256_castsi256_pd(_mm256_add_epi64(entry, _mm256_slli_epi64(ki, 47)));
+  const __m256d z = _mm256_fmadd_pd(_mm256_set1_pd(kExpC0), r,
+                                    _mm256_set1_pd(kExpC1));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  __m256d y = _mm256_fmadd_pd(_mm256_set1_pd(kExpC2), r, _mm256_set1_pd(1.0));
+  y = _mm256_fmadd_pd(z, r2, y);
+  y = _mm256_mul_pd(y, s);
+  // x > overflow: +Inf; x < underflow (-Inf included): +0; NaN: x + x.
+  y = _mm256_blendv_pd(
+      y, _mm256_set1_pd(f64_from_bits(0x7ff0000000000000u)),
+      _mm256_cmp_pd(xd, _mm256_set1_pd(kExpOverflow), _CMP_GT_OQ));
+  y = _mm256_blendv_pd(
+      y, _mm256_setzero_pd(),
+      _mm256_cmp_pd(xd, _mm256_set1_pd(kExpUnderflow), _CMP_LT_OQ));
+  return _mm_blendv_ps(_mm256_cvtpd_ps(y), _mm_add_ps(x, x),
+                       _mm_cmp_ps(x, x, _CMP_UNORD_Q));
+}
+
+[[gnu::target("fma")]] void avx2_exp_f32(float* y, const float* x,
+                                         std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // Both halves are read before either is written: y may equal x.
+    const __m128 lo = _mm_loadu_ps(x + i);
+    const __m128 hi = _mm_loadu_ps(x + i + 4);
+    const __m128 elo = avx2_exp4(lo);
+    const __m128 ehi = avx2_exp4(hi);
+    _mm_storeu_ps(y + i, elo);
+    _mm_storeu_ps(y + i + 4, ehi);
+  }
+  if (i + 4 <= n) {
+    _mm_storeu_ps(y + i, avx2_exp4(_mm_loadu_ps(x + i)));
+    i += 4;
+  }
+  if (i < n) scalar_exp_f32(y + i, x + i, n - i);
+}
+
 }  // namespace
 
 const Ops* avx2_ops() {
@@ -425,10 +492,12 @@ const Ops* avx2_ops() {
       avx2_sub_f32,
       avx2_rsub_f32,
       avx2_mul_f32,
+      avx2_max_f32,
       avx2_bf16_round_f32,
       avx2_fft_butterfly_lanes_f64,
       avx2_gelu_f32,
       avx2_gelu_grad_f32,
+      avx2_exp_f32,
   };
   return &table;
 }

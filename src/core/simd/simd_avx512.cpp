@@ -187,6 +187,18 @@ void avx512_mul_f32(float* dst, const float* a, std::int64_t n) {
   if (i < n) scalar_mul_f32(dst + i, a + i, n - i);
 }
 
+// vmaxps returns its second operand unless the first is greater: NaNs and
+// equal zeros keep dst, as (dst < a) ? a : dst does.
+void avx512_max_f32(float* dst, const float* a, std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(
+        dst + i, _mm512_max_ps(_mm512_loadu_ps(a + i),
+                               _mm512_loadu_ps(dst + i)));
+  }
+  if (i < n) scalar_max_f32(dst + i, a + i, n - i);
+}
+
 void avx512_bf16_round_f32(float* y, std::int64_t n) {
   const __m512i abs_mask = _mm512_set1_epi32(0x7fffffff);
   const __m512i inf_bits = _mm512_set1_epi32(0x7f800000);
@@ -419,6 +431,64 @@ void avx512_gelu_grad_f32(float* gx, const float* gy, const float* x,
   if (i < n) scalar_gelu_grad_f32(gx + i, gy + i, x + i, n - i);
 }
 
+// exp_ref on 8 lanes, in double: the five FMAs are explicit, every other
+// step is one rounded operation, as in the reference. The table lookup is two
+// 16-entry permutes and a blend on bit 4 of k. Lanes past the special-case
+// thresholds take the reference's early-return values in a final blend.
+inline __m256 avx512_exp8(__m256 x, const __m512i (&tab)[4]) {
+  const __m512d xd = _mm512_cvtps_pd(x);
+  const __m512d shift = _mm512_set1_pd(kExpShift);
+  const __m512d inv_ln2n = _mm512_set1_pd(kExpInvLn2N);
+  __m512d kd = _mm512_fmadd_pd(inv_ln2n, xd, shift);
+  const __m512i ki = _mm512_castpd_si512(kd);
+  kd = _mm512_sub_pd(kd, shift);
+  const __m512d r = _mm512_fmsub_pd(inv_ln2n, xd, kd);
+  const __m512i entry = _mm512_mask_blend_epi64(
+      _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16)),
+      _mm512_permutex2var_epi64(tab[0], ki, tab[1]),
+      _mm512_permutex2var_epi64(tab[2], ki, tab[3]));
+  const __m512d s =
+      _mm512_castsi512_pd(_mm512_add_epi64(entry, _mm512_slli_epi64(ki, 47)));
+  const __m512d z = _mm512_fmadd_pd(_mm512_set1_pd(kExpC0), r,
+                                    _mm512_set1_pd(kExpC1));
+  const __m512d r2 = _mm512_mul_pd(r, r);
+  __m512d y = _mm512_fmadd_pd(_mm512_set1_pd(kExpC2), r, _mm512_set1_pd(1.0));
+  y = _mm512_fmadd_pd(z, r2, y);
+  y = _mm512_mul_pd(y, s);
+  // x > overflow: +Inf; x < underflow (-Inf included): +0; NaN: x + x. On
+  // doubles, since float -> double is exact.
+  y = _mm512_mask_blend_pd(
+      _mm512_cmp_pd_mask(xd, _mm512_set1_pd(kExpOverflow), _CMP_GT_OQ), y,
+      _mm512_set1_pd(f64_from_bits(0x7ff0000000000000u)));
+  y = _mm512_mask_blend_pd(
+      _mm512_cmp_pd_mask(xd, _mm512_set1_pd(kExpUnderflow), _CMP_LT_OQ), y,
+      _mm512_setzero_pd());
+  const __m256 out = _mm512_cvtpd_ps(y);
+  const __m256 unordered = _mm256_cmp_ps(x, x, _CMP_UNORD_Q);
+  return _mm256_blendv_ps(out, _mm256_add_ps(x, x), unordered);
+}
+
+void avx512_exp_f32(float* y, const float* x, std::int64_t n) {
+  const __m512i tab[4] = {
+      _mm512_loadu_si512(kExp2Table), _mm512_loadu_si512(kExp2Table + 8),
+      _mm512_loadu_si512(kExp2Table + 16), _mm512_loadu_si512(kExp2Table + 24)};
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    // Both halves are read before either is written: y may equal x.
+    const __m256 lo = _mm256_loadu_ps(x + i);
+    const __m256 hi = _mm256_loadu_ps(x + i + 8);
+    const __m256 elo = avx512_exp8(lo, tab);
+    const __m256 ehi = avx512_exp8(hi, tab);
+    _mm256_storeu_ps(y + i, elo);
+    _mm256_storeu_ps(y + i + 8, ehi);
+  }
+  if (i + 8 <= n) {
+    _mm256_storeu_ps(y + i, avx512_exp8(_mm256_loadu_ps(x + i), tab));
+    i += 8;
+  }
+  if (i < n) scalar_exp_f32(y + i, x + i, n - i);
+}
+
 }  // namespace
 
 const Ops* avx512_ops() {
@@ -432,10 +502,12 @@ const Ops* avx512_ops() {
       avx512_sub_f32,
       avx512_rsub_f32,
       avx512_mul_f32,
+      avx512_max_f32,
       avx512_bf16_round_f32,
       avx512_fft_butterfly_lanes_f64,
       avx512_gelu_f32,
       avx512_gelu_grad_f32,
+      avx512_exp_f32,
   };
   return &table;
 }

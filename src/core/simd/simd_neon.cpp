@@ -1,5 +1,6 @@
 // NEON microkernels (128-bit, aarch64 baseline). Compiled with
-// -ffp-contract=off so vmulq/vaddq never contract to vfma.
+// -ffp-contract=off so vmulq/vaddq never contract to vfma; the only vfma
+// instructions are exp's explicit vfmaq_f64 calls.
 //
 // One float64x2_t holds one complex double; the swapped operand comes from
 // vextq_f64 and the even-lane sign flip from an integer XOR (lane 0 is the
@@ -172,6 +173,18 @@ void neon_mul_f32(float* dst, const float* a, std::int64_t n) {
     vst1q_f32(dst + i, vmulq_f32(vld1q_f32(dst + i), vld1q_f32(a + i)));
   }
   if (i < n) scalar_mul_f32(dst + i, a + i, n - i);
+}
+
+// vmaxq_f32 propagates NaN, so select on dst < a instead: NaNs and equal
+// zeros keep dst, as (dst < a) ? a : dst does.
+void neon_max_f32(float* dst, const float* a, std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const float32x4_t vd = vld1q_f32(dst + i);
+    const float32x4_t va = vld1q_f32(a + i);
+    vst1q_f32(dst + i, vbslq_f32(vcltq_f32(vd, va), va, vd));
+  }
+  if (i < n) scalar_max_f32(dst + i, a + i, n - i);
 }
 
 void neon_bf16_round_f32(float* y, std::int64_t n) {
@@ -365,6 +378,47 @@ void neon_gelu_grad_f32(float* gx, const float* gy, const float* x,
   if (i < n) scalar_gelu_grad_f32(gx + i, gy + i, x + i, n - i);
 }
 
+// exp_ref on 2 lanes, in double: the five FMAs are explicit vfmaq_f64
+// (a + b*c, one rounding), every other step is one rounded operation, as in
+// the reference. The table entries are two scalar loads.
+inline float32x2_t neon_exp2(float32x2_t x) {
+  const float64x2_t xd = vcvt_f64_f32(x);
+  const float64x2_t shift = vdupq_n_f64(kExpShift);
+  const float64x2_t inv_ln2n = vdupq_n_f64(kExpInvLn2N);
+  float64x2_t kd = vfmaq_f64(shift, inv_ln2n, xd);
+  const uint64x2_t ki = vreinterpretq_u64_f64(kd);
+  kd = vsubq_f64(kd, shift);
+  const float64x2_t r = vfmaq_f64(vnegq_f64(kd), inv_ln2n, xd);
+  const uint64x2_t entry =
+      vcombine_u64(vdup_n_u64(kExp2Table[vgetq_lane_u64(ki, 0) % 32]),
+                   vdup_n_u64(kExp2Table[vgetq_lane_u64(ki, 1) % 32]));
+  const float64x2_t s =
+      vreinterpretq_f64_u64(vaddq_u64(entry, vshlq_n_u64(ki, 47)));
+  const float64x2_t z =
+      vfmaq_f64(vdupq_n_f64(kExpC1), vdupq_n_f64(kExpC0), r);
+  const float64x2_t r2 = vmulq_f64(r, r);
+  float64x2_t y = vfmaq_f64(vdupq_n_f64(1.0), vdupq_n_f64(kExpC2), r);
+  y = vfmaq_f64(y, z, r2);
+  y = vmulq_f64(y, s);
+  // x > overflow: +Inf; x < underflow (-Inf included): +0; NaN: x + x.
+  y = vbslq_f64(vcgtq_f64(xd, vdupq_n_f64(kExpOverflow)),
+                vdupq_n_f64(f64_from_bits(0x7ff0000000000000u)), y);
+  y = vbslq_f64(vcltq_f64(xd, vdupq_n_f64(kExpUnderflow)), vdupq_n_f64(0.0),
+                y);
+  return vbsl_f32(vceq_f32(x, x), vcvt_f32_f64(y), vadd_f32(x, x));
+}
+
+void neon_exp_f32(float* y, const float* x, std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    // The whole vector is read before it is written: y may equal x.
+    const float32x4_t vx = vld1q_f32(x + i);
+    vst1q_f32(y + i, vcombine_f32(neon_exp2(vget_low_f32(vx)),
+                                  neon_exp2(vget_high_f32(vx))));
+  }
+  if (i < n) scalar_exp_f32(y + i, x + i, n - i);
+}
+
 }  // namespace
 
 const Ops* neon_ops() {
@@ -378,10 +432,12 @@ const Ops* neon_ops() {
       neon_sub_f32,
       neon_rsub_f32,
       neon_mul_f32,
+      neon_max_f32,
       neon_bf16_round_f32,
       neon_fft_butterfly_lanes_f64,
       neon_gelu_f32,
       neon_gelu_grad_f32,
+      neon_exp_f32,
   };
   return &table;
 }

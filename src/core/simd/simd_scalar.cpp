@@ -18,10 +18,12 @@ const Ops* scalar_ops() {
       scalar_sub_f32,
       scalar_rsub_f32,
       scalar_mul_f32,
+      scalar_max_f32,
       scalar_bf16_round_f32,
       scalar_fft_butterfly_lanes_f64,
       scalar_gelu_f32,
       scalar_gelu_grad_f32,
+      scalar_exp_f32,
   };
   return &table;
 }

@@ -8,6 +8,7 @@
 #include "core/cache.hpp"
 #include "core/kernels.hpp"
 #include "core/obs.hpp"
+#include "core/simd/simd.hpp"
 #include "fft/fft.hpp"
 #include "image/filters.hpp"
 
@@ -188,13 +189,17 @@ Tensor physical_from_anomaly(const VariableSpec& spec, const Tensor& anomaly,
     case Distribution::kLogNormal: {
       // exp of the shaped field, thresholded for intermittency (dry areas),
       // scaled to the requested climatological mean.
+      const simd::Ops& sops = simd::ops();
+      const auto wet_at = [&](std::int64_t i) {
+        const float standardized = coupling * topo[i] + anomaly_gain * a[i];
+        return standardized - 0.3f;  // ~38% of area is "wet"
+      };
       kernels::parallel_for(
           h * w, kernels::grain_for(8), [&](std::int64_t i0, std::int64_t i1) {
+            for (std::int64_t i = i0; i < i1; ++i) dst[i] = wet_at(i);
+            sops.exp_f32(dst + i0, dst + i0, i1 - i0);
             for (std::int64_t i = i0; i < i1; ++i) {
-              const float standardized =
-                  coupling * topo[i] + anomaly_gain * a[i];
-              const float wet = standardized - 0.3f;  // ~38% of area is "wet"
-              dst[i] = wet > 0.0f ? spec.mean * (std::exp(wet) - 1.0f) : 0.0f;
+              dst[i] = wet_at(i) > 0.0f ? spec.mean * (dst[i] - 1.0f) : 0.0f;
             }
           });
       break;

@@ -1,6 +1,7 @@
 #include "fft/fft.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -224,16 +225,33 @@ LinesPlan resolve_lines(std::size_t n, bool inverse) {
   return plan;
 }
 
+// Points each lane's transform runs over: the padded length for Bluestein.
+std::size_t lines_rows(const LinesPlan& plan) {
+  return std::max<std::size_t>(plan.bluestein ? plan.bluestein->m : plan.n, 1);
+}
+
 // Lanes per block: a block's rows (padded ones included) fill about 32 KiB,
-// so every butterfly stage finds it in L1, in whole 4-complex vectors. Lane
-// blocks are also the parallel work items; lanes never interact, so the
-// blocking and the thread count cannot change a bit.
+// so every butterfly stage finds it in L1, in whole 4-complex vectors.
 std::int64_t lane_block(const LinesPlan& plan) {
   constexpr std::size_t kBlockBytes = std::size_t{32} << 10;
-  const std::size_t rows = plan.bluestein ? plan.bluestein->m : plan.n;
-  const std::size_t lanes = kBlockBytes / (std::max<std::size_t>(rows, 1) *
-                                           sizeof(Complex));
+  const std::size_t lanes = kBlockBytes / (lines_rows(plan) * sizeof(Complex));
   return std::max<std::int64_t>(8, static_cast<std::int64_t>(lanes / 4 * 4));
+}
+
+// Lanes per parallel task: whole lane blocks, as many as it takes for a
+// task's rows x log2(rows) butterfly work to reach 2^17 units, about 100 us
+// on one AVX-512 core. One task per block (or per 2^15 units) made a 64 x 128
+// fft2d slower at 4 threads than at 1: each pass takes tens of microseconds,
+// less than the pool's dispatch and wake-up cost to split it. Lanes never
+// interact, so neither the blocking nor the thread count can change a bit.
+std::int64_t lane_grain(const LinesPlan& plan) {
+  const std::int64_t block = lane_block(plan);
+  const auto rows = static_cast<std::int64_t>(lines_rows(plan));
+  const std::int64_t stages = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(std::bit_width(
+             static_cast<std::uint64_t>(rows - 1))));
+  const std::int64_t lanes = kernels::grain_for(rows * stages, 1 << 17);
+  return (lanes + block - 1) / block * block;
 }
 
 // Transforms `lanes` lines laid out as in radix2_lines, then applies the
@@ -265,23 +283,26 @@ void transform_2d(std::vector<Complex>& coeffs, std::int64_t h, std::int64_t w,
   Complex* grid = coeffs.data();
   const LinesPlan rows = resolve_lines(static_cast<std::size_t>(w), inverse);
   if (rows.n > 1) {
-    kernels::parallel_for(h, lane_block(rows), [&](std::int64_t y0,
+    const std::int64_t block_rows = lane_block(rows);
+    kernels::parallel_for(h, lane_grain(rows), [&](std::int64_t y0,
                                                    std::int64_t y1) {
       thread_local std::vector<Complex> transposed;
-      const std::int64_t lanes = y1 - y0;
-      Complex* t = core::grow_aligned(transposed, w * lanes);
-      // Column-major walks: the scratch side streams, and the grid side
-      // cycles through only `lanes` cache lines.
-      Complex* block = grid + y0 * w;
-      for (std::int64_t x = 0; x < w; ++x) {
-        for (std::int64_t l = 0; l < lanes; ++l) {
-          t[x * lanes + l] = block[l * w + x];
+      Complex* t = core::grow_aligned(transposed, w * block_rows);
+      for (std::int64_t yb = y0; yb < y1; yb += block_rows) {
+        const std::int64_t lanes = std::min(block_rows, y1 - yb);
+        // Column-major walks: the scratch side streams, and the grid side
+        // cycles through only `lanes` cache lines.
+        Complex* block = grid + yb * w;
+        for (std::int64_t x = 0; x < w; ++x) {
+          for (std::int64_t l = 0; l < lanes; ++l) {
+            t[x * lanes + l] = block[l * w + x];
+          }
         }
-      }
-      run_lines(rows, t, lanes, lanes);
-      for (std::int64_t x = 0; x < w; ++x) {
-        for (std::int64_t l = 0; l < lanes; ++l) {
-          block[l * w + x] = t[x * lanes + l];
+        run_lines(rows, t, lanes, lanes);
+        for (std::int64_t x = 0; x < w; ++x) {
+          for (std::int64_t l = 0; l < lanes; ++l) {
+            block[l * w + x] = t[x * lanes + l];
+          }
         }
       }
     });
@@ -297,9 +318,13 @@ void fft_lines(Complex* base, std::int64_t n, std::int64_t lanes,
                  "fft_lines: " << n << " points x " << lanes << " lanes");
   const LinesPlan plan = resolve_lines(static_cast<std::size_t>(n), inverse);
   if (plan.n <= 1 || lanes == 0) return;
-  kernels::parallel_for(lanes, lane_block(plan),
+  const std::int64_t block = lane_block(plan);
+  kernels::parallel_for(lanes, lane_grain(plan),
                         [&](std::int64_t l0, std::int64_t l1) {
-                          run_lines(plan, base + l0, l1 - l0, lanes);
+                          for (std::int64_t b = l0; b < l1; b += block) {
+                            run_lines(plan, base + b, std::min(block, l1 - b),
+                                      lanes);
+                          }
                         });
 }
 

@@ -20,7 +20,7 @@ Executor::Executor(std::shared_ptr<const Plan> plan) : plan_(std::move(plan)) {
   ORBIT2_REQUIRE(plan_ != nullptr, "Executor on null plan");
   const CapturedGraph& g = plan_->graph;
 
-  std::vector<std::shared_ptr<std::vector<float>>> slots;
+  std::vector<std::shared_ptr<core::FloatStorage>> slots;
   slots.reserve(plan_->slot_numel.size());
   for (std::int64_t numel : plan_->slot_numel) {
     slots.push_back(arena_.add_buffer(numel));

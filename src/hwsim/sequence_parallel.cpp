@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "core/obs.hpp"
+#include "core/simd/simd.hpp"
 
 namespace orbit2::hwsim {
 
@@ -33,6 +34,7 @@ Tensor ring_attention(const Tensor& q, const Tensor& k, const Tensor& v,
   const float* pk = k.data().data();
   const float* pv = v.data().data();
   float* po = output.data().data();
+  const simd::Ops& sops = simd::ops();
 
   // `step` rotates the KV blocks around the ring: at step s, device dev
   // holds KV block (dev + s) mod devices. Every step except the first
@@ -56,8 +58,9 @@ Tensor ring_attention(const Tensor& q, const Tensor& k, const Tensor& v,
       for (std::int64_t i = q0; i < q0 + rows_per_device; ++i) {
         const float* qrow = pq + i * d;
         float block_max = -std::numeric_limits<float>::infinity();
-        // Scores for this block.
-        std::vector<float> scores(static_cast<std::size_t>(rows_per_device));
+        // Scores for this block, then the correction's exponent.
+        std::vector<float> scores(static_cast<std::size_t>(rows_per_device) +
+                                  1);
         for (std::int64_t j = 0; j < rows_per_device; ++j) {
           const float* krow = pk + (k0 + j) * d;
           double acc = 0.0;
@@ -69,15 +72,21 @@ Tensor ring_attention(const Tensor& q, const Tensor& k, const Tensor& v,
         }
         const float old_max = row_max[static_cast<std::size_t>(i)];
         const float new_max = std::max(old_max, block_max);
+        for (std::int64_t j = 0; j < rows_per_device; ++j) {
+          scores[static_cast<std::size_t>(j)] -= new_max;
+        }
+        scores.back() = old_max - new_max;
+        sops.exp_f32(scores.data(), scores.data(),
+                     static_cast<std::int64_t>(scores.size()));
         const float correction =
             (old_max == -std::numeric_limits<float>::infinity())
                 ? 0.0f
-                : std::exp(old_max - new_max);
+                : scores.back();
         float* orow = po + i * dv;
         for (std::int64_t t = 0; t < dv; ++t) orow[t] *= correction;
         row_sum[static_cast<std::size_t>(i)] *= correction;
         for (std::int64_t j = 0; j < rows_per_device; ++j) {
-          const float p = std::exp(scores[static_cast<std::size_t>(j)] - new_max);
+          const float p = scores[static_cast<std::size_t>(j)];
           row_sum[static_cast<std::size_t>(i)] += p;
           const float* vrow = pv + (k0 + j) * dv;
           for (std::int64_t t = 0; t < dv; ++t) orow[t] += p * vrow[t];

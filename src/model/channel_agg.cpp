@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/kernels.hpp"
+#include "core/simd/simd.hpp"
 #include "graph/executor.hpp"
 #include "graph/ir.hpp"
 #include "tensor/matmul.hpp"
@@ -46,11 +47,15 @@ void aggregate_channels_core(const Tensor& emb, const Tensor& q,
         pa[var * num_positions + pos] = s;
         max_score = std::max(max_score, s);
       }
+      for (std::int64_t var = 0; var < num_variables; ++var) {
+        pa[var * num_positions + pos] -= max_score;
+      }
+    }
+    simd::ops().exp_f32(pa, pa, num_variables * num_positions);
+    for (std::int64_t pos = 0; pos < num_positions; ++pos) {
       double denom = 0.0;
       for (std::int64_t var = 0; var < num_variables; ++var) {
-        float& a = pa[var * num_positions + pos];
-        a = std::exp(a - max_score);
-        denom += a;
+        denom += pa[var * num_positions + pos];
       }
       const float inv = static_cast<float>(1.0 / denom);
       for (std::int64_t var = 0; var < num_variables; ++var) {

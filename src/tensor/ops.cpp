@@ -14,7 +14,7 @@ namespace orbit2 {
 // per-row arithmetic, so results are bit-identical for any thread count.
 
 Tensor softmax_rows(const Tensor& logits) {
-  Tensor out(logits.shape());
+  Tensor out = Tensor::uninitialized(logits.shape());
   softmax_rows_into(logits, out);
   return out;
 }
@@ -37,13 +37,13 @@ void softmax_rows_into(const Tensor& logits, Tensor& out) {
           float row_max = x[0];
           for (std::int64_t c = 1; c < cols; ++c) row_max = std::max(row_max, x[c]);
           // The denom accumulation stays a sequential double sum — its
-          // addition order is pinned by golden tests. Only the
-          // element-parallel rescale routes through the simd tier.
+          // addition order is pinned by golden tests. The element-parallel
+          // exp and rescale route through the simd tier. `y` may be `x`:
+          // row_max is read in full before the first write.
+          for (std::int64_t c = 0; c < cols; ++c) y[c] = x[c] - row_max;
+          sops.exp_f32(y, y, cols);
           double denom = 0.0;
-          for (std::int64_t c = 0; c < cols; ++c) {
-            y[c] = std::exp(x[c] - row_max);
-            denom += y[c];
-          }
+          for (std::int64_t c = 0; c < cols; ++c) denom += y[c];
           const float inv = static_cast<float>(1.0 / denom);
           sops.scale_f32(y, inv, cols);
         }
@@ -56,7 +56,7 @@ Tensor softmax_rows_backward(const Tensor& softmax_output,
   ORBIT2_REQUIRE(softmax_output.rank() == 2, "softmax backward requires rank-2");
   const std::int64_t rows = softmax_output.dim(0);
   const std::int64_t cols = softmax_output.dim(1);
-  Tensor grad_input(softmax_output.shape());
+  Tensor grad_input = Tensor::uninitialized(softmax_output.shape());
   const float* y = softmax_output.data().data();
   const float* gy = grad_output.data().data();
   float* gx = grad_input.data().data();
@@ -81,9 +81,13 @@ Tensor softmax_rows_backward(const Tensor& softmax_output,
 Tensor layernorm_rows(const Tensor& input, const Tensor& gamma,
                       const Tensor& beta, float epsilon, Tensor* saved_mean,
                       Tensor* saved_inv_std) {
-  Tensor out(input.shape());
-  if (saved_mean != nullptr) *saved_mean = Tensor(Shape{input.dim(0)});
-  if (saved_inv_std != nullptr) *saved_inv_std = Tensor(Shape{input.dim(0)});
+  Tensor out = Tensor::uninitialized(input.shape());
+  if (saved_mean != nullptr) {
+    *saved_mean = Tensor::uninitialized(Shape{input.dim(0)});
+  }
+  if (saved_inv_std != nullptr) {
+    *saved_inv_std = Tensor::uninitialized(Shape{input.dim(0)});
+  }
   layernorm_rows_into(input, gamma, beta, epsilon, out, saved_mean,
                       saved_inv_std);
   return out;
@@ -134,7 +138,7 @@ Tensor layernorm_rows_backward(const Tensor& grad_output, const Tensor& input,
                                Tensor& grad_gamma, Tensor& grad_beta) {
   const std::int64_t rows = input.dim(0), cols = input.dim(1);
   check_same_shape(grad_output, input, "layernorm_rows_backward");
-  Tensor grad_input(input.shape());
+  Tensor grad_input = Tensor::uninitialized(input.shape());
 
   const float* gy = grad_output.data().data();
   const float* in = input.data().data();
@@ -198,7 +202,7 @@ Tensor layernorm_rows_backward(const Tensor& grad_output, const Tensor& input,
 }
 
 Tensor gelu(const Tensor& input) {
-  Tensor out(input.shape());
+  Tensor out = Tensor::uninitialized(input.shape());
   const float* x = input.data().data();
   float* y = out.data().data();
   const simd::Ops& sops = simd::ops();
@@ -211,7 +215,7 @@ Tensor gelu(const Tensor& input) {
 
 Tensor gelu_backward(const Tensor& input, const Tensor& grad_output) {
   check_same_shape(input, grad_output, "gelu_backward");
-  Tensor out(input.shape());
+  Tensor out = Tensor::uninitialized(input.shape());
   const float* x = input.data().data();
   const float* gy = grad_output.data().data();
   float* gx = out.data().data();

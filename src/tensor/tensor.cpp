@@ -1,6 +1,7 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -13,21 +14,30 @@ Tensor::Tensor() : Tensor(Shape{}) {}
 
 Tensor::Tensor(Shape shape)
     : shape_(shape),
-      storage_(std::make_shared<std::vector<float>>(
+      storage_(std::make_shared<core::FloatStorage>(
           static_cast<std::size_t>(shape.numel()), 0.0f)) {}
+
+Tensor::Tensor(Shape shape, std::shared_ptr<core::FloatStorage> storage)
+    : shape_(shape), storage_(std::move(storage)) {}
+
+Tensor Tensor::uninitialized(Shape shape) {
+  Tensor out(shape, std::make_shared<core::FloatStorage>(
+                        static_cast<std::size_t>(shape.numel())));
+#if ORBIT2_DEBUG_CHECKS_ENABLED
+  out.fill(std::bit_cast<float>(std::uint32_t{0x7fc0deadu}));
+#endif
+  return out;
+}
 
 Tensor Tensor::zeros(Shape shape) { return Tensor(shape); }
 
 Tensor Tensor::with_storage(Shape shape,
-                            std::shared_ptr<std::vector<float>> storage) {
+                            std::shared_ptr<core::FloatStorage> storage) {
   ORBIT2_REQUIRE(storage != nullptr, "with_storage: null storage");
   ORBIT2_REQUIRE(static_cast<std::int64_t>(storage->size()) == shape.numel(),
                  "with_storage: " << storage->size() << " floats for shape "
                                   << shape.numel());
-  Tensor out;
-  out.shape_ = shape;
-  out.storage_ = std::move(storage);
-  return out;
+  return Tensor(shape, std::move(storage));
 }
 
 Tensor Tensor::full(Shape shape, float value) {

@@ -16,6 +16,7 @@
 
 #include "core/debug_check.hpp"
 #include "core/error.hpp"
+#include "core/float_storage.hpp"
 #include "core/rng.hpp"
 #include "core/shape.hpp"
 
@@ -26,10 +27,15 @@ class Tensor {
   /// Empty rank-0 tensor holding a single zero.
   Tensor();
 
-  /// Uninitialized-to-zero tensor of the given shape.
+  /// Zero-filled tensor of the given shape.
   explicit Tensor(Shape shape);
 
   // ---- Factories -----------------------------------------------------
+
+  /// Tensor of the given shape whose elements are not written: for outputs
+  /// a kernel overwrites in full. Under ORBIT2_DEBUG_CHECKS every element
+  /// holds a quiet-NaN pattern instead, so a missed write shows in results.
+  static Tensor uninitialized(Shape shape);
 
   static Tensor zeros(Shape shape);
   static Tensor full(Shape shape, float value);
@@ -46,7 +52,7 @@ class Tensor {
   /// without copying; the tensor shares ownership. This is how the compiled
   /// inference executor binds planned arena slots as tensor values.
   static Tensor with_storage(Shape shape,
-                             std::shared_ptr<std::vector<float>> storage);
+                             std::shared_ptr<core::FloatStorage> storage);
 
   // ---- Structure -----------------------------------------------------
 
@@ -166,10 +172,12 @@ class Tensor {
   Tensor transpose2d() const;
 
  private:
+  Tensor(Shape shape, std::shared_ptr<core::FloatStorage> storage);
+
   std::int64_t flatten(std::initializer_list<std::int64_t> idx) const;
 
   Shape shape_;
-  std::shared_ptr<std::vector<float>> storage_;
+  std::shared_ptr<core::FloatStorage> storage_;
 };
 
 /// Checks same-shape precondition shared by binary elementwise ops.

@@ -17,6 +17,7 @@
 #include "attention/attention.hpp"
 #include "core/kernels.hpp"
 #include "core/rng.hpp"
+#include "core/simd/scalar_ref.hpp"
 #include "core/simd/simd.hpp"
 #include "tensor/ops.hpp"
 
@@ -226,8 +227,9 @@ TEST(AttentionArgs, FlashBackwardRejectsNonPositiveBlocks) {
 
 // Per-element reference of the flash kernels: one sequential double dot per
 // score and per dP, and one axpy_f32 per (query, key) pair, walked serially
-// in the block order the kernels pin. The kernels must match it bit for bit
-// under every ISA and thread count.
+// in the block order the kernels pin, with exp the pinned port (exp_ref: on
+// an FMA host it is libm's expf bit for bit). The kernels must match it bit
+// for bit under every ISA and thread count.
 
 struct FlashForwardRef {
   std::vector<float> out, lse;
@@ -271,13 +273,14 @@ FlashForwardRef reference_flash_forward(const Tensor& q, const Tensor& k,
         const float correction =
             (old_max == -std::numeric_limits<float>::infinity())
                 ? 0.0f
-                : std::exp(old_max - new_max);
+                : simd::detail::exp_ref(old_max - new_max);
         float* orow = ref.out.data() + i * dv;
         sops.scale_f32(orow, correction, dv);
         row_sum[r] *= correction;
         for (std::int64_t j = 0; j < bk; ++j) {
           const float p =
-              std::exp(scores[static_cast<std::size_t>(j)] - new_max);
+              simd::detail::exp_ref(scores[static_cast<std::size_t>(j)] -
+                                    new_max);
           row_sum[r] += p;
           sops.axpy_f32(orow, pv + (k0 + j) * dv, p, dv);
         }
@@ -326,7 +329,8 @@ AttentionGrads reference_flash_backward(const AttentionContext& ctx,
     for (std::int64_t t = 0; t < d; ++t) {
       acc += static_cast<double>(pq[i * d + t]) * pk[j * d + t];
     }
-    return std::exp(static_cast<float>(acc) * ctx.scale - plse[i]);
+    return simd::detail::exp_ref(static_cast<float>(acc) * ctx.scale -
+                                 plse[i]);
   };
   auto dsoft = [&](std::int64_t i, std::int64_t j, float p) {
     double dp = 0.0;

@@ -157,6 +157,30 @@ TEST(SimdMatrix, MulF32) {
                     std::int64_t n) { o.mul_f32(d, s, n); });
 }
 
+TEST(SimdMatrix, MaxF32) {
+  // std::max's order on every backend: NaNs and signed zeros on either side,
+  // next to finite values over many binades.
+  const auto make = [](std::size_t n, std::uint64_t seed) {
+    std::vector<float> v = interesting_floats(n, seed);
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                              -std::numeric_limits<float>::quiet_NaN(),
+                              0.0f,
+                              -0.0f,
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity()};
+    Rng rng(seed + 17);
+    for (std::size_t i = 0; i < n; i += 2) {
+      v[i] = specials[rng.uniform_index(std::size(specials))];
+    }
+    return v;
+  };
+  expect_matrix_bitwise<float>(
+      "max_f32", 1, make,
+      [](const simd::Ops& o, float* d, const float* s, std::int64_t n) {
+        o.max_f32(d, s, n);
+      });
+}
+
 // ---- bf16 convert-and-round: full bit-pattern coverage ---------------------
 
 TEST(SimdMatrix, Bf16RoundF32AllBitClasses) {
@@ -487,10 +511,13 @@ TEST(SimdMatrix, GeluPoolReachesEveryTanhBranch) {
 }
 
 /// Runs `run(ops, dst, src, aux, n)` under scalar then under every
-/// supported backend over sizes 0..67 and 1023 at offsets 0/1/3, comparing
-/// the whole destination (guards included) bytewise, a NaN matching any NaN.
-void expect_gelu_matrix(
+/// supported backend over sizes 0..67 and 1023 at offsets 0/1/3, with `src`
+/// from `make_src`, comparing the whole destination (guards included)
+/// bytewise, a NaN matching any NaN.
+void expect_pool_matrix(
     const char* what,
+    const std::function<std::vector<float>(std::size_t, std::uint64_t)>&
+        make_src,
     const std::function<void(const simd::Ops&, float*, const float*,
                              const float*, std::int64_t)>& run) {
   const IsaRestore restore;
@@ -503,7 +530,7 @@ void expect_gelu_matrix(
     for (const std::int64_t off : kOffsets) {
       const std::size_t used = static_cast<std::size_t>(off + n);
       const std::size_t total = used + kGuard;
-      const std::vector<float> src = gelu_inputs(total, seed++);
+      const std::vector<float> src = make_src(total, seed++);
       std::vector<float> aux = interesting_floats(total, seed++);
       aux[total / 2] = std::numeric_limits<float>::infinity();
       aux[total / 3] = std::numeric_limits<float>::quiet_NaN();
@@ -528,11 +555,11 @@ void expect_gelu_matrix(
 }
 
 TEST(SimdMatrix, GeluF32) {
-  expect_gelu_matrix("gelu_f32", [](const simd::Ops& o, float* d,
+  expect_pool_matrix("gelu_f32", gelu_inputs, [](const simd::Ops& o, float* d,
                                     const float* s, const float*,
                                     std::int64_t n) { o.gelu_f32(d, s, n); });
   // In place (y == x), as the executor's fused chains call it.
-  expect_gelu_matrix("gelu_f32 in place",
+  expect_pool_matrix("gelu_f32 in place", gelu_inputs,
                      [](const simd::Ops& o, float* d, const float* s,
                         const float*, std::int64_t n) {
                        std::memcpy(d, s, static_cast<std::size_t>(n) *
@@ -543,7 +570,7 @@ TEST(SimdMatrix, GeluF32) {
 
 TEST(SimdMatrix, GeluGradF32) {
   // aux is gy: finite values over many binades plus an Inf and a NaN.
-  expect_gelu_matrix("gelu_grad_f32",
+  expect_pool_matrix("gelu_grad_f32", gelu_inputs,
                      [](const simd::Ops& o, float* d, const float* s,
                         const float* gy, std::int64_t n) {
                        o.gelu_grad_f32(d, gy, s, n);
@@ -603,6 +630,89 @@ TEST(SimdTanh, RefPinnedOverStridedBitPatterns) {
   }
   EXPECT_EQ(crc32(out.data(), out.size() * sizeof(std::uint32_t)),
             0xc9dc4154u);
+}
+
+// ---- exp: glibc's expf on every ISA -----------------------------------------
+
+/// exp inputs at every special case and threshold of exp_ref: signed zeros,
+/// infinities, NaN payloads, +-88 (where the special-case checks start), the
+/// overflow and underflow thresholds and their neighbours, inputs whose
+/// results are subnormal, and the inputs where the port without its FMAs
+/// returns other bits (an exhaustive sweep finds 0x4202422f and 0xc27c65d9;
+/// a strided one misses both).
+std::vector<float> exp_pool() {
+  using simd::detail::f32_bits;
+  std::vector<std::uint32_t> bits = {
+      0x00000000u, 0x80000000u,  // +/- zero
+      0x00000001u, 0x807fffffu,  // subnormals: exp is 1
+      0x7f800000u, 0xff800000u,  // +/- inf
+      0x7f7fffffu, 0xff7fffffu,  // +/- max finite
+      0x7fc00000u, 0xffc12345u,  // quiet NaNs
+      0x7f800001u, 0xffb12345u,  // signalling NaNs
+      0x4202422fu, 0xc27c65d9u,  // where dropping the FMAs changes the bits
+  };
+  for (const float t : {88.0f, -88.0f, simd::detail::kExpOverflow,
+                        simd::detail::kExpUnderflow}) {
+    for (const std::uint32_t b : {f32_bits(t) - 1, f32_bits(t),
+                                  f32_bits(t) + 1}) {
+      bits.push_back(b);
+    }
+  }
+  // Subnormal and smallest normal results.
+  for (const float x : {-87.3f, -87.4f, -90.0f, -100.0f, -103.0f, -103.9f}) {
+    bits.push_back(f32_bits(x));
+  }
+  std::vector<float> pool;
+  for (const std::uint32_t b : bits) pool.push_back(std::bit_cast<float>(b));
+  return pool;
+}
+
+/// `total` floats, alternately drawn from exp_pool() in a seed-dependent
+/// order and uniform over [-110, 90], which spans underflow to overflow.
+std::vector<float> exp_inputs(std::size_t total, std::uint64_t seed) {
+  static const std::vector<float> pool = exp_pool();
+  Rng rng(seed);
+  std::vector<float> v(total);
+  for (std::size_t i = 0; i < total; ++i) {
+    v[i] = i % 2 == 0 ? pool[rng.uniform_index(pool.size())]
+                      : static_cast<float>(rng.uniform(-110.0, 90.0));
+  }
+  return v;
+}
+
+TEST(SimdMatrix, ExpF32) {
+  expect_pool_matrix("exp_f32", exp_inputs,
+                     [](const simd::Ops& o, float* d, const float* s,
+                        const float*, std::int64_t n) { o.exp_f32(d, s, n); });
+  // In place (y == x), as the attention kernels call it.
+  expect_pool_matrix("exp_f32 in place", exp_inputs,
+                     [](const simd::Ops& o, float* d, const float* s,
+                        const float*, std::int64_t n) {
+                       std::memcpy(d, s, static_cast<std::size_t>(n) *
+                                             sizeof(float));
+                       o.exp_f32(d, d, n);
+                     });
+}
+
+TEST(SimdExp, RefPinnedOverStridedBitPatterns) {
+  // A host-independent pin of exp_ref: the CRC32 of its output over every
+  // 4099th bit pattern plus exp_pool(). The constant is glibc 2.36's
+  // std::exp(float) on an FMA host over the same inputs, so it also pins
+  // that the port is libm's expf there, whatever the host's libm.
+  std::vector<std::uint32_t> inputs;
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += 4099) {
+    inputs.push_back(static_cast<std::uint32_t>(u));
+  }
+  for (const float x : exp_pool()) {
+    inputs.push_back(simd::detail::f32_bits(x));
+  }
+  std::vector<std::uint32_t> out(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    out[i] = simd::detail::f32_bits(
+        simd::detail::exp_ref(simd::detail::f32_from_bits(inputs[i])));
+  }
+  EXPECT_EQ(crc32(out.data(), out.size() * sizeof(std::uint32_t)),
+            0xf4cb3108u);
 }
 
 // ---- dispatch surface ------------------------------------------------------

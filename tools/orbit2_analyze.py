@@ -20,7 +20,7 @@ Enforces the repo's bit-exactness contract as named, machine-checked rules
                          RNG, pointer-to-integer casts (address-as-key).
   intrinsics-outside-simd vector intrinsics or intrinsic headers outside
                          src/core/simd.
-  pinned-libm            a libm function the simd tier ports (tanh) called
+  pinned-libm            a libm function the simd tier ports (tanh, exp) called
                          outside src/core/simd: its bits would depend on the
                          host's libm instead of the pinned port.
 
@@ -517,10 +517,11 @@ def textual_intrinsics(path: str, code: str, findings: list[Finding]):
 
 # libm functions with a bit-exact port in src/core/simd/scalar_ref.hpp. A
 # call anywhere else would tie results (and every golden) to the host's libm.
-PINNED_LIBM_FUNCS = ("tanh",)
+PINNED_LIBM_FUNCS = ("tanh", "exp")
 # `std::tanh` in any use, or an unqualified / `::`-qualified call `tanh(`,
-# each with the C float/long double suffixes. `x.tanh(` and `p->tanh(` are
-# member calls, not libm.
+# each with the C float/long double suffixes (likewise exp). `x.tanh(` and
+# `p->exp(` are member calls, not libm; `expm1`, `exp2` and `exp_f32` are
+# other names.
 _PINNED_LIBM_NAME = "(?:" + "|".join(PINNED_LIBM_FUNCS) + ")[fl]?"
 PINNED_LIBM_RE = re.compile(
     rf"\bstd\s*::\s*({_PINNED_LIBM_NAME})\b|"
@@ -1348,10 +1349,15 @@ void scale(float* y, float a, long n) { ops().scale_f32(y, a, n); }
 float a(float x) { return std::tanh(x); }
 float b(float x) { return tanhf(x); }
 float c(double x) { return ::tanh(x); }
-""", [(RULE_PINNED_LIBM, 2), (RULE_PINNED_LIBM, 3), (RULE_PINNED_LIBM, 4)]),
+float d(float x) { return std::exp(x); }
+float e(float x) { return expf(x); }
+""", [(RULE_PINNED_LIBM, 2), (RULE_PINNED_LIBM, 3), (RULE_PINNED_LIBM, 4),
+      (RULE_PINNED_LIBM, 5), (RULE_PINNED_LIBM, 6)]),
     ("pinned_libm_good", """\
 float tanh_ref(float x);
-float a(float x) { return tanh_ref(x); }  // not std::tanh(x)
+float exp_ref(float x);
+float a(float x) { return tanh_ref(x) + exp_ref(x); }  // not std::exp(x)
+float b(float x) { return std::expm1(x) + std::exp2(x); }
 """, []),
 ]
 
